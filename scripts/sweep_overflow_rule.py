@@ -13,23 +13,18 @@ import sys
 
 import numpy as np
 
-from sawsps.cascade import (CascadeModel, Transient, initial_loading,
-                            onset_time, solve_cascade_analytic)
+from sawsps.analysis import expected_emission_trace
+from sawsps.cascade import CascadeModel, onset_time
 
 
 def observables(model, g, overflow):
-    weights = initial_loading(g, model.num_levels, overflow=overflow)
     t = np.arange(0.0, 8.0 * sum(model.lifetimes_ns),
                   min(model.lifetimes_ns) / 50.0)
     out = []
     for level in range(1, model.num_levels + 1):
-        y = np.zeros_like(t)
-        for k in range(level, model.num_levels + 1):
-            if weights[k] > 0:
-                sol = solve_cascade_analytic(model, k)
-                y += weights[k] * sol.emission_rate(level, t)
-        intensity = float(np.trapezoid(y, t))
-        onset = onset_time(Transient(t, y), 0.1) if intensity > 0 else float("nan")
+        trace = expected_emission_trace(model, g, level, t, overflow=overflow)
+        intensity = trace.integral()
+        onset = onset_time(trace, 0.1) if intensity > 0 else float("nan")
         out.extend([intensity, onset])
     return out
 

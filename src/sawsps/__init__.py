@@ -17,11 +17,10 @@ from .emitter import (PhotonRecord, TrajectoryConfig, ensemble_histogram,
                       sample_cascade_from_loads, sample_pulse_loading,
                       simulate_trajectory)
 from .transport import (CarrierPocket, ChannelLayout, LaserSpot, QdSite,
-                        SawWave, advance, arrival_delay, capture_pass,
+                        SawWave, arrival_delay, capture_pass,
                         exciton_formation, generate_pockets, run_device)
-from .detector import (CcdFrame, Irf, TransitionSpectrum, bandpass_filter,
-                       convolve_irf, jitter_photon, render_pl_image,
-                       render_spatial_spectral)
+from .detector import (CcdFrame, Irf, TransitionSpectrum, convolve_irf,
+                       render_pl_image, render_spatial_spectral)
 from .analysis import (G2Histogram, RiseFallFit, fit_rise_fall, g2_histogram,
                        measure_intrinsic_lifetimes, onset_delay_curve,
                        powerlaw_exponent)

@@ -166,10 +166,10 @@ class DelayCurve:
 
 
 def expected_emission_trace(model: CascadeModel, g: float, level: int,
-                            time_ns) -> Transient:
-    """Expected PL intensity of one transition under Poisson pulse loading:
-    the loading-weighted superposition of the closed-form solutions."""
-    weights = initial_loading(g, model.num_levels)
+                            time_ns, overflow: str = "fold") -> Transient:
+    """Expected PL intensity of one transition under Poisson pulse loading
+    (`initial_loading`): the weighted sum of the closed-form solutions."""
+    weights = initial_loading(g, model.num_levels, overflow=overflow)
     t = np.asarray(time_ns, dtype=float)
     y = np.zeros_like(t)
     for k in range(level, model.num_levels + 1):

@@ -315,12 +315,6 @@ class BatemanSolution:
             den += c * math.factorial(m) / lam ** (m + 1)
         return num / den
 
-    def on_grid(self, time_ns) -> OccupancyTrace:
-        t = np.asarray(time_ns, dtype=float)
-        occ = np.vstack([self.occupancy(i, t)
-                         for i in range(1, self.model.num_levels + 1)])
-        return OccupancyTrace(t, occ)
-
     def _check_level(self, level: int):
         if not 1 <= level <= self.model.num_levels:
             raise ValueError(

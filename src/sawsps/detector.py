@@ -14,7 +14,6 @@ import numpy as np
 from scipy.special import erf
 
 from .cascade import Transient
-from .emitter import PhotonRecord
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # = 2.3548...
 HC_MEV_NM = 1.23984198e6  # h*c in meV * nm
@@ -54,20 +53,6 @@ def convolve_irf(transient: Transient, irf: Irf) -> Transient:
     t0 = transient.time_ns[0] - half * dt
     t = t0 + np.arange(y.size) * dt
     return Transient(t, np.maximum(y, 0.0))
-
-
-def jitter_photon(record: PhotonRecord, irf: Irf,
-                  rng: np.random.Generator) -> PhotonRecord:
-    """Per-photon counterpart of the IRF: adds Gaussian timing noise."""
-    noise = rng.normal(0.0, irf.sigma_ns)
-    return PhotonRecord(record.time_ns + noise, record.transition,
-                        record.emitter_id, record.x_um, record.y_um)
-
-
-def jitter_stream(records, irf: Irf, rng: np.random.Generator):
-    noise = rng.normal(0.0, irf.sigma_ns, len(records))
-    return [PhotonRecord(r.time_ns + n, r.transition, r.emitter_id,
-                         r.x_um, r.y_um) for r, n in zip(records, noise)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +120,6 @@ def sample_wavelengths(records, spectrum: TransitionSpectrum,
     return out
 
 
-def bandpass_filter(records, center_nm: float, width_nm: float,
-                    spectrum: TransitionSpectrum,
-                    rng: np.random.Generator) -> list:
-    """Keep photons whose sampled wavelength falls inside the band."""
-    if width_nm <= 0:
-        raise ValueError("band width must be > 0")
-    if not records:
-        return []
-    wl = sample_wavelengths(records, spectrum, rng)
-    lo, hi = center_nm - width_nm / 2, center_nm + width_nm / 2
-    return [r for r, w in zip(records, wl) if lo <= w <= hi]
-
-
 # ---------------------------------------------------------------------------
 # Frames
 # ---------------------------------------------------------------------------
@@ -203,13 +175,6 @@ def render_spatial_spectral(records, row_edges_um, col_edges_nm,
     counts, _, _ = np.histogram2d(xs, wl, bins=(row_edges, col_edges))
     overflow = len(records) - int(counts.sum())
     return CcdFrame(row_edges, col_edges, counts, overflow=overflow)
-
-
-def with_shot_noise(frame: CcdFrame, rng: np.random.Generator) -> CcdFrame:
-    """Poisson shot-noise realization of a frame (off by default in renders)."""
-    noisy = rng.poisson(frame.counts).astype(float)
-    return CcdFrame(frame.row_edges_um, frame.col_edges_nm, noisy,
-                    overflow=frame.overflow)
 
 
 @dataclass(frozen=True)

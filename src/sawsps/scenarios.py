@@ -9,9 +9,12 @@ counter-based substreams keyed by fixed block indices.
 
 import hashlib
 import json
+import math
+import numbers
+import secrets
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +42,15 @@ DEFAULT_SEED = 12345
 _CASCADE_DEFAULTS = {"lifetimes_ns": [1.5, 1.4, 0.9],
                      "labels": ["1X", "2X", "3X"]}
 
+# Every key a preset takes, with its default; the default's type is the
+# key's type (see `_typed`).
 _PRESETS: dict[str, dict] = {
     "fig3_power_series": {
         "description": "Photons per pulse vs pump for every transition: "
                        "model curve, Monte Carlo points and low-pump "
                        "power-law exponents.",
         "params": {
-            "cascade": dict(_CASCADE_DEFAULTS),
+            "cascade": _CASCADE_DEFAULTS,
             "g_values": [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0],
             "mc_pulses_per_point": 1000000,
             "powerlaw_g_max": 0.1,
@@ -55,7 +60,7 @@ _PRESETS: dict[str, dict] = {
         "description": "Time-resolved emission traces of each transition at "
                        "three pump levels, raw and IRF-convolved.",
         "params": {
-            "cascade": dict(_CASCADE_DEFAULTS),
+            "cascade": _CASCADE_DEFAULTS,
             "g_values": [0.2, 0.7, 1.9],
             "irf_fwhm_ns": 0.35,
             "horizon_ns": 12.0,
@@ -66,7 +71,7 @@ _PRESETS: dict[str, dict] = {
         "description": "Onset and mean emission delay of every transition "
                        "versus pump strength.",
         "params": {
-            "cascade": dict(_CASCADE_DEFAULTS),
+            "cascade": _CASCADE_DEFAULTS,
             "g_values": [0.05, 0.1, 0.2, 0.4, 0.7, 1.0, 1.9, 3.0, 5.0, 10.0,
                          20.0],
             "onset_threshold": 0.1,
@@ -80,11 +85,11 @@ _PRESETS: dict[str, dict] = {
             "saw": {"frequency_mhz": 193.0, "wavelength_um": 15.0,
                     "amplitude": 1.0, "direction": 1},
             "field": {"density_per_um2": 30.0,
-                      "extent_um": [[0.0, 10.0], [-5.0, 5.0]],
+                      "extent_um": ((0.0, 10.0), (-5.0, 5.0)),
                       "capture_radius_um": 0.05, "capture_prob": 0.2},
             "spot": {"center_um": -12.0, "radius_um": 1.5,
                      "pairs_per_pulse": 75.0},
-            "channel_extent_um": [-20.0, 12.0],
+            "channel_extent_um": (-20.0, 12.0),
             "num_pulses": 200,
             "pulses_per_saw_cycle": 1.0,
             "image": {"psf_sigma_um": 0.4, "pixel_um": 0.25},
@@ -96,18 +101,18 @@ _PRESETS: dict[str, dict] = {
                        "the spot: CCD frames without SAW and for both "
                        "propagation directions.",
         "params": {
-            "cascade": dict(_CASCADE_DEFAULTS),
+            "cascade": _CASCADE_DEFAULTS,
             "saw": {"frequency_mhz": 193.0, "wavelength_um": 15.0,
                     "amplitude": 1.0},
             "sites": {"positions_um": [0.0, -7.0, -14.0],
                       "capture_radius_um": 0.5, "capture_prob": 0.5},
             "spot": {"center_um": 0.0, "radius_um": 1.0,
                      "pairs_per_pulse": 2.0},
-            "channel_extent_um": [-20.0, 6.0],
+            "channel_extent_um": (-20.0, 6.0),
             "num_pulses": 2000,
-            "emitter_shifts_nm": {"1": 1.6, "2": -2.4},
-            "frame": {"row_extent_um": [-16.0, 4.0], "row_bin_um": 0.5,
-                      "col_extent_nm": [858.0, 884.0], "col_bin_nm": 0.2},
+            "emitter_shifts_nm": {1: 1.6, 2: -2.4},  # by site id
+            "frame": {"row_extent_um": (-16.0, 4.0), "row_bin_um": 0.5,
+                      "col_extent_nm": (858.0, 884.0), "col_bin_nm": 0.2},
             "write_photons": True,
         },
     },
@@ -127,25 +132,137 @@ _PRESETS: dict[str, dict] = {
 _G2_BLOCKS = 64
 _MC_BLOCKS = 16
 
+# What each key may hold beyond its type: (what is needed, test of the typed
+# value).  A bound is keyed by the parameter name and applies wherever that
+# name occurs; a key qualified with its preset adds a condition for that
+# preset only.  The bound of a group or a preset is checked after its
+# members, so it can relate them.
+_BOUNDS: dict[str, tuple] = {
+    **dict.fromkeys(("frequency_mhz", "wavelength_um", "radius_um",
+                     "capture_radius_um", "lifetime_ns", "irf_fwhm_ns",
+                     "horizon_ns", "step_ns", "powerlaw_g_max",
+                     "pulses_per_saw_cycle", "psf_sigma_um", "pixel_um",
+                     "row_bin_um", "col_bin_nm", "g2_bin_ns", "g2_periods"),
+                    ("a value > 0", lambda x: x > 0)),
+    **dict.fromkeys(("density_per_um2", "pairs_per_pulse"),
+                    ("a value >= 0", lambda x: x >= 0)),
+    **dict.fromkeys(("amplitude", "capture_prob"),
+                    ("a value in [0, 1]", lambda x: 0 <= x <= 1)),
+    **dict.fromkeys(("num_pulses", "mc_pulses_per_point"),
+                    ("an integer >= 1", lambda n: n >= 1)),
+    **dict.fromkeys(("channel_extent_um", "row_extent_um", "col_extent_nm"),
+                    ("an increasing [low, high] pair", lambda v: v[0] < v[1])),
+    **dict.fromkeys(("lifetimes_ns", "g_values"),
+                    ("a non-empty list of values > 0",
+                     lambda v: len(v) > 0 and min(v) > 0)),
+    "master_seed": ("an integer >= 0", lambda n: n >= 0),
+    # every block of the run draws from its own substream
+    "num_cycles": (f"an integer >= {_G2_BLOCKS}", lambda n: n >= _G2_BLOCKS),
+    "direction": ("+1 or -1", lambda d: d in (-1, 1)),
+    "onset_threshold": ("a fraction in (0, 1)", lambda x: 0 < x < 1),
+    "extent_um": ("two increasing [low, high] pairs",
+                  lambda v: all(lo < hi for lo, hi in v)),
+    "cascade": ("labels unique and one per entry of lifetimes_ns",
+                lambda c: len(set(c["labels"])) == len(c["labels"])
+                == len(c["lifetimes_ns"])),
+    "fig4c_delays.g_values": ("strictly ascending values",
+                              lambda v: all(a < b for a, b in zip(v, v[1:]))),
+    "fig4_transients.g_values": ("values distinct in format 'g' (file names)",
+                                 lambda v: len({f"{g:g}" for g in v}) == len(v)),
+    "fig4_transients": ("step_ns < horizon_ns and step_ns <= irf_fwhm_ns",
+                        lambda p: p["irf_fwhm_ns"] >= p["step_ns"]
+                        < p["horizon_ns"]),
+    "fig5_ensemble": ("the x-range of field.extent_um inside "
+                      "channel_extent_um",
+                      lambda p: p["channel_extent_um"][0]
+                      <= p["field"]["extent_um"][0][0]
+                      < p["field"]["extent_um"][0][1]
+                      <= p["channel_extent_um"][1]),
+    "fig7_remote": ("every sites.positions_um inside channel_extent_um",
+                    lambda p: all(p["channel_extent_um"][0] <= x
+                                  <= p["channel_extent_um"][1]
+                                  for x in p["sites"]["positions_um"])),
+}
+
+# What a scalar key accepts, by the type of its default; only a bool key
+# takes a bool.
+_SCALARS = {bool: ("true or false", bool), int: ("an integer", numbers.Integral),
+            float: ("a finite number", numbers.Real), str: ("a string", str)}
+
+
+def _typed(default, value, path: str):
+    """`value` given the type of `default` and checked against `_BOUNDS`;
+    `ConfigError` names the key.  A mapping merges into the default: a group
+    has fixed string keys, integer keys take any non-negative id.  A tuple
+    has the default's length, a list entries typed like the default's first.
+    An int rejects bools and fractions; a float takes any finite number."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected a mapping, got {value!r}")
+        if all(type(k) is int for k in default):
+            if not all(isinstance(k, (int, str)) and str(k).isdecimal()
+                       for k in value):
+                raise ConfigError(f"{path}: expected non-negative integer "
+                                  f"ids, got {list(value)}")
+            entry = next(iter(default.values()))
+            merged = {**default, **{int(k): v for k, v in value.items()}}
+            typed = {k: _typed(entry, v, f"{path}.{k}")
+                     for k, v in merged.items()}
+        else:
+            for key in value.keys() - default.keys():
+                raise ConfigError(f"unknown config key '{path}.{key}'")
+            typed = {k: _typed(d, value.get(k, d), f"{path}.{k}")
+                     for k, d in default.items()}
+    elif isinstance(default, (list, tuple)):
+        fixed = isinstance(default, tuple)
+        if not isinstance(value, (list, tuple)) \
+                or fixed and len(value) != len(default):
+            size = f" of {len(default)}" if fixed else ""
+            raise ConfigError(f"{path}: expected a list{size}, got {value!r}")
+        entries = default if fixed else [default[0]] * len(value)
+        typed = type(default)(_typed(d, v, f"{path}[{i}]")
+                              for i, (d, v) in enumerate(zip(entries, value)))
+    else:
+        what, kind = _SCALARS[type(default)]
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool) \
+                or kind is numbers.Real and not math.isfinite(value):
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        typed = type(default)(value)
+    for key in dict.fromkeys((path.rsplit(".", 1)[-1], path)):
+        what, test = _BOUNDS.get(key, (None, None))
+        if test and not test(typed):
+            got = "" if isinstance(typed, dict) else f", got {typed!r}"
+            raise ConfigError(f"{path}: need {what}{got}")
+    return typed
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A named preset plus validated overrides and the master seed."""
+    """A named preset, its parameters and the master seed.
+
+    Building one validates it: `params` may give any subset of the preset's
+    keys and is replaced by the complete typed parameters, so a bad key or
+    value raises `ConfigError` here and never reaches a run.
+    """
 
     name: str
     master_seed: int
     params: dict
 
+    def __post_init__(self):
+        if self.name not in _PRESETS:
+            raise ConfigError(f"unknown scenario '{self.name}'; "
+                              f"known: {', '.join(_PRESETS)}")
+        object.__setattr__(self, "master_seed",
+                           _typed(DEFAULT_SEED, self.master_seed, "master_seed"))
+        object.__setattr__(self, "params",
+                           _typed(_PRESETS[self.name]["params"], self.params,
+                                  self.name))
+
     @classmethod
     def preset(cls, name: str, overrides: dict | None = None,
                master_seed: int = DEFAULT_SEED) -> "ScenarioConfig":
-        if name not in _PRESETS:
-            raise ConfigError(f"unknown scenario '{name}'; "
-                              f"known: {', '.join(_PRESETS)}")
-        if not isinstance(master_seed, int) or master_seed < 0:
-            raise ConfigError("master_seed must be a non-negative integer")
-        params = _merge(_PRESETS[name]["params"], overrides or {}, f"{name}.")
-        return cls(name=name, master_seed=master_seed, params=params)
+        return cls(name, master_seed, {} if overrides is None else overrides)
 
     def to_dict(self) -> dict:
         return {"scenario": self.name, "master_seed": self.master_seed,
@@ -160,20 +277,6 @@ class ScenarioConfig:
             raise ConfigError("config needs a 'scenario' name")
         return cls.preset(data["scenario"], data.get("params"),
                           data.get("master_seed", DEFAULT_SEED))
-
-
-def _merge(defaults: dict, overrides: dict, path: str) -> dict:
-    out = {k: v for k, v in defaults.items()}
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{path[:-1]}: expected a mapping")
-    for key, value in overrides.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key '{path}{key}'")
-        if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], value, f"{path}{key}.")
-        else:
-            out[key] = value
-    return out
 
 
 def list_scenarios() -> list[tuple[str, str]]:
@@ -222,31 +325,14 @@ def _block_sizes(total: int, blocks: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners
+# Scenario runners: they read the typed, validated `cfg.params`
 # ---------------------------------------------------------------------------
-
-def _cascade_from(params: dict) -> CascadeModel:
-    try:
-        return CascadeModel(tuple(params["lifetimes_ns"]),
-                            tuple(params.get("labels") or ()))
-    except ValueError as err:
-        raise ConfigError(f"cascade: {err}") from err
-
-
-def _saw_from(params: dict) -> SawWave:
-    try:
-        return SawWave(**params)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"saw: {err}") from err
-
 
 def _run_fig3(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     p = cfg.params
-    model = _cascade_from(p["cascade"])
-    g_values = [float(g) for g in p["g_values"]]
-    if not g_values or any(g <= 0 for g in g_values):
-        raise ConfigError("g_values: need positive pump values")
-    pulses = int(p["mc_pulses_per_point"])
+    model = CascadeModel(**p["cascade"])
+    g_values = p["g_values"]
+    pulses = p["mc_pulses_per_point"]
     nlev = model.num_levels
 
     def mc_counts(gi: int) -> np.ndarray:
@@ -273,8 +359,7 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
               + [f"mc_{lab}" for lab in model.labels])
     _write_csv(out / "intensity_vs_g.csv", header, rows)
 
-    g_max = float(p["powerlaw_g_max"])
-    sel = [i for i, g in enumerate(g_values) if g <= g_max]
+    sel = [i for i, g in enumerate(g_values) if g <= p["powerlaw_g_max"]]
     slope_rows = []
     for level in range(1, nlev + 1):
         xs = [g_values[i] for i in sel]
@@ -289,16 +374,11 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
 
 def _run_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     p = cfg.params
-    model = _cascade_from(p["cascade"])
-    irf = Irf(float(p["irf_fwhm_ns"]))
-    step = float(p["step_ns"])
-    horizon = float(p["horizon_ns"])
-    if step <= 0 or horizon <= step:
-        raise ConfigError("horizon_ns/step_ns: need horizon > step > 0")
-    grid = np.arange(0.0, horizon, step)
+    model = CascadeModel(**p["cascade"])
+    irf = Irf(p["irf_fwhm_ns"])
+    grid = np.arange(0.0, p["horizon_ns"], p["step_ns"])
     files = []
     for g in p["g_values"]:
-        g = float(g)
         for level, label in enumerate(model.labels, start=1):
             trace = expected_emission_trace(model, g, level, grid)
             name = f"transient_g{g:g}_{label}.csv"
@@ -313,9 +393,9 @@ def _run_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
 
 def _run_fig4c(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     p = cfg.params
-    model = _cascade_from(p["cascade"])
-    curve = onset_delay_curve(model, [float(g) for g in p["g_values"]],
-                              threshold_fraction=float(p["onset_threshold"]))
+    model = CascadeModel(**p["cascade"])
+    curve = onset_delay_curve(model, p["g_values"],
+                              threshold_fraction=p["onset_threshold"])
     header = (["g"] + [f"onset_{lab}" for lab in model.labels]
               + [f"mean_{lab}" for lab in model.labels])
     rows = [[g, *curve.onset_ns[i], *curve.mean_time_ns[i]]
@@ -326,23 +406,15 @@ def _run_fig4c(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
 
 def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     p = cfg.params
-    model = _cascade_from(p["cascade"])
-    saw = _saw_from(p["saw"])
-    f = p["field"]
-    (fx0, fx1), (fy0, fy1) = [tuple(map(float, pair))
-                              for pair in f["extent_um"]]
-    sites = uniform_site_field(float(f["density_per_um2"]),
-                               ((fx0, fx1), (fy0, fy1)), model,
-                               float(f["capture_radius_um"]),
-                               float(f["capture_prob"]),
-                               substream(cfg.master_seed, 99))
-    spot = LaserSpot(float(p["spot"]["center_um"]),
-                     float(p["spot"]["radius_um"]),
-                     float(p["spot"]["pairs_per_pulse"]))
-    layout = ChannelLayout(tuple(map(float, p["channel_extent_um"])), spot,
-                           tuple(sites))
-    period = saw.period_ns / float(p["pulses_per_saw_cycle"])
-    num_pulses = int(p["num_pulses"])
+    model = CascadeModel(**p["cascade"])
+    saw = SawWave(**p["saw"])
+    (fx0, fx1), _ = extent = p["field"]["extent_um"]
+    sites = uniform_site_field(model=model, rng=substream(cfg.master_seed, 99),
+                               **p["field"])
+    spot = LaserSpot(**p["spot"])
+    layout = ChannelLayout(p["channel_extent_um"], spot, tuple(sites))
+    period = saw.period_ns / p["pulses_per_saw_cycle"]
+    num_pulses = p["num_pulses"]
     pump = PumpSpec(1.0, period, num_pulses)
     travel = (max(fx1, layout.extent_um[1]) - spot.center_um) \
         / saw.velocity_um_per_ns
@@ -371,9 +443,7 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
                 "illuminated_fraction"],
                [[int(total), counts.size, upstream_fraction, illuminated]])
 
-    image = render_pl_image(result.photons, float(p["image"]["psf_sigma_um"]),
-                            float(p["image"]["pixel_um"]),
-                            ((fx0, fx1), (fy0, fy1)))
+    image = render_pl_image(result.photons, extent_um=extent, **p["image"])
     write_pgm(out / "pl_image.pgm", image.intensity)
     write_axes_csv(out / "pl_image_axes.csv",
                    0.5 * (image.y_edges_um[:-1] + image.y_edges_um[1:]),
@@ -389,18 +459,15 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
 
 def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     p = cfg.params
-    model = _cascade_from(p["cascade"])
+    model = CascadeModel(**p["cascade"])
     sp = p["sites"]
-    spot = LaserSpot(float(p["spot"]["center_um"]),
-                     float(p["spot"]["radius_um"]),
-                     float(p["spot"]["pairs_per_pulse"]))
-    sites = tuple(QdSite(i, float(x), float(sp["capture_radius_um"]),
-                         float(sp["capture_prob"]), model)
+    spot = LaserSpot(**p["spot"])
+    sites = tuple(QdSite(i, x, sp["capture_radius_um"], sp["capture_prob"],
+                         model)
                   for i, x in enumerate(sp["positions_um"]))
-    layout = ChannelLayout(tuple(map(float, p["channel_extent_um"])), spot,
-                           sites)
-    shifts = {int(k): float(v) for k, v in p["emitter_shifts_nm"].items()}
-    spectrum = TransitionSpectrum.default().with_emitter_shifts(shifts)
+    layout = ChannelLayout(p["channel_extent_um"], spot, sites)
+    spectrum = TransitionSpectrum.default().with_emitter_shifts(
+        p["emitter_shifts_nm"])
     fr = p["frame"]
     row_edges = np.arange(fr["row_extent_um"][0],
                           fr["row_extent_um"][1] + fr["row_bin_um"] / 2,
@@ -409,15 +476,11 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
                           fr["col_extent_nm"][1] + fr["col_bin_nm"] / 2,
                           fr["col_bin_nm"])
 
-    base = _saw_from(p["saw"])
-    variants = [
-        ("saw_off", SawWave(base.frequency_mhz, base.wavelength_um, 0.0, 1)),
-        ("idt1", SawWave(base.frequency_mhz, base.wavelength_um,
-                         base.amplitude, -1)),
-        ("idt2", SawWave(base.frequency_mhz, base.wavelength_um,
-                         base.amplitude, 1)),
-    ]
-    num_pulses = int(p["num_pulses"])
+    base = SawWave(**p["saw"])
+    variants = [("saw_off", replace(base, amplitude=0.0, direction=1)),
+                ("idt1", replace(base, direction=-1)),
+                ("idt2", replace(base, direction=1))]
+    num_pulses = p["num_pulses"]
     files = []
     for vi, (tag, saw) in enumerate(variants):
         pump = PumpSpec(1.0, saw.period_ns, num_pulses)
@@ -456,25 +519,20 @@ def arrival_span(layout: ChannelLayout, saw: SawWave) -> float:
 
 def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     p = cfg.params
-    saw = _saw_from(p["saw"])
-    period = saw.period_ns
-    lifetime = float(p["site"]["lifetime_ns"])
-    prob = float(p["site"]["capture_prob"])
-    cycles = int(p["num_cycles"])
-    if cycles < _G2_BLOCKS:
-        raise ConfigError(f"num_cycles: need at least {_G2_BLOCKS}")
+    period = SawWave(**p["saw"]).period_ns
+    cycles = p["num_cycles"]
     sizes = _block_sizes(cycles, _G2_BLOCKS)
     starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
 
     def block(b: int) -> np.ndarray:
         rng = substream(cfg.master_seed, 2, b)
         return starts[b] * period + per_cycle_emission_times(
-            sizes[b], period, prob, lifetime, rng)
+            sizes[b], period, rng=rng, **p["site"])
 
     times = np.concatenate(_map_blocks(block, _G2_BLOCKS, threads))
     times = np.sort(times)
-    max_delay = float(p["g2_periods"]) * period
-    hist = g2_histogram(times, max_delay, float(p["g2_bin_ns"]), period)
+    hist = g2_histogram(times, p["g2_periods"] * period, p["g2_bin_ns"],
+                        period)
     _write_csv(out / "g2_histogram.csv", ["delay_ns", "coincidences"],
                list(zip(hist.delay_ns, hist.counts)))
     ratio = hist.zero_peak_ratio
@@ -503,47 +561,41 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
                  threads: int = 1) -> dict:
     """Execute a scenario and write its outputs plus a manifest.
 
-    Refuses a non-empty output directory unless `force`; removes partial
-    outputs if the run fails.  Returns the manifest dictionary.
+    Refuses a non-empty output directory unless `force`.  The outputs are
+    written into a new sibling directory that replaces the output directory
+    only once the manifest is written, so a run that fails leaves the
+    output directory as it was.  Returns the manifest dictionary.
     """
-    if config.name not in _RUNNERS:
-        raise ConfigError(f"unknown scenario '{config.name}'")
-    out = Path(out_dir)
-    created = not out.exists()
-    if created:
-        out.mkdir(parents=True)
-    elif not out.is_dir():
-        raise ConfigError(f"output path {out} exists and is not a directory")
-    elif any(out.iterdir()):
-        if not force:
+    out = Path(out_dir).resolve()
+    if out.exists():
+        if not out.is_dir():
+            raise ConfigError(f"output path {out} exists and is not a directory")
+        if not force and any(out.iterdir()):
             raise ConfigError(
                 f"output directory {out} is not empty (use force to overwrite)")
-        for child in out.iterdir():
-            shutil.rmtree(child) if child.is_dir() else child.unlink()
-
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = out.with_name(f".{out.name}.partial-{secrets.token_hex(4)}")
+    stage.mkdir()
     try:
-        files = _RUNNERS[config.name](config, out, max(int(threads), 1))
-    except Exception:
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
-        else:
-            for child in out.iterdir():
-                shutil.rmtree(child, ignore_errors=True) if child.is_dir() \
-                    else child.unlink(missing_ok=True)
+        files = _RUNNERS[config.name](config, stage, max(int(threads), 1))
+        canonical = json.dumps(config.to_dict(), sort_keys=True,
+                               separators=(",", ":"))
+        manifest = {
+            "scenario": config.name,
+            "master_seed": config.master_seed,
+            "package_version": __version__,
+            "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "files": [{"name": name, "sha256": _sha256(stage / name),
+                       "bytes": (stage / name).stat().st_size}
+                      for name in sorted(files)],
+        }
+        with open(stage / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        if out.exists():
+            shutil.rmtree(out)
+        stage.rename(out)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
         raise
-
-    canonical = json.dumps(config.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
-    manifest = {
-        "scenario": config.name,
-        "master_seed": config.master_seed,
-        "package_version": __version__,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "files": [{"name": name, "sha256": _sha256(out / name),
-                   "bytes": (out / name).stat().st_size}
-                  for name in sorted(files)],
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
     return manifest

@@ -213,17 +213,6 @@ def generate_pockets(layout: ChannelLayout, saw: SawWave, pulse_time_ns: float,
     return pockets
 
 
-def advance(pockets, saw: SawWave, dt_ns: float):
-    """Convey pockets for dt: position += direction * v * dt, no dispersion."""
-    if dt_ns < 0:
-        raise ValueError("dt must be >= 0")
-    shift = saw.direction * saw.velocity_um_per_ns * dt_ns
-    for p in pockets:
-        if p.pocketed:
-            p.position_um += shift
-    return pockets
-
-
 def capture_pass(pocket: CarrierPocket, site: QdSite, rng: np.random.Generator,
                  amplitude: float = 1.0) -> int:
     """One capture attempt as the pocket passes the site.

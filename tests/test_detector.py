@@ -8,8 +8,7 @@ from scipy.special import erfc
 
 from sawsps.cascade import Transient
 from sawsps.detector import (CcdFrame, Irf, SpectralLine, TransitionSpectrum,
-                             bandpass_filter, convolve_irf, jitter_photon,
-                             jitter_stream, render_pl_image,
+                             convolve_irf, render_pl_image,
                              render_spatial_spectral, write_axes_csv,
                              write_pgm)
 from sawsps.emitter import PhotonRecord
@@ -79,12 +78,6 @@ def test_convolution_preserves_counts_property(values):
 
 
 class TestJitter:
-    def test_small_fwhm_limit(self):
-        rec = PhotonRecord(5.0, "1X")
-        out = jitter_photon(rec, Irf(1e-9), substream(1, 0))
-        assert out.time_ns == pytest.approx(5.0, abs=1e-8)
-        assert out.transition == "1X"
-
     def test_sample_std_matches_fwhm(self):
         rng = substream(2, 0)
         n = 10 ** 6
@@ -103,12 +96,6 @@ class TestJitter:
         expected = decay.size * 0.1 / 1.5 * emg_reference(centers, 1.5, IRF.sigma_ns)
         z = (counts - expected) / np.sqrt(np.maximum(expected, 1.0))
         assert np.mean(z[expected > 25] ** 2) < 1.5
-
-    def test_jitter_stream_preserves_labels(self):
-        recs = [PhotonRecord(1.0, "1X", 2, 3.0, 4.0)]
-        out = jitter_stream(recs, IRF, substream(4, 0))
-        assert out[0].transition == "1X" and out[0].emitter_id == 2
-        assert out[0].x_um == 3.0 and out[0].y_um == 4.0
 
 
 class TestSpectrum:
@@ -132,26 +119,6 @@ class TestSpectrum:
     def test_unknown_transition(self):
         with pytest.raises(KeyError):
             TransitionSpectrum.default().line_for(0, "4X")
-
-
-class TestBandpass:
-    def test_band_covering_all_is_identity(self):
-        recs = [PhotonRecord(1.0, "1X"), PhotonRecord(2.0, "2X"),
-                PhotonRecord(3.0, "3X")]
-        kept = bandpass_filter(recs, 871.0, 100.0, TransitionSpectrum.default(),
-                               substream(5, 0))
-        assert kept == recs
-
-    def test_zero_linewidth_selects_lines(self):
-        spectrum = TransitionSpectrum(lines={"1X": SpectralLine(878.0, 0.0),
-                                         "2X": SpectralLine(879.0, 0.0)})
-        recs = [PhotonRecord(1.0, "1X"), PhotonRecord(2.0, "2X")]
-        kept = bandpass_filter(recs, 878.0, 1.0, spectrum, substream(6, 0))
-        assert [r.transition for r in kept] == ["1X"]
-
-    def test_empty_stream(self):
-        assert bandpass_filter([], 878.0, 1.0, TransitionSpectrum.default(),
-                               substream(7, 0)) == []
 
 
 class TestCcdFrame:
@@ -186,14 +153,6 @@ class TestCcdFrame:
         with pytest.raises(ValueError):
             CcdFrame(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0]),
                      np.zeros((2, 1)))
-
-    def test_shot_noise_toggle(self):
-        from sawsps.detector import with_shot_noise
-        frame = CcdFrame(np.array([0.0, 1.0]), np.array([870.0, 871.0]),
-                         np.array([[400.0]]), overflow=2)
-        noisy = with_shot_noise(frame, substream(11, 0))
-        assert noisy.overflow == 2
-        assert abs(noisy.counts[0, 0] - 400.0) < 4 * 20.0  # ~Poisson sigma
 
 
 class TestPlImage:

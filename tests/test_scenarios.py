@@ -63,12 +63,43 @@ class TestConfig:
             ScenarioConfig.preset("fig4_transients", master_seed=-1)
 
     def test_invalid_parameter_fails_before_outputs(self, tmp_path):
-        cfg = ScenarioConfig.preset("fig4_transients",
-                                    {"cascade": {"lifetimes_ns": [-1.0]}})
         out = tmp_path / "out"
         with pytest.raises(ConfigError):
+            cfg = ScenarioConfig.preset("fig4_transients",
+                                        {"cascade": {"lifetimes_ns": [-1.0]}})
             run_scenario(cfg, out)
         assert not out.exists()
+
+    def test_values_take_the_type_of_their_default(self):
+        p = ScenarioConfig.preset("fig5_ensemble",
+                                  {"pulses_per_saw_cycle": 2,
+                                   "channel_extent_um": [-20, 12]}).params
+        assert type(p["pulses_per_saw_cycle"]) is float
+        assert p["channel_extent_um"] == (-20.0, 12.0)
+        assert type(p["channel_extent_um"][0]) is float
+
+    def test_emitter_shift_for_any_site_id(self, tmp_path):
+        cfg = ScenarioConfig.preset("fig7_remote",
+                                    {"num_pulses": 50,
+                                     "emitter_shifts_nm": {"0": 1.0}})
+        assert cfg.params["emitter_shifts_nm"] == {0: 1.0, 1: 1.6, 2: -2.4}
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        run_scenario(cfg, tmp_path / "out")
+        with pytest.raises(ConfigError, match="emitter_shifts_nm"):
+            ScenarioConfig.preset("fig7_remote", {"emitter_shifts_nm": {"1.5": 1.0}})
+
+    def test_every_bound_names_a_preset_key(self):
+        def paths(params, prefix):
+            for key, value in params.items():
+                yield key, f"{prefix}.{key}"
+                if isinstance(value, dict):
+                    yield from paths(value, f"{prefix}.{key}")
+
+        known = {"master_seed", *scenarios._PRESETS}
+        for name, entry in scenarios._PRESETS.items():
+            for key, path in paths(entry["params"], name):
+                known |= {str(key), path}
+        assert set(scenarios._BOUNDS) <= known
 
 
 class TestRunScenario:
@@ -101,6 +132,25 @@ class TestRunScenario:
         for entry in manifest["files"]:
             digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_failed_forced_run_keeps_previous_outputs(self, tmp_path,
+                                                      monkeypatch):
+        out = tmp_path / "out"
+        run_scenario(ScenarioConfig.preset("fig4c_delays"), out)
+        before = dir_digest(out)
+
+        def broken(cfg, out, threads):
+            (out / "partial.csv").write_text("half-written")
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(scenarios._RUNNERS, "fig4c_delays", broken)
+        with pytest.raises(RuntimeError):
+            run_scenario(ScenarioConfig.preset("fig4c_delays"), out, force=True)
+        assert dir_digest(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        # the staged directory that became `out` has the usual permissions
+        (tmp_path / "plain").mkdir()
+        assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         def broken(cfg, out, threads):
@@ -183,6 +233,66 @@ class TestRenderedFrames:
         assert left > 0.9 * columns.sum()
 
 
+# Invalid configs, each with the key path its error must name.
+BAD_CONFIGS = [
+    ({"scenario": "fig5_ensemble", "params": {"pulses_per_saw_cycle": 0}},
+     "fig5_ensemble.pulses_per_saw_cycle"),
+    ({"scenario": "fig5_ensemble", "params": {"num_pulses": "abc"}},
+     "fig5_ensemble.num_pulses"),
+    ({"scenario": "fig5_ensemble", "params": {"num_pulses": 0}},
+     "fig5_ensemble.num_pulses"),
+    ({"scenario": "fig5_ensemble", "params": {"field": {"capture_prob": 1.5}}},
+     "fig5_ensemble.field.capture_prob"),
+    ({"scenario": "fig5_ensemble", "params": {"image": {"pixel_um": 0}}},
+     "fig5_ensemble.image.pixel_um"),
+    ({"scenario": "fig4_transients", "params": {"g_values": [-1.0]}},
+     "fig4_transients.g_values"),
+    ({"scenario": "fig4_transients", "params": {"g_values": "abc"}},
+     "fig4_transients.g_values"),
+    ({"scenario": "fig4_transients", "params": {"g_values": [0.2, 0.2000001]}},
+     "fig4_transients.g_values"),
+    ({"scenario": "fig4c_delays", "params": {"g_values": [-1.0]}},
+     "fig4c_delays.g_values"),
+    ({"scenario": "fig4c_delays", "params": {"onset_threshold": 2}},
+     "fig4c_delays.onset_threshold"),
+    ({"scenario": "fig3_power_series", "params": {"mc_pulses_per_point": -5}},
+     "fig3_power_series.mc_pulses_per_point"),
+    ({"scenario": "fig7_remote", "params": {"sites": {"capture_prob": 1.5}}},
+     "fig7_remote.sites.capture_prob"),
+    ({"scenario": "fig7_remote", "params": {"frame": {"row_bin_um": 0}}},
+     "fig7_remote.frame.row_bin_um"),
+    ({"scenario": "g2_antibunching", "params": {"site": {"capture_prob": 1.5}}},
+     "g2_antibunching.site.capture_prob"),
+    ({"scenario": "g2_antibunching", "params": {"g2_bin_ns": 0}},
+     "g2_antibunching.g2_bin_ns"),
+    # accepted and run by earlier versions
+    ({"scenario": "fig5_ensemble", "params": {"num_pulses": 2.5}},
+     "fig5_ensemble.num_pulses"),
+    ({"scenario": "fig5_ensemble", "params": {"write_photons": "yes"}},
+     "fig5_ensemble.write_photons"),
+    ({"scenario": "fig3_power_series", "params": {"mc_pulses_per_point": 0}},
+     "fig3_power_series.mc_pulses_per_point"),
+    ({"scenario": "fig7_remote", "params": {"num_pulses": True}},
+     "fig7_remote.num_pulses"),
+    ({"scenario": "fig4c_delays", "master_seed": True}, "master_seed"),
+    ({"scenario": "fig4_transients", "params": {"irf_fwhm_ns": float("nan")}},
+     "fig4_transients.irf_fwhm_ns"),
+    ({"scenario": "fig7_remote", "params": {"emitter_shifts_nm": {"x": 1.0}}},
+     "fig7_remote.emitter_shifts_nm"),
+    # conditions between keys
+    ({"scenario": "fig7_remote", "params": {"sites": {"positions_um": [10.0]}}},
+     "sites.positions_um"),
+    ({"scenario": "fig5_ensemble",
+      "params": {"field": {"extent_um": [[0.0, 15.0], [-5.0, 5.0]]}}},
+     "field.extent_um"),
+    ({"scenario": "fig4_transients",
+      "params": {"cascade": {"lifetimes_ns": [1.5, 1.4], "labels": ["1X"]}}},
+     "fig4_transients.cascade"),
+    ({"scenario": "fig4_transients", "params": {"horizon_ns": 0.01}},
+     "horizon_ns"),
+]
+
+
 class TestCli:
     def test_list_exit_zero(self, capsys):
         assert main(["list"]) == 0
@@ -196,7 +306,7 @@ class TestCli:
         assert code == 0
         assert (out / "manifest.json").exists()
 
-    def test_validation_failures_exit_two(self, tmp_path):
+    def test_validation_failures_exit_two(self, tmp_path, capsys):
         assert main(["run", "--scenario", "nope",
                      "--out", str(tmp_path / "x")]) == 2
         out = tmp_path / "busy"
@@ -204,6 +314,17 @@ class TestCli:
         (out / "f").write_text("x")
         assert main(["run", "--scenario", "fig4c_delays",
                      "--out", str(out)]) == 2
+        # a bad value exits 2 naming its key, before any output is touched
+        cfg_file = tmp_path / "cfg.json"
+        for config, key in BAD_CONFIGS:
+            cfg_file.write_text(json.dumps(config))
+            capsys.readouterr()
+            code = main(["run", "--config", str(cfg_file), "--out", str(out),
+                         "--force"])
+            err = capsys.readouterr().err
+            assert code == 2 and key in err, (config, err)
+            assert dir_digest(out) == {"f": hashlib.sha256(b"x").hexdigest()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["busy", "cfg.json"]
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

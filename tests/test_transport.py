@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from sawsps.cascade import CascadeModel, PumpSpec
 from sawsps.rng import substream
 from sawsps.transport import (ELECTRON, HOLE, CarrierPocket, ChannelLayout,
-                              LaserSpot, QdSite, SawWave, advance,
-                              arrival_delay, capture_pass, exciton_formation,
-                              generate_pockets, per_cycle_emission_times,
+                              LaserSpot, QdSite, SawWave, arrival_delay,
+                              capture_pass, exciton_formation, generate_pockets, per_cycle_emission_times,
                               pocket_lattice_position, run_device,
                               uniform_site_field)
 
@@ -39,30 +38,6 @@ class TestSawWave:
             SawWave(193.0, 15.0, amplitude=1.5)
         with pytest.raises(ValueError):
             SawWave(193.0, 15.0, direction=0)
-
-
-class TestAdvance:
-    def test_displacement_one_ns(self):
-        p = CarrierPocket(ELECTRON, 1, 0.0, 0.0, 0)
-        advance([p], SAW, 1.0)
-        assert p.position_um == pytest.approx(2.895, abs=1e-12)
-
-    def test_zero_dt_unchanged(self):
-        p = CarrierPocket(ELECTRON, 1, 3.0, 0.0, 0)
-        advance([p], SAW, 0.0)
-        assert p.position_um == 3.0
-
-    def test_direction_flip_negates(self):
-        a = CarrierPocket(ELECTRON, 1, 0.0, 0.0, 0)
-        b = CarrierPocket(ELECTRON, 1, 0.0, 0.0, 0)
-        advance([a], SAW, 2.0)
-        advance([b], SawWave(193.0, 15.0, direction=-1), 2.0)
-        assert a.position_um == pytest.approx(-b.position_um, abs=1e-12)
-
-    def test_unpocketed_stays_put(self):
-        p = CarrierPocket(ELECTRON, 1, 1.0, 0.0, 0, pocketed=False)
-        advance([p], SAW, 5.0)
-        assert p.position_um == 1.0
 
 
 class TestGeneratePockets:
