@@ -10,6 +10,8 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from sawsps.cascade import CascadeModel, PumpSpec
 from sawsps.transport import ChannelLayout, LaserSpot, QdSite, SawWave, run_device
 
@@ -32,9 +34,8 @@ def main() -> int:
                       for i, x in enumerate((0.0, -7.0, -14.0)))
         layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
         result = run_device(layout, saw, pump, duration, args.seed)
-        counts = {i: 0 for i in range(3)}
-        for r in result.photons:
-            counts[r.emitter_id] += 1
+        counts = np.bincount(result.photons["emitter_id"],
+                             minlength=len(sites)).tolist()
         ratio = counts[2] / counts[1] if counts[1] else float("nan")
         rows.append([prob, counts[0], counts[1], counts[2], ratio])
         print(f"p = {prob:4.2f}: spot {counts[0]:6d}  7um {counts[1]:6d}  "

@@ -13,9 +13,8 @@ from .cascade import (CascadeModel, OccupancyTrace, PumpSpec, Transient,
                       emission_rate_trace, initial_loading, onset_time,
                       poisson_pmf, poisson_tail, solve_cascade_analytic,
                       solve_cascade_numeric, time_integrated_intensity)
-from .emitter import (PhotonRecord, TrajectoryConfig, ensemble_histogram,
-                      sample_cascade_from_loads, sample_pulse_loading,
-                      simulate_trajectory)
+from .emitter import (PHOTON_DTYPE, TrajectoryConfig, ensemble_histogram,
+                      sample_cascade_from_loads, simulate_trajectory)
 from .transport import (CarrierPocket, ChannelLayout, LaserSpot, QdSite,
                         SawWave, arrival_delay, capture_pass,
                         exciton_formation, generate_pockets, run_device)

@@ -232,8 +232,7 @@ class G2Histogram:
 
 
 def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
-                 pulse_period_ns: float, transition: str | None = None,
-                 ) -> G2Histogram:
+                 pulse_period_ns: float) -> G2Histogram:
     """All-pairs coincidence histogram and the pulsed zero-peak ratio.
 
     Pairs are binned at +delay and mirrored to -delay, so the histogram is
@@ -241,11 +240,13 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     of zero delay divided by the mean side-peak area; a ratio below 0.5
     certifies single-photon emission, and a homogeneous (Poisson) stream
     gives 1.  Fewer than two photons yield an empty histogram, not an error.
+    Takes photon times; pass `photons["time_ns"]` (masked to one transition
+    if wanted) for a photon stream.  `perfbench/spans.py` reads the first
+    argument by its name.
     """
     if bin_ns <= 0 or max_delay_ns <= 0 or pulse_period_ns <= 0:
         raise ValueError("bin, max delay and period must be > 0")
-    times = _times_array(times_or_records, transition)
-    times = np.sort(times)
+    times = np.sort(np.asarray(times_or_records, dtype=float))
 
     nbins = max(int(round(max_delay_ns / bin_ns)), 1)
     edges = np.arange(-nbins, nbins + 1) * bin_ns
@@ -287,16 +288,6 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
         if expected > 0:
             normalized = counts / expected
     return G2Histogram(centers, counts, ratio, peak_areas, normalized)
-
-
-def _times_array(times_or_records, transition) -> np.ndarray:
-    first = times_or_records[0] if len(times_or_records) else None
-    if first is None:
-        return np.array([])
-    if hasattr(first, "time_ns"):
-        return np.array([r.time_ns for r in times_or_records
-                         if transition is None or r.transition == transition])
-    return np.asarray(times_or_records, dtype=float)
 
 
 # ---------------------------------------------------------------------------

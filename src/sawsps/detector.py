@@ -111,12 +111,19 @@ class TransitionSpectrum:
 
 def sample_wavelengths(records, spectrum: TransitionSpectrum,
                        rng: np.random.Generator) -> np.ndarray:
-    """Per-photon wavelength draw from the photon's transition line."""
-    out = np.empty(len(records))
-    for i, r in enumerate(records):
-        line = spectrum.line_for(r.emitter_id, r.transition)
-        sigma = line.sigma_nm
-        out[i] = line.center_nm if sigma == 0 else rng.normal(line.center_nm, sigma)
+    """Per-photon wavelength draw from the photon's transition line, in
+    photon order; a delta line gives its center without a draw."""
+    labels, label_idx = np.unique(records["transition"], return_inverse=True)
+    ids, id_idx = np.unique(records["emitter_id"], return_inverse=True)
+    keys, key_idx = np.unique(id_idx * labels.size + label_idx,
+                              return_inverse=True)
+    lines = [spectrum.line_for(int(ids[k // labels.size]),
+                               labels[k % labels.size]) for k in keys]
+    center = np.array([line.center_nm for line in lines])[key_idx]
+    sigma = np.array([line.sigma_nm for line in lines])[key_idx]
+    out = center.copy()
+    sel = sigma > 0
+    out[sel] = rng.normal(center[sel], sigma[sel])
     return out
 
 
@@ -167,12 +174,9 @@ def render_spatial_spectral(records, row_edges_um, col_edges_nm,
     """
     row_edges = np.asarray(row_edges_um, dtype=float)
     col_edges = np.asarray(col_edges_nm, dtype=float)
-    if not records:
-        counts = np.zeros((row_edges.size - 1, col_edges.size - 1))
-        return CcdFrame(row_edges, col_edges, counts, overflow=0)
-    xs = np.array([r.x_um for r in records])
     wl = sample_wavelengths(records, spectrum, rng)
-    counts, _, _ = np.histogram2d(xs, wl, bins=(row_edges, col_edges))
+    counts, _, _ = np.histogram2d(records["x_um"], wl,
+                                  bins=(row_edges, col_edges))
     overflow = len(records) - int(counts.sum())
     return CcdFrame(row_edges, col_edges, counts, overflow=overflow)
 
@@ -207,13 +211,13 @@ def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
     y_edges = y0 + np.arange(ny + 1) * pixel_um
     img = np.zeros((ny, nx))
 
-    weights: dict[tuple[float, float], int] = {}
-    for r in records:
-        key = (r.x_um, r.y_um)
-        weights[key] = weights.get(key, 0) + 1
-
+    # one splat per distinct position, summed in order of first appearance
+    xy = np.stack([records["x_um"], records["y_um"]], axis=1)
+    positions, first, weights = np.unique(xy, axis=0, return_index=True,
+                                          return_counts=True)
+    order = np.argsort(first)
     root2s = math.sqrt(2.0) * psf_sigma_um
-    for (px, py), w in weights.items():
+    for (px, py), w in zip(positions[order], weights[order]):
         gx = 0.5 * (erf((x_edges - px) / root2s)[1:]
                     - erf((x_edges - px) / root2s)[:-1])
         gy = 0.5 * (erf((y_edges - py) / root2s)[1:]

@@ -16,15 +16,10 @@ from .cascade import CascadeModel, PumpSpec, Transient
 from .rng import substream
 
 
-@dataclass(frozen=True)
-class PhotonRecord:
-    """One emitted photon: when, which transition, from which emitter, where."""
-
-    time_ns: float
-    transition: str
-    emitter_id: int = 0
-    x_um: float = 0.0
-    y_um: float = 0.0
+# One emitted photon per entry: when, which transition, from which emitter,
+# where.  Every photon stream is a 1-d array of this dtype, sorted by time.
+PHOTON_DTYPE = np.dtype([("time_ns", "f8"), ("transition", "O"),
+                         ("emitter_id", "i8"), ("x_um", "f8"), ("y_um", "f8")])
 
 
 @dataclass(frozen=True)
@@ -42,17 +37,10 @@ class TrajectoryConfig:
             raise ValueError("trajectory index must be >= 0")
 
 
-def sample_pulse_loading(g: float, rng: np.random.Generator) -> int:
-    """Number of excitons captured from one pulse (Poisson, mean g)."""
-    if g < 0:
-        raise ValueError("mean must be >= 0")
-    return int(rng.poisson(g))
-
-
 def simulate_trajectory(model: CascadeModel, pump: PumpSpec,
                         config: TrajectoryConfig,
                         start_level: int | None = None,
-                        emitter_id: int = 0) -> list[PhotonRecord]:
+                        emitter_id: int = 0) -> np.ndarray:
     """One emitter's photon stream over a pulse train.
 
     Each pulse draws a loading level (or uses the forced `start_level`), then
@@ -63,21 +51,21 @@ def simulate_trajectory(model: CascadeModel, pump: PumpSpec,
     if start_level is not None and not 1 <= start_level <= model.num_levels:
         raise ValueError("start level out of range")
     rng = substream(config.master_seed, config.trajectory_index)
-    lifetimes = model.lifetimes_ns
-    labels = model.labels
-    g = pump.mean_excitons_per_pulse
-    records = []
-    for p in range(config.num_pulses):
-        t = p * pump.pulse_period_ns
-        if start_level is None:
-            k = min(sample_pulse_loading(g, rng), model.num_levels)
-        else:
-            k = start_level
-        for level in range(k, 0, -1):
-            t += rng.exponential(lifetimes[level - 1])
-            records.append(PhotonRecord(t, labels[level - 1], emitter_id))
-    records.sort(key=lambda r: r.time_ns)
-    return records
+    n = config.num_pulses
+    if start_level is None:
+        levels = sample_start_levels(pump.mean_excitons_per_pulse, n,
+                                     model.num_levels, rng)
+    else:
+        levels = np.full(n, start_level)
+    times = sample_emission_times(model, levels, rng) \
+        + np.arange(n) * pump.pulse_period_ns
+    fired = np.isfinite(times)
+    photons = np.zeros(np.count_nonzero(fired), PHOTON_DTYPE)
+    photons["time_ns"] = times[fired]
+    photons["transition"] = np.array(model.labels, dtype=object)[
+        np.nonzero(fired)[0]]
+    photons["emitter_id"] = emitter_id
+    return photons[np.argsort(photons["time_ns"], kind="stable")]
 
 
 def sample_emission_times(model: CascadeModel, start_levels: np.ndarray,
@@ -86,8 +74,7 @@ def sample_emission_times(model: CascadeModel, start_levels: np.ndarray,
 
     Returns an array of shape (num_levels, len(start_levels)); entry [i-1, j]
     is the emission time of transition i in trajectory j, or NaN when the
-    trajectory started below level i.  Statistically equivalent to
-    `simulate_trajectory`, for ensemble-sized runs.
+    trajectory started below level i.
     """
     start = np.asarray(start_levels, dtype=int)
     nlev = model.num_levels
@@ -116,7 +103,7 @@ def sample_cascade_from_loads(model: CascadeModel,
                               rng: np.random.Generator,
                               emitter_id: int = 0,
                               position_um: tuple[float, float] = (0.0, 0.0),
-                              ) -> list[PhotonRecord]:
+                              ) -> np.ndarray:
     """Event-driven cascade for loading events at arbitrary times.
 
     `loads` is a time-sorted list of (time_ns, exciton_count).  Between loads
@@ -140,15 +127,14 @@ def sample_cascade_from_loads(model: CascadeModel,
             t_emit = t_now + rng.exponential(lifetimes[level - 1])
             if t_emit >= t_load:
                 break
-            records.append(PhotonRecord(t_emit, labels[level - 1],
-                                        emitter_id, x, y))
+            records.append((t_emit, labels[level - 1], emitter_id, x, y))
             level -= 1
             t_now = t_emit
         if not np.isfinite(t_load):
             break
         level = min(level + count, nlev)
         t_now = t_load
-    return records
+    return np.array(records, dtype=PHOTON_DTYPE)
 
 
 def ensemble_histogram(streams, transition: str, bin_ns: float,
@@ -166,13 +152,9 @@ def ensemble_histogram(streams, transition: str, bin_ns: float,
         raise ValueError("period must be > 0")
     nbins = max(int(round(period_ns / bin_ns)), 1)
     edges = np.linspace(0.0, period_ns, nbins + 1)
-    times = [r.time_ns for stream in streams for r in stream
-             if r.transition == transition]
-    if times:
-        folded = np.mod(np.asarray(times), period_ns)
-        counts, _ = np.histogram(folded, bins=edges)
-    else:
-        counts = np.zeros(nbins)
+    photons = np.concatenate([np.zeros(0, PHOTON_DTYPE), *streams])
+    times = photons["time_ns"][photons["transition"] == transition]
+    counts, _ = np.histogram(np.mod(times, period_ns), bins=edges)
     values = counts.astype(float)
     if normalized:
         width = edges[1] - edges[0]
@@ -189,23 +171,20 @@ PHOTON_CSV_HEADER = ["time_ns", "transition", "emitter_id", "x_um", "y_um"]
 
 
 def write_photon_csv(path, records) -> None:
+    columns = [records[name].tolist() for name in PHOTON_CSV_HEADER]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PHOTON_CSV_HEADER)
-        for r in records:
-            writer.writerow([repr(float(r.time_ns)), r.transition,
-                             int(r.emitter_id), repr(float(r.x_um)),
-                             repr(float(r.y_um))])
+        writer.writerows((repr(t), label, eid, repr(x), repr(y))
+                         for t, label, eid, x, y in zip(*columns))
 
 
-def read_photon_csv(path) -> list[PhotonRecord]:
-    records = []
+def read_photon_csv(path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != PHOTON_CSV_HEADER:
             raise ValueError(f"unexpected photon CSV header: {header}")
-        for row in reader:
-            records.append(PhotonRecord(float(row[0]), row[1], int(row[2]),
-                                        float(row[3]), float(row[4])))
-    return records
+        return np.array([(float(t), label, int(eid), float(x), float(y))
+                         for t, label, eid, x, y in reader],
+                        dtype=PHOTON_DTYPE)

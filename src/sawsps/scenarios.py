@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import secrets
 import shutil
 from concurrent.futures import ThreadPoolExecutor
@@ -162,9 +163,18 @@ _BOUNDS: dict[str, tuple] = {
     "onset_threshold": ("a fraction in (0, 1)", lambda x: 0 < x < 1),
     "extent_um": ("two increasing [low, high] pairs",
                   lambda v: all(lo < hi for lo, hi in v)),
+    # labels name output files and CSV columns
+    "labels": ("non-empty labels of letters, digits, '+', '-' or '_'",
+               lambda v: all(re.fullmatch(r"[\w+-]+", lab, re.ASCII)
+                             for lab in v)),
     "cascade": ("labels unique and one per entry of lifetimes_ns",
                 lambda c: len(set(c["labels"])) == len(c["labels"])
                 == len(c["lifetimes_ns"])),
+    "frame": ("row_bin_um and col_bin_nm no wider than their extents",
+              lambda f: f["row_bin_um"] <= f["row_extent_um"][1]
+              - f["row_extent_um"][0]
+              and f["col_bin_nm"] <= f["col_extent_nm"][1]
+              - f["col_extent_nm"][0]),
     "fig4c_delays.g_values": ("strictly ascending values",
                               lambda v: all(a < b for a, b in zip(v, v[1:]))),
     "fig4_transients.g_values": ("values distinct in format 'g' (file names)",
@@ -421,17 +431,15 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     duration = num_pulses * period + travel + 20.0 * max(model.lifetimes_ns)
     result = run_device(layout, saw, pump, duration, cfg.master_seed)
 
-    per_site = {s.site_id: 0 for s in sites}
-    for r in result.photons:
-        per_site[r.emitter_id] += 1
-    pos = {s.site_id: (s.position_um, s.y_um) for s in sites}
-    rows = [[sid, pos[sid][0], pos[sid][1], per_site[sid]]
-            for sid in sorted(per_site)]
+    # site ids are 0..len(sites) - 1, in list order
+    per_site = np.bincount(result.photons["emitter_id"], minlength=len(sites))
     _write_csv(out / "site_emission.csv",
-               ["site_id", "x_um", "y_um", "photons"], rows)
+               ["site_id", "x_um", "y_um", "photons"],
+               [[s.site_id, s.position_um, s.y_um, n]
+                for s, n in zip(sites, per_site.tolist())])
 
-    counts = np.array([per_site[sid] for sid in sorted(per_site)], dtype=float)
-    xs = np.array([pos[sid][0] for sid in sorted(per_site)])
+    counts = per_site.astype(float)
+    xs = np.array([s.position_um for s in sites])
     total = counts.sum()
     mid = 0.5 * (fx0 + fx1)
     upstream = xs < mid if saw.direction > 0 else xs > mid
@@ -494,12 +502,11 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
         write_pgm(out / f"frame_{tag}.pgm", frame.counts)
         write_axes_csv(out / f"frame_{tag}_axes.csv", frame.row_centers_um,
                        frame.col_centers_nm)
-        counts = {s.site_id: 0 for s in sites}
-        for r in result.photons:
-            counts[r.emitter_id] += 1
+        counts = np.bincount(result.photons["emitter_id"],
+                             minlength=len(sites))
         _write_csv(out / f"site_counts_{tag}.csv", ["site_id", "x_um", "photons"],
-                   [[s.site_id, s.position_um, counts[s.site_id]]
-                    for s in sites])
+                   [[s.site_id, s.position_um, n]
+                    for s, n in zip(sites, counts.tolist())])
         files.extend([f"frame_{tag}.pgm", f"frame_{tag}_axes.csv",
                       f"site_counts_{tag}.csv"])
         if p["write_photons"]:

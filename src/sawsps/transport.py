@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cascade import CascadeModel, PumpSpec
-from .emitter import PhotonRecord, sample_cascade_from_loads
+from .emitter import PHOTON_DTYPE, sample_cascade_from_loads
 from .rng import substream
 
 ELECTRON = "electron"
@@ -292,7 +292,7 @@ class DeviceLog:
 
 @dataclass
 class DeviceResult:
-    photons: list
+    photons: np.ndarray  # of PHOTON_DTYPE, sorted by time
     log: DeviceLog
 
 
@@ -315,8 +315,8 @@ def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
     exciton formation -> cascade photons.
 
     Laser pulses follow the pump's period for its pulse count (clipped to the
-    run duration); pair yield per pulse comes from the layout's spot.  Photon
-    records carry the emitting site's position.  The run is a pure function
+    run duration); pair yield per pulse comes from the layout's spot.  Each
+    photon carries its emitting site's position.  The run is a pure function
     of (layout, saw, pump, duration, master_seed).
     """
     if duration_ns <= 0:
@@ -434,15 +434,13 @@ def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
         bucket = log.exited if s_end > s_exit else log.in_transit
         bucket[fl.pocket.species] += fl.pocket.count
 
-    photons: list[PhotonRecord] = []
-    for rank, site in enumerate(sites):
-        if not site.loads:
-            continue
-        photons.extend(sample_cascade_from_loads(
-            site.model, site.loads, substream(master_seed, 1, rank),
-            emitter_id=site.site_id,
-            position_um=(site.position_um, site.y_um)))
-    photons.sort(key=lambda r: r.time_ns)
+    photons = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
+        sample_cascade_from_loads(site.model, site.loads,
+                                  substream(master_seed, 1, rank),
+                                  emitter_id=site.site_id,
+                                  position_um=(site.position_um, site.y_um))
+        for rank, site in enumerate(sites) if site.loads])
+    photons = photons[np.argsort(photons["time_ns"], kind="stable")]
     return DeviceResult(photons=photons, log=log)
 
 

@@ -159,7 +159,7 @@ def test_criterion_6_remote_pumping_geometry():
     duration = cycles * saw_fwd.period_ns + 40.0
 
     res = run_device(layout, saw_fwd, pump, duration, 606)
-    emitted = {r.emitter_id for r in res.photons}
+    emitted = set(res.photons["emitter_id"].tolist())
     assert emitted == {0, 1, 2}
     pos = {s.site_id: s.position_um for s in sites}
     v = saw_fwd.velocity_um_per_ns
@@ -171,12 +171,12 @@ def test_criterion_6_remote_pumping_geometry():
 
     res_rev = run_device(layout, SawWave(193.0, 15.0, direction=+1), pump,
                          duration, 606)
-    wrong_side = [r for r in res_rev.photons if r.emitter_id in (1, 2)]
-    assert wrong_side == []
+    wrong_side = np.isin(res_rev.photons["emitter_id"], (1, 2))
+    assert not np.any(wrong_side)
 
     res_off = run_device(layout, SawWave(193.0, 15.0, amplitude=0.0), pump,
                          duration, 606)
-    assert {r.emitter_id for r in res_off.photons} == {0}
+    assert set(res_off.photons["emitter_id"].tolist()) == {0}
     report(6, f"delays exact, {len(res.log.captures)} captures causal, "
               f"reversed side dark over {cycles} cycles, amplitude 0 local only")
 

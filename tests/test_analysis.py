@@ -8,8 +8,9 @@ from sawsps.analysis import (FitConvergenceError, InsufficientSignalError,
                              exponential_tail_fit, fit_rise_fall, g2_histogram,
                              mean_emission_time, measure_intrinsic_lifetimes,
                              onset_delay_curve, powerlaw_exponent)
-from sawsps.cascade import CascadeModel, Transient, solve_cascade_analytic
-from sawsps.emitter import PhotonRecord
+from sawsps.cascade import (CascadeModel, Transient, initial_loading,
+                           solve_cascade_analytic)
+from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
@@ -133,6 +134,23 @@ class TestOnsetDelayCurve:
         with pytest.raises(ValueError):
             onset_delay_curve(MODEL, [0.5, 0.1])
 
+    @pytest.mark.parametrize("lifetimes", [(1.5, 1.4, 0.9),
+                                           (1.0, 1.0 + 1e-10, 1.0 - 1e-9)])
+    def test_mean_delay_matches_closed_form(self, lifetimes):
+        # the loading-weighted sum of waits equals the Poisson-weighted mean
+        # of the exact Bateman photon-arrival means
+        model = CascadeModel(lifetimes)
+        nlev = model.num_levels
+        for g in np.geomspace(0.01, 50.0, 40):
+            weights = initial_loading(g, nlev)
+            for level in range(1, nlev + 1):
+                ks = range(level, nlev + 1)
+                closed = sum(weights[k] * solve_cascade_analytic(model, k)
+                             .mean_emission_time(level) for k in ks) \
+                    / sum(weights[k] for k in ks)
+                assert mean_emission_time(model, g, level) \
+                    == pytest.approx(closed, rel=1e-8)
+
 
 class TestG2:
     def test_one_photon_per_period_zero_ratio(self):
@@ -165,9 +183,11 @@ class TestG2:
         assert np.mean(hist.normalized) == pytest.approx(1.0, abs=0.02)
 
     def test_accepts_photon_records_with_filter(self):
-        recs = [PhotonRecord(t, "1X") for t in np.arange(100) * 5.0] \
-            + [PhotonRecord(t + 0.1, "2X") for t in np.arange(100) * 5.0]
-        hist = g2_histogram(recs, 26.0, 0.5, 5.0, transition="1X")
+        recs = np.array([(t, "1X", 0, 0.0, 0.0) for t in np.arange(100) * 5.0]
+                        + [(t + 0.1, "2X", 0, 0.0, 0.0)
+                           for t in np.arange(100) * 5.0], dtype=PHOTON_DTYPE)
+        hist = g2_histogram(recs["time_ns"][recs["transition"] == "1X"],
+                            26.0, 0.5, 5.0)
         assert hist.zero_peak_ratio == 0.0
 
 

@@ -9,12 +9,19 @@ from scipy.special import erfc
 from sawsps.cascade import Transient
 from sawsps.detector import (CcdFrame, Irf, SpectralLine, TransitionSpectrum,
                              convolve_irf, render_pl_image,
-                             render_spatial_spectral, write_axes_csv,
-                             write_pgm)
-from sawsps.emitter import PhotonRecord
+                             render_spatial_spectral, sample_wavelengths,
+                             write_axes_csv, write_pgm)
+from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
 
 IRF = Irf(0.35)
+
+
+def photons(*rows):
+    """A photon stream from (transition, x_um, y_um) rows, emitter 0."""
+    return np.array([(float(i), label, 0, x, y)
+                     for i, (label, x, y) in enumerate(rows)],
+                    dtype=PHOTON_DTYPE)
 
 
 def emg_reference(t, tau, sigma):
@@ -120,12 +127,29 @@ class TestSpectrum:
         with pytest.raises(KeyError):
             TransitionSpectrum.default().line_for(0, "4X")
 
+    def test_wavelengths_match_per_photon_draws(self):
+        # one draw per broadened photon in photon order, none for a delta line
+        lines = dict(TransitionSpectrum.default().lines,
+                     **{"2X": SpectralLine(879.0, 0.0)})
+        spectrum = TransitionSpectrum(lines).with_emitter_shifts({3: 1.5})
+        rng = substream(11, 0)
+        recs = np.zeros(200, dtype=PHOTON_DTYPE)
+        recs["transition"] = rng.choice(["1X", "2X", "3X"], 200)
+        recs["emitter_id"] = rng.choice([0, 3, 7], 200)
+        ref_rng = substream(12, 0)
+        expected = []
+        for eid, label in zip(recs["emitter_id"].tolist(), recs["transition"]):
+            line = spectrum.line_for(eid, label)
+            expected.append(line.center_nm if line.sigma_nm == 0
+                            else ref_rng.normal(line.center_nm, line.sigma_nm))
+        got = sample_wavelengths(recs, spectrum, substream(12, 0))
+        assert np.array_equal(got, expected)
+
 
 class TestCcdFrame:
     def test_count_conservation_with_overflow(self):
-        recs = [PhotonRecord(1.0, "1X", x_um=0.0),
-                PhotonRecord(2.0, "2X", x_um=1.0),
-                PhotonRecord(3.0, "1X", x_um=500.0)]  # out of frame
+        recs = photons(("1X", 0.0, 0.0), ("2X", 1.0, 0.0),
+                       ("1X", 500.0, 0.0))  # out of frame
         frame = render_spatial_spectral(recs, np.linspace(-5, 5, 11),
                                         np.linspace(870, 885, 16),
                                         TransitionSpectrum.default(),
@@ -134,7 +158,7 @@ class TestCcdFrame:
         assert frame.overflow >= 1
 
     def test_empty_stream_zero_frame(self):
-        frame = render_spatial_spectral([], np.linspace(-5, 5, 11),
+        frame = render_spatial_spectral(photons(), np.linspace(-5, 5, 11),
                                         np.linspace(870, 885, 16),
                                         TransitionSpectrum.default(),
                                         substream(9, 0))
@@ -142,7 +166,7 @@ class TestCcdFrame:
 
     def test_rows_encode_position(self):
         spectrum = TransitionSpectrum(lines={"1X": SpectralLine(878.0, 0.0)})
-        recs = [PhotonRecord(1.0, "1X", x_um=-3.2)]
+        recs = photons(("1X", -3.2, 0.0))
         frame = render_spatial_spectral(recs, np.linspace(-5, 5, 11),
                                         np.linspace(870, 885, 16),
                                         spectrum, substream(10, 0))
@@ -157,14 +181,13 @@ class TestCcdFrame:
 
 class TestPlImage:
     def test_single_photon_unit_integral(self):
-        img = render_pl_image([PhotonRecord(0.0, "1X", x_um=1.0, y_um=-0.5)],
+        img = render_pl_image(photons(("1X", 1.0, -0.5)),
                               0.4, 0.1, ((-5, 5), (-5, 5)))
         assert img.intensity.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_close_emitters_unresolved(self):
         # two emitters closer than the PSF merge into one blob
-        recs = [PhotonRecord(0.0, "1X", x_um=-0.1)] * 50 \
-            + [PhotonRecord(0.0, "1X", x_um=0.1)] * 50
+        recs = photons(*[("1X", -0.1, 0.0)] * 50, *[("1X", 0.1, 0.0)] * 50)
         img = render_pl_image(recs, 0.5, 0.1, ((-4, 4), (-4, 4)))
         profile = img.intensity.sum(axis=0)
         peaks = [i for i in range(1, profile.size - 1)
@@ -172,8 +195,7 @@ class TestPlImage:
         assert len(peaks) == 1
 
     def test_far_emitters_resolved(self):
-        recs = [PhotonRecord(0.0, "1X", x_um=-2.0)] * 50 \
-            + [PhotonRecord(0.0, "1X", x_um=2.0)] * 50
+        recs = photons(*[("1X", -2.0, 0.0)] * 50, *[("1X", 2.0, 0.0)] * 50)
         img = render_pl_image(recs, 0.3, 0.1, ((-4, 4), (-4, 4)))
         profile = img.intensity.sum(axis=0)
         peaks = [i for i in range(1, profile.size - 1)
@@ -181,8 +203,7 @@ class TestPlImage:
         assert len(peaks) == 2
 
     def test_total_matches_photon_count(self):
-        recs = [PhotonRecord(0.0, "1X", x_um=0.5, y_um=1.0)] * 7 \
-            + [PhotonRecord(0.0, "1X", x_um=-1.0, y_um=0.0)] * 5
+        recs = photons(*[("1X", 0.5, 1.0)] * 7, *[("1X", -1.0, 0.0)] * 5)
         img = render_pl_image(recs, 0.4, 0.2, ((-6, 6), (-6, 6)))
         assert img.intensity.sum() == pytest.approx(12.0, abs=1e-6)
 

@@ -4,25 +4,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawsps.cascade import CascadeModel, PumpSpec, solve_cascade_analytic
-from sawsps.emitter import (PhotonRecord, TrajectoryConfig, ensemble_histogram,
+from sawsps.emitter import (PHOTON_DTYPE, TrajectoryConfig, ensemble_histogram,
                             read_photon_csv, sample_cascade_from_loads,
-                            sample_emission_times, sample_pulse_loading,
-                            sample_start_levels, simulate_trajectory,
-                            write_photon_csv)
+                            sample_emission_times, sample_start_levels,
+                            simulate_trajectory, write_photon_csv)
 from sawsps.rng import substream
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
 PUMP = PumpSpec(1.0, 50.0)
 
 
+def one_x_stream(*times):
+    return np.array([(t, "1X", 0, 0.0, 0.0) for t in times], dtype=PHOTON_DTYPE)
+
+
 class TestPulseLoading:
     def test_zero_mean_always_zero(self):
         rng = substream(0, 0)
-        assert all(sample_pulse_loading(0.0, rng) == 0 for _ in range(1000))
+        assert np.all(sample_start_levels(0.0, 1000, 3, rng) == 0)
 
     def test_mean_and_zero_fraction(self):
         rng = substream(123, 0)
-        draws = rng.poisson(1.0, 10 ** 6)
+        # enough levels that the fold to the top level never acts
+        draws = sample_start_levels(1.0, 10 ** 6, 100, rng)
         # 3 sigma bands: standard error of the mean and binomial error of P(0)
         assert abs(draws.mean() - 1.0) < 3.0 * np.sqrt(1.0 / 10 ** 6)
         p0 = np.mean(draws == 0)
@@ -31,34 +35,34 @@ class TestPulseLoading:
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
-            sample_pulse_loading(-1.0, substream(0, 0))
+            sample_start_levels(-1.0, 1, 3, substream(0, 0))
 
 
 class TestTrajectory:
     def test_no_pump_no_photons(self):
         cfg = TrajectoryConfig(num_pulses=100, master_seed=1)
-        assert simulate_trajectory(MODEL, PumpSpec(0.0, 10.0), cfg) == []
+        assert len(simulate_trajectory(MODEL, PumpSpec(0.0, 10.0), cfg)) == 0
 
     def test_reproducible_and_index_dependent(self):
         cfg = TrajectoryConfig(num_pulses=20, master_seed=42, trajectory_index=5)
         a = simulate_trajectory(MODEL, PUMP, cfg)
         b = simulate_trajectory(MODEL, PUMP, cfg)
-        assert a == b
+        assert np.array_equal(a, b)
         other = simulate_trajectory(
             MODEL, PUMP, TrajectoryConfig(20, 42, trajectory_index=6))
-        assert a != other
+        assert not np.array_equal(a, other)
 
     def test_records_sorted(self):
         cfg = TrajectoryConfig(num_pulses=200, master_seed=3)
         recs = simulate_trajectory(MODEL, PumpSpec(2.0, 2.0, 200), cfg)
-        times = [r.time_ns for r in recs]
+        times = recs["time_ns"].tolist()
         assert times == sorted(times)
 
     def test_forced_single_level_exponential_mean(self):
         pump = PumpSpec(0.0, 50.0, num_pulses=20000)
         cfg = TrajectoryConfig(num_pulses=20000, master_seed=11)
         recs = simulate_trajectory(MODEL, pump, cfg, start_level=1)
-        waits = np.array([r.time_ns % 50.0 for r in recs])
+        waits = recs["time_ns"] % 50.0
         se = 1.5 / np.sqrt(waits.size)
         assert abs(waits.mean() - 1.5) < 3.0 * se
 
@@ -67,8 +71,7 @@ class TestTrajectory:
         cfg = TrajectoryConfig(num_pulses=20000, master_seed=12)
         recs = simulate_trajectory(MODEL, pump, cfg, start_level=3)
         for label, expected in (("1X", 3.8), ("2X", 2.3), ("3X", 0.9)):
-            waits = np.array([r.time_ns % 100.0 for r in recs
-                              if r.transition == label])
+            waits = recs["time_ns"][recs["transition"] == label] % 100.0
             se = waits.std() / np.sqrt(waits.size)
             assert abs(waits.mean() - expected) < 3.0 * se
 
@@ -81,7 +84,7 @@ def test_forced_load_emits_exactly_k_photons_per_pulse(seed, k):
     assert len(recs) == 7 * k
     for i in range(1, k + 1):
         label = MODEL.labels[i - 1]
-        assert sum(r.transition == label for r in recs) == 7
+        assert np.count_nonzero(recs["transition"] == label) == 7
 
 
 class TestVectorizedEnsemble:
@@ -116,7 +119,7 @@ class TestEventDrivenLoads:
         ones = []
         for i in range(20000):
             recs = sample_cascade_from_loads(MODEL, [(5.0, 3)], substream(5, i))
-            ones.extend(r.time_ns - 5.0 for r in recs if r.transition == "1X")
+            ones.extend(recs["time_ns"][recs["transition"] == "1X"] - 5.0)
         ones = np.array(ones)
         se = ones.std() / np.sqrt(ones.size)
         assert abs(ones.mean() - 3.8) < 3.0 * se
@@ -128,22 +131,23 @@ class TestEventDrivenLoads:
     def test_reload_during_cascade_keeps_emitting(self):
         recs = sample_cascade_from_loads(MODEL, [(0.0, 1), (0.05, 1), (0.1, 1)],
                                          substream(7, 0))
-        times = [r.time_ns for r in recs]
+        times = recs["time_ns"].tolist()
         assert times == sorted(times)
-        assert all(r.time_ns >= 0.0 for r in recs)
+        assert all(t >= 0.0 for t in times)
 
     def test_empty_loads(self):
-        assert sample_cascade_from_loads(MODEL, [], substream(8, 0)) == []
+        recs = sample_cascade_from_loads(MODEL, [], substream(8, 0))
+        assert recs.dtype == PHOTON_DTYPE and len(recs) == 0
 
 
 class TestEnsembleHistogram:
     def test_single_photon_lands_in_first_bin(self):
-        stream = [[PhotonRecord(0.5, "1X")]]
+        stream = [one_x_stream(0.5)]
         h = ensemble_histogram(stream, "1X", 1.0, 10.0)
         assert h.intensity[0] == 1.0 and h.intensity.sum() == 1.0
 
     def test_folding_modulo_period(self):
-        stream = [[PhotonRecord(0.5, "1X"), PhotonRecord(10.5, "1X")]]
+        stream = [one_x_stream(0.5, 10.5)]
         h = ensemble_histogram(stream, "1X", 1.0, 10.0)
         assert h.intensity[0] == 2.0
 
@@ -174,10 +178,10 @@ class TestCsv:
         cfg = TrajectoryConfig(num_pulses=50, master_seed=9)
         recs = simulate_trajectory(MODEL, PumpSpec(2.0, 5.0, 50), cfg,
                                    emitter_id=3)
-        assert recs, "need a non-empty stream for the round trip"
+        assert len(recs), "need a non-empty stream for the round trip"
         path = tmp_path / "photons.csv"
         write_photon_csv(path, recs)
-        assert read_photon_csv(path) == recs
+        assert np.array_equal(read_photon_csv(path), recs)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

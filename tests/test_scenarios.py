@@ -290,6 +290,19 @@ BAD_CONFIGS = [
      "fig4_transients.cascade"),
     ({"scenario": "fig4_transients", "params": {"horizon_ns": 0.01}},
      "horizon_ns"),
+    # labels become CSV columns and file names
+    ({"scenario": "fig4c_delays",
+      "params": {"cascade": {"lifetimes_ns": [1.5, 0.9],
+                             "labels": ["a,b", "c"]}}},
+     "fig4c_delays.cascade.labels"),
+    ({"scenario": "fig4_transients",
+      "params": {"cascade": {"lifetimes_ns": [1.5], "labels": ["a/b"]}}},
+     "fig4_transients.cascade.labels"),
+    # a frame bin wider than its extent leaves fewer than two bin edges
+    ({"scenario": "fig7_remote", "params": {"frame": {"row_bin_um": 45}}},
+     "fig7_remote.frame"),
+    ({"scenario": "fig7_remote", "params": {"frame": {"col_bin_nm": 60}}},
+     "fig7_remote.frame"),
 ]
 
 

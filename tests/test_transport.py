@@ -143,7 +143,7 @@ class TestRunDevice:
 
     def test_forward_feeds_all_sites(self):
         layout, saw, res = self.run()
-        emitted = {r.emitter_id for r in res.photons}
+        emitted = set(res.photons["emitter_id"].tolist())
         assert emitted == {0, 1, 2}
 
     def test_conservation(self):
@@ -168,21 +168,19 @@ class TestRunDevice:
         # allowance (distance - lambda/2) over the sound velocity
         layout, saw, res = self.run()
         first_pulse = res.log.pulse_times[0]
-        for r in res.photons:
-            if r.emitter_id == 1:
-                assert r.time_ns >= first_pulse + (7.0 - 7.5) / 2.895 - 1e-9
-            if r.emitter_id == 2:
-                assert r.time_ns >= first_pulse + (14.0 - 7.5) / 2.895 - 1e-9
+        ids, times = res.photons["emitter_id"], res.photons["time_ns"]
+        assert np.all(times[ids == 1] >= first_pulse + (7.0 - 7.5) / 2.895 - 1e-9)
+        assert np.all(times[ids == 2] >= first_pulse + (14.0 - 7.5) / 2.895 - 1e-9)
 
     def test_reversed_direction_dark_side(self):
         _, _, res = self.run(direction=+1, pulses=5000)
-        emitted = {r.emitter_id for r in res.photons}
+        emitted = set(res.photons["emitter_id"].tolist())
         assert 1 not in emitted and 2 not in emitted
         assert 0 in emitted  # the spot site still captures passing pockets
 
     def test_saw_off_only_spot_emits(self):
         _, _, res = self.run(amplitude=0.0, pulses=5000)
-        emitted = {r.emitter_id for r in res.photons}
+        emitted = set(res.photons["emitter_id"].tolist())
         assert emitted == {0}
         assert res.log.conservation_ok()
 
@@ -198,10 +196,10 @@ class TestRunDevice:
         res_m = run_device(lay_m, saw_m, pump, dur, 21)
         res_p = run_device(lay_p, saw_p, pump, dur, 21)
         assert len(res_m.photons) == len(res_p.photons)
-        for a, b in zip(res_m.photons, res_p.photons):
-            assert a.time_ns == pytest.approx(b.time_ns, abs=1e-9)
-            assert a.x_um == pytest.approx(-b.x_um, abs=1e-9)
-            assert a.transition == b.transition
+        a, b = res_m.photons, res_p.photons
+        assert np.allclose(a["time_ns"], b["time_ns"], rtol=0, atol=1e-9)
+        assert np.allclose(a["x_um"], -b["x_um"], rtol=0, atol=1e-9)
+        assert np.array_equal(a["transition"], b["transition"])
 
     def test_depletion_monotonic_in_series(self):
         # two identical sites, both beyond the pocket birth zone (half a
@@ -215,9 +213,7 @@ class TestRunDevice:
         captures = {0: 0, 1: 0}
         for ev in res.log.captures:
             captures[ev.site_id] += ev.count
-        photons = {0: 0, 1: 0}
-        for r in res.photons:
-            photons[r.emitter_id] += 1
+        photons = np.bincount(res.photons["emitter_id"], minlength=2)
         assert captures[0] > captures[1] > 0
         assert photons[0] > photons[1] > 0
 
