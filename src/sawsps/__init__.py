@@ -15,9 +15,8 @@ from .cascade import (CascadeModel, OccupancyTrace, PumpSpec, Transient,
                       solve_cascade_numeric, time_integrated_intensity)
 from .emitter import (PHOTON_DTYPE, TrajectoryConfig, ensemble_histogram,
                       sample_cascade_from_loads, simulate_trajectory)
-from .transport import (CarrierPocket, ChannelLayout, LaserSpot, QdSite,
-                        SawWave, arrival_delay, capture_pass,
-                        exciton_formation, generate_pockets, run_device)
+from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
+                        arrival_delay, run_device)
 from .detector import (CcdFrame, Irf, TransitionSpectrum, convolve_irf,
                        render_pl_image, render_spatial_spectral)
 from .analysis import (G2Histogram, RiseFallFit, fit_rise_fall, g2_histogram,

@@ -66,10 +66,6 @@ class CascadeModel:
         """Decay rates 1/tau_i in 1/ns, index 0 = lowest level."""
         return 1.0 / np.asarray(self.lifetimes_ns)
 
-    def level_of(self, label: str) -> int:
-        """1-based level index of a transition label."""
-        return self.labels.index(label) + 1
-
 
 @dataclass(frozen=True)
 class PumpSpec:
@@ -78,7 +74,6 @@ class PumpSpec:
     mean_excitons_per_pulse: float
     pulse_period_ns: float
     num_pulses: int = 1
-    power_to_g_per_uw: float = 0.1
 
     def __post_init__(self):
         if self.mean_excitons_per_pulse < 0:
@@ -87,14 +82,6 @@ class PumpSpec:
             raise ValueError("pulse period must be > 0")
         if self.num_pulses < 1:
             raise ValueError("need at least one pulse")
-        if self.power_to_g_per_uw <= 0:
-            raise ValueError("power calibration must be > 0")
-
-    def g_for_power(self, power_uw: float) -> float:
-        """Linear power -> mean-excitons calibration."""
-        if power_uw < 0:
-            raise ValueError("power must be >= 0")
-        return self.power_to_g_per_uw * power_uw
 
     def pulse_times(self) -> np.ndarray:
         return np.arange(self.num_pulses) * self.pulse_period_ns
@@ -128,9 +115,6 @@ class Transient:
         if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
             raise ValueError("time grid is not uniform")
         return float(d[0])
-
-    def shifted(self, delta_ns: float) -> "Transient":
-        return Transient(self.time_ns + delta_ns, self.intensity)
 
     def integral(self) -> float:
         return float(np.trapezoid(self.intensity, self.time_ns))

@@ -133,6 +133,12 @@ _PRESETS: dict[str, dict] = {
 _G2_BLOCKS = 64
 _MC_BLOCKS = 16
 
+
+def _whole_bins(extent: tuple, width: float) -> bool:
+    n = (extent[1] - extent[0]) / width
+    return round(n) >= 1 and abs(n - round(n)) <= 1e-9 * n
+
+
 # What each key may hold beyond its type: (what is needed, test of the typed
 # value).  A bound is keyed by the parameter name and applies wherever that
 # name occurs; a key qualified with its preset adds a condition for that
@@ -170,11 +176,12 @@ _BOUNDS: dict[str, tuple] = {
     "cascade": ("labels unique and one per entry of lifetimes_ns",
                 lambda c: len(set(c["labels"])) == len(c["labels"])
                 == len(c["lifetimes_ns"])),
-    "frame": ("row_bin_um and col_bin_nm no wider than their extents",
-              lambda f: f["row_bin_um"] <= f["row_extent_um"][1]
-              - f["row_extent_um"][0]
-              and f["col_bin_nm"] <= f["col_extent_nm"][1]
-              - f["col_extent_nm"][0]),
+    # the bin edges must tile the extent, or photons past the last edge
+    # fall outside the frame
+    "frame": ("row_bin_um and col_bin_nm each dividing its extent into "
+              "whole bins",
+              lambda f: _whole_bins(f["row_extent_um"], f["row_bin_um"])
+              and _whole_bins(f["col_extent_nm"], f["col_bin_nm"])),
     "fig4c_delays.g_values": ("strictly ascending values",
                               lambda v: all(a < b for a, b in zip(v, v[1:]))),
     "fig4_transients.g_values": ("values distinct in format 'g' (file names)",

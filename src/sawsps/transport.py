@@ -9,7 +9,9 @@ runs its cascade through the stochastic emitter.
 Pocket motion is ballistic and dispersionless, so the device loop processes
 exact window-crossing times in chronological order rather than marching in
 fixed time steps; capture decisions and their ordering are identical to a
-sufficiently fine stepper, at a tiny fraction of the cost.
+sufficiently fine stepper, at a tiny fraction of the cost.  With the wave
+off (amplitude 0) nothing is conveyed: each pair stays at its generation
+point and is captured there or recombines.
 """
 
 import heapq
@@ -29,18 +31,13 @@ HOLE = "hole"
 @dataclass(frozen=True)
 class SawWave:
     """Travelling wave parameters; amplitude in [0, 1] scales capture
-    efficiency (0 = no conveyance, carriers recombine at the spot).
-
-    Conveyance is lossless by default; `loss_per_um` is an optional carrier
-    loss rate along the channel (binomial thinning per travelled distance).
-    """
+    efficiency (0 = no conveyance: pairs stay where they were generated).
+    Conveyance is lossless."""
 
     frequency_mhz: float
     wavelength_um: float
     amplitude: float = 1.0
     direction: int = 1
-    phase_rad: float = 0.0
-    loss_per_um: float = 0.0
 
     def __post_init__(self):
         if self.frequency_mhz <= 0 or self.wavelength_um <= 0:
@@ -49,8 +46,6 @@ class SawWave:
             raise ValueError("amplitude must be in [0, 1]")
         if self.direction not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
-        if self.loss_per_um < 0:
-            raise ValueError("loss rate must be >= 0")
 
     @property
     def velocity_um_per_ns(self) -> float:
@@ -68,7 +63,6 @@ class LaserSpot:
     center_um: float
     radius_um: float
     pairs_per_pulse: float
-    center_y_um: float = 0.0
 
     def __post_init__(self):
         if self.radius_um <= 0:
@@ -117,17 +111,17 @@ class QdSite:
         return replace(self, n_electrons=0, n_holes=0, loads=[])
 
 
-@dataclass
+@dataclass(slots=True)
 class CarrierPocket:
-    """A packet of one carrier species riding (or, unpocketed, stranded at)
-    the travelling potential."""
+    """A packet of one carrier species riding the travelling potential from
+    its birth position and time; `next_rank` is the encounter rank of the
+    next site it may pass."""
 
     species: str
     count: int
     position_um: float
     birth_time_ns: float
-    cycle_index: int
-    pocketed: bool = True
+    next_rank: int = 0
 
     def __post_init__(self):
         if self.species not in (ELECTRON, HOLE):
@@ -143,7 +137,6 @@ class ChannelLayout:
     extent_um: tuple[float, float]
     spot: LaserSpot
     sites: tuple[QdSite, ...]
-    field_extent_um: tuple[tuple[float, float], tuple[float, float]] | None = None
 
     def __post_init__(self):
         lo, hi = self.extent_um
@@ -170,47 +163,37 @@ def pocket_lattice_position(x_um: float, t_ns: float, saw: SawWave,
     """
     offset = 0.0 if species == ELECTRON else 0.5
     ref = (saw.direction * saw.velocity_um_per_ns * t_ns
-           + (saw.phase_rad / (2 * math.pi) + offset) * saw.wavelength_um)
+           + offset * saw.wavelength_um)
     m = round((x_um - ref) / saw.wavelength_um)
     return ref + m * saw.wavelength_um, int(m)
 
 
-def generate_pockets(layout: ChannelLayout, saw: SawWave, pulse_time_ns: float,
-                     rng: np.random.Generator) -> list[CarrierPocket]:
-    """Pockets created by one laser pulse.
+def pair_positions(spot: LaserSpot, saw: SawWave,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Generation positions of one laser pulse's electron-hole pairs.
 
     Pair count is Poisson with the spot's mean; positions are Gaussian around
-    the spot.  With amplitude 0 the carriers are not pocketed: they are
-    returned as stationary unit pairs (electron, hole interleaved) marked for
-    local recombination at their generation position.
+    the spot.
     """
-    n_pairs = int(rng.poisson(layout.spot.pairs_per_pulse))
-    if n_pairs == 0:
-        return []
+    n_pairs = int(rng.poisson(spot.pairs_per_pulse))
     # offsets are drawn along the downstream axis so that reversing the
     # direction mirrors the run draw for draw (the Gaussian is symmetric)
-    offsets = rng.normal(0.0, layout.spot.radius_um, n_pairs)
-    xs = layout.spot.center_um + saw.direction * offsets
-    if saw.amplitude == 0:
-        pockets = []
-        for x in xs:
-            pockets.append(CarrierPocket(ELECTRON, 1, float(x), pulse_time_ns,
-                                         0, pocketed=False))
-            pockets.append(CarrierPocket(HOLE, 1, float(x), pulse_time_ns,
-                                         0, pocketed=False))
-        return pockets
+    return spot.center_um + saw.direction * rng.normal(0.0, spot.radius_um,
+                                                       n_pairs)
+
+
+def generate_pockets(layout: ChannelLayout, saw: SawWave, pulse_time_ns: float,
+                     rng: np.random.Generator) -> list[CarrierPocket]:
+    """Pockets created by one laser pulse: each pair's carriers join the
+    nearest extremum of their species, in downstream order."""
     grouped: dict[tuple[str, int], list[float]] = {}
-    for x in xs:
+    for x in pair_positions(layout.spot, saw, rng):
         for species in (ELECTRON, HOLE):
             pos, m = pocket_lattice_position(float(x), pulse_time_ns, saw, species)
             grouped.setdefault((species, m), []).append(pos)
-    pockets = []
-    for (species, m) in sorted(
-            grouped, key=lambda k: (saw.direction * grouped[k][0], k[0])):
-        positions = grouped[(species, m)]
-        pockets.append(CarrierPocket(species, len(positions), positions[0],
-                                     pulse_time_ns, m))
-    return pockets
+    return [CarrierPocket(k[0], len(grouped[k]), grouped[k][0], pulse_time_ns)
+            for k in sorted(grouped,
+                            key=lambda k: (saw.direction * grouped[k][0], k[0]))]
 
 
 def capture_pass(pocket: CarrierPocket, site: QdSite, rng: np.random.Generator,
@@ -277,7 +260,6 @@ class DeviceLog:
     exited: dict
     in_transit: dict
     recombined: dict
-    lost: dict
     captures: list
     sites: list  # final site copies, including their load schedules
 
@@ -286,7 +268,7 @@ class DeviceLog:
 
     def conservation_ok(self) -> bool:
         return all(self.generated[sp] == self.captured[sp] + self.exited[sp]
-                   + self.in_transit[sp] + self.recombined[sp] + self.lost[sp]
+                   + self.in_transit[sp] + self.recombined[sp]
                    for sp in (ELECTRON, HOLE))
 
 
@@ -296,28 +278,18 @@ class DeviceResult:
     log: DeviceLog
 
 
-class _Flight:
-    """A pocket in ballistic flight, tracked in signed (downstream) coords."""
-
-    __slots__ = ("pocket", "s0", "t0", "next_rank", "s_thinned")
-
-    def __init__(self, pocket, s0, t0):
-        self.pocket = pocket
-        self.s0 = s0
-        self.t0 = t0
-        self.next_rank = 0
-        self.s_thinned = s0
-
-
 def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
                duration_ns: float, master_seed: int) -> DeviceResult:
     """Full device run: pulses -> pockets -> conveyance -> capture ->
     exciton formation -> cascade photons.
 
     Laser pulses follow the pump's period for its pulse count (clipped to the
-    run duration); pair yield per pulse comes from the layout's spot.  Each
-    photon carries its emitting site's position.  The run is a pure function
-    of (layout, saw, pump, duration, master_seed).
+    run duration); pair yield per pulse comes from the layout's spot.  With
+    amplitude 0 each pair is captured whole, with that site's capture
+    probability, by the nearest site whose window covers its generation
+    point, or else recombines there.  Each photon carries its emitting
+    site's position.  The run is a pure function of (layout, saw, pump,
+    duration, master_seed).
     """
     if duration_ns <= 0:
         raise ValueError("duration must be > 0")
@@ -335,104 +307,88 @@ def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
 
     log = DeviceLog(pulse_times=[], generated=zero(), captured=zero(),
                     exited=zero(), in_transit=zero(), recombined=zero(),
-                    lost=zero(), captures=[], sites=sites)
-
-    heap: list = []
-    seq = 0
-    PULSE, CROSSING = 0, 1
+                    captures=[], sites=sites)
     for p in range(pump.num_pulses):
         t = p * pump.pulse_period_ns
         if t > duration_ns:
             break
-        heapq.heappush(heap, (t, PULSE, seq, None))
-        seq += 1
         log.pulse_times.append(t)
 
-    flights: list[_Flight] = []
+    heap: list = []  # (crossing time, scheduling order, pocket)
+    seq = 0
+    conveyed: list[CarrierPocket] = []
 
-    def schedule(fl: _Flight) -> None:
+    def schedule(pk: CarrierPocket) -> None:
         # Capture is attempted as the pocket crosses the site center, so the
         # conveyance delay is exactly |site - birth| / v; a pocket born inside
         # the capture window but already past the center attempts at birth.
+        # Positions are signed along the downstream axis.
         nonlocal seq
-        while fl.next_rank < len(sites):
-            site = sites[fl.next_rank]
-            sp = s_pos[fl.next_rank]
-            if fl.s0 > sp + site.capture_radius_um:  # born past the window
-                fl.next_rank += 1
+        s0 = d * pk.position_um
+        while pk.next_rank < len(sites):
+            sp = s_pos[pk.next_rank]
+            if s0 > sp + sites[pk.next_rank].capture_radius_um:  # born past
+                pk.next_rank += 1
                 continue
-            t_cross = fl.t0 + max(sp - fl.s0, 0.0) / v
+            t_cross = pk.birth_time_ns + max(sp - s0, 0.0) / v
             if t_cross > duration_ns:
                 return
-            heapq.heappush(heap, (t_cross, CROSSING, seq, fl))
+            heapq.heappush(heap, (t_cross, seq, pk))
             seq += 1
             return
 
-    while heap:
-        t, kind, _, payload = heapq.heappop(heap)
-        if kind == PULSE:
-            pockets = generate_pockets(layout, saw, t, rng)
-            if saw.amplitude == 0:
-                # pairs stranded at the spot: direct capture or local recombination
-                for e_pk, h_pk in zip(pockets[0::2], pockets[1::2]):
-                    log.generated[ELECTRON] += 1
-                    log.generated[HOLE] += 1
-                    x = e_pk.position_um
-                    near = [s for s in sites
-                            if abs(s.position_um - x) <= s.capture_radius_um]
-                    captured = False
-                    if near:
-                        site = min(near, key=lambda s: abs(s.position_um - x))
-                        if rng.random() < site.capture_prob:
-                            site.receive(ELECTRON, 1)
-                            site.receive(HOLE, 1)
-                            for species in (ELECTRON, HOLE):
-                                log.captured[species] += 1
-                                log.captures.append(CaptureEvent(
-                                    t, site.site_id, species, 1, t, x))
-                            exciton_formation(site, t)
-                            captured = True
-                    if not captured:
-                        log.recombined[ELECTRON] += 1
-                        log.recombined[HOLE] += 1
-                continue
-            for pk in pockets:
-                log.generated[pk.species] += pk.count
-                fl = _Flight(pk, d * pk.position_um, t)
-                flights.append(fl)
-                schedule(fl)
-        else:
-            fl = payload
-            pk = fl.pocket
-            rank = fl.next_rank
-            site = sites[rank]
-            if saw.loss_per_um > 0 and pk.count > 0:
-                s_now = max(s_pos[rank], fl.s0)
-                survival = math.exp(-saw.loss_per_um * (s_now - fl.s_thinned))
-                kept = int(rng.binomial(pk.count, survival))
-                log.lost[pk.species] += pk.count - kept
-                pk.count = kept
-                fl.s_thinned = s_now
-                if pk.count == 0:
-                    continue
+    def cross_before(t_stop: float) -> None:
+        # a pulse goes before the crossings at its own time
+        while heap and heap[0][0] < t_stop:
+            t, _, pk = heapq.heappop(heap)
+            site = sites[pk.next_rank]
             transferred = capture_pass(pk, site, rng, saw.amplitude)
             if transferred:
                 log.captured[pk.species] += transferred
                 log.captures.append(CaptureEvent(
                     t, site.site_id, pk.species, transferred,
-                    fl.t0, d * fl.s0))
+                    pk.birth_time_ns, pk.position_um))
                 exciton_formation(site, t)
-            fl.next_rank = rank + 1
+            pk.next_rank += 1
             if pk.count > 0:
-                schedule(fl)
+                schedule(pk)
+
+    def strand(x: float, t: float) -> None:
+        log.generated[ELECTRON] += 1
+        log.generated[HOLE] += 1
+        near = [s for s in sites if abs(s.position_um - x) <= s.capture_radius_um]
+        site = min(near, key=lambda s: abs(s.position_um - x), default=None)
+        if site is not None and rng.random() < site.capture_prob:
+            site.receive(ELECTRON, 1)
+            site.receive(HOLE, 1)
+            for species in (ELECTRON, HOLE):
+                log.captured[species] += 1
+                log.captures.append(CaptureEvent(t, site.site_id, species, 1,
+                                                 t, x))
+            exciton_formation(site, t)
+        else:
+            log.recombined[ELECTRON] += 1
+            log.recombined[HOLE] += 1
+
+    for t in log.pulse_times:
+        cross_before(t)
+        if saw.amplitude == 0:
+            for x in pair_positions(layout.spot, saw, rng):
+                strand(float(x), t)
+            continue
+        for pk in generate_pockets(layout, saw, t, rng):
+            log.generated[pk.species] += pk.count
+            conveyed.append(pk)
+            schedule(pk)
+    cross_before(math.inf)
 
     # classify leftover carriers at the end of the run
-    for fl in flights:
-        if fl.pocket.count == 0:
+    for pk in conveyed:
+        if pk.count == 0:
             continue
-        s_end = fl.s0 + v * (duration_ns - fl.t0)
+        s_end = d * pk.position_um + v * (duration_ns - pk.birth_time_ns)
         bucket = log.exited if s_end > s_exit else log.in_transit
-        bucket[fl.pocket.species] += fl.pocket.count
+        bucket[pk.species] += pk.count
 
     photons = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
         sample_cascade_from_loads(site.model, site.loads,
@@ -451,8 +407,8 @@ def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
 def uniform_site_field(density_per_um2: float,
                        extent_um: tuple[tuple[float, float], tuple[float, float]],
                        model: CascadeModel, capture_radius_um: float,
-                       capture_prob: float, rng: np.random.Generator,
-                       first_id: int = 0) -> list[QdSite]:
+                       capture_prob: float,
+                       rng: np.random.Generator) -> list[QdSite]:
     """Random dot field with the given areal density over a 2-d extent."""
     (x0, x1), (y0, y1) = extent_um
     area = (x1 - x0) * (y1 - y0)
@@ -461,14 +417,13 @@ def uniform_site_field(density_per_um2: float,
     count = int(rng.poisson(density_per_um2 * area))
     xs = rng.uniform(x0, x1, count)
     ys = rng.uniform(y0, y1, count)
-    return [QdSite(first_id + i, float(xs[i]), capture_radius_um, capture_prob,
+    return [QdSite(i, float(xs[i]), capture_radius_um, capture_prob,
                    model, y_um=float(ys[i])) for i in range(count)]
 
 
 def per_cycle_emission_times(num_cycles: int, period_ns: float,
                              capture_prob: float, lifetime_ns: float,
-                             rng: np.random.Generator,
-                             formation_delay_ns: float = 0.0) -> np.ndarray:
+                             rng: np.random.Generator) -> np.ndarray:
     """Photon times of a capacity-1 site injected once per SAW cycle.
 
     Each cycle loads at most one exciton (with the capture probability); the
@@ -482,6 +437,5 @@ def per_cycle_emission_times(num_cycles: int, period_ns: float,
     if not 0.0 <= capture_prob <= 1.0:
         raise ValueError("capture probability must be in [0, 1]")
     loaded = np.nonzero(rng.random(num_cycles) < capture_prob)[0]
-    times = (loaded * period_ns + formation_delay_ns
-             + rng.exponential(lifetime_ns, loaded.size))
+    times = loaded * period_ns + rng.exponential(lifetime_ns, loaded.size)
     return np.sort(times)

@@ -308,8 +308,6 @@ class TestTypes:
             PumpSpec(-1.0, 10.0)
         with pytest.raises(ValueError):
             PumpSpec(1.0, 0.0)
-        assert PumpSpec(1.0, 10.0, power_to_g_per_uw=0.1).g_for_power(7.0) == \
-            pytest.approx(0.7)
 
     def test_occupancy_trace_validation(self):
         t = np.linspace(0.0, 1.0, 11)

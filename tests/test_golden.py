@@ -13,6 +13,7 @@ upgrade can also require regenerating them.
 """
 
 import hashlib
+import importlib.util
 import json
 import sys
 import tempfile
@@ -20,9 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from sawsps.scenarios import ScenarioConfig, list_scenarios, run_scenario
+import sawsps
+from sawsps import scenarios
+from sawsps.scenarios import ScenarioConfig, list_scenarios
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SPANS_PY = Path(__file__).parents[1] / "perfbench" / "spans.py"
 
 # One small config per preset: every output kind, a few seconds in total.
 CONFIGS = {
@@ -36,7 +40,7 @@ CONFIGS = {
 
 
 def output_hashes(config: dict, out: Path) -> dict:
-    run_scenario(ScenarioConfig.from_dict(config), out)
+    scenarios.run_scenario(ScenarioConfig.from_dict(config), out)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())}
 
@@ -51,6 +55,22 @@ def test_outputs_match_golden(name, tmp_path):
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert golden["config"] == {"scenario": name, "params": CONFIGS[name]}
     assert output_hashes(golden["config"], tmp_path / "out") == golden["sha256"]
+
+
+def test_traced_runs_match_golden(tmp_path):
+    # the benchmark's tracer wraps package functions by name and reads their
+    # arguments by parameter name: a renamed or deleted one breaks every
+    # traced benchmark run
+    spec = importlib.util.spec_from_file_location("spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    with tracer.installed(sawsps):
+        for name in sorted(CONFIGS):
+            golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+            assert output_hashes(golden["config"], tmp_path / name) \
+                == golden["sha256"], name
+    assert tracer.problems == []
 
 
 if __name__ == "__main__":

@@ -303,6 +303,11 @@ BAD_CONFIGS = [
      "fig7_remote.frame"),
     ({"scenario": "fig7_remote", "params": {"frame": {"col_bin_nm": 60}}},
      "fig7_remote.frame"),
+    # a bin that does not divide its extent leaves its far end out of the frame
+    ({"scenario": "fig7_remote", "params": {"frame": {"row_bin_um": 15}}},
+     "fig7_remote.frame"),
+    ({"scenario": "fig7_remote", "params": {"frame": {"col_bin_nm": 0.3}}},
+     "fig7_remote.frame"),
 ]
 
 
