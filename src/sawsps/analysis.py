@@ -235,14 +235,19 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
                  pulse_period_ns: float) -> G2Histogram:
     """All-pairs coincidence histogram and the pulsed zero-peak ratio.
 
-    Pairs are binned at +delay and mirrored to -delay, so the histogram is
-    exactly symmetric.  The zero-peak ratio is the area within half a period
-    of zero delay divided by the mean side-peak area; a ratio below 0.5
-    certifies single-photon emission, and a homogeneous (Poisson) stream
-    gives 1.  Fewer than two photons yield an empty histogram, not an error.
-    Takes photon times; pass `photons["time_ns"]` (masked to one transition
-    if wanted) for a photon stream.  `perfbench/spans.py` reads the first
-    argument by its name.
+    Photon i of the sorted stream pairs with every later photon j for which
+    `times[j] <= times[i] + max_delay_ns` (found with `np.searchsorted`).
+    The pairs are walked lag by lag (j = i + k for k = 1, 2, ...), the
+    direct time-tag correlation of Laurence, Fore & Huser, Opt. Lett. 31,
+    829 (2006), so no array of all pairs is built and memory is
+    O(photons + bins).  Pairs are binned at +delay and mirrored to -delay,
+    so the histogram is exactly symmetric.  The zero-peak ratio is the area
+    within half a period of zero delay divided by the mean side-peak area; a
+    ratio below 0.5 certifies single-photon emission, and a homogeneous
+    (Poisson) stream gives 1.  Fewer than two photons yield an empty
+    histogram, not an error.  Takes photon times; pass `photons["time_ns"]`
+    (masked to one transition if wanted) for a photon stream.
+    `perfbench/spans.py` reads the first argument by its name.
     """
     if bin_ns <= 0 or max_delay_ns <= 0 or pulse_period_ns <= 0:
         raise ValueError("bin, max delay and period must be > 0")
@@ -255,29 +260,44 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     if times.size < 2:
         return G2Histogram(centers, np.zeros(centers.size), None, {})
 
-    # positive-delay pairs via a sliding window over the sorted stream
+    # photon i pairs with the reach[i] photons after it
     hi = np.searchsorted(times, times + max_delay_ns, side="right")
-    counts_per_anchor = hi - np.arange(times.size) - 1
-    anchors = np.repeat(np.arange(times.size), counts_per_anchor)
-    offsets = np.concatenate([np.arange(1, c + 1) for c in counts_per_anchor
-                              if c > 0]) if counts_per_anchor.sum() else np.array([], int)
-    deltas = times[anchors + offsets] - times[anchors]
+    reach = hi - np.arange(times.size) - 1
+    pos_edges = np.arange(0, nbins + 1) * bin_ns
+    half = pulse_period_ns / 2.0
+    # peak 0 holds delays below T/2, peak m >= 1 those in [mT - T/2, mT + T/2)
+    peaks = [(-np.inf, half)]
+    while len(peaks) * pulse_period_ns + half <= max_delay_ns:
+        m = len(peaks)
+        peaks.append((m * pulse_period_ns - half, m * pulse_period_ns + half))
 
-    pos_counts, _ = np.histogram(deltas, bins=np.arange(0, nbins + 1) * bin_ns)
+    # lag k pairs photon i with photon i + k.  Only the photons whose reach
+    # is at least k take part, so the walk costs O(pairs) whatever the
+    # stream's shape (a dense burst in a sparse stream has many lags of few
+    # pairs), and lags are binned in batches of at least as many delays as
+    # photons, so a sparse lag does not pay numpy's per-call cost alone.
+    pos_counts = np.zeros(nbins, dtype=np.int64)
+    peak_pairs = [0] * len(peaks)
+    active = np.arange(times.size)
+    batch, batched = [], 0
+    max_lag = int(reach.max())
+    for k in range(1, max_lag + 1):
+        active = active[reach[active] >= k]
+        batch.append(times[active + k] - times[active])
+        batched += active.size
+        if batched < times.size and k < max_lag:
+            continue
+        deltas = np.concatenate(batch)
+        batch, batched = [], 0
+        pos_counts += np.histogram(deltas, bins=pos_edges)[0]
+        for m, (lo_edge, hi_edge) in enumerate(peaks):
+            peak_pairs[m] += int(np.count_nonzero((deltas >= lo_edge)
+                                                  & (deltas < hi_edge)))
     counts = np.concatenate((pos_counts[::-1], pos_counts)).astype(float)
 
-    half = pulse_period_ns / 2.0
-    zero_area = 2.0 * float(np.sum(deltas < half))
-    peak_areas = {0: zero_area}
-    side = []
-    m = 1
-    while m * pulse_period_ns + half <= max_delay_ns:
-        lo_edge = m * pulse_period_ns - half
-        hi_edge = m * pulse_period_ns + half
-        area = float(np.sum((deltas >= lo_edge) & (deltas < hi_edge)))
-        peak_areas[m] = area
-        side.append(area)
-        m += 1
+    zero_area = 2.0 * float(peak_pairs[0])  # both signs of delay
+    side = [float(n) for n in peak_pairs[1:]]
+    peak_areas = dict(enumerate([zero_area] + side))
     ratio = None
     if side and np.mean(side) > 0:
         ratio = zero_area / float(np.mean(side))

@@ -30,7 +30,7 @@ from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
 from .emitter import sample_start_levels, write_photon_csv
 from .rng import substream
 from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
-                        per_cycle_emission_times, run_device,
+                        arrival_delay, per_cycle_emission_times, run_device,
                         uniform_site_field)
 
 
@@ -528,7 +528,7 @@ def arrival_span(layout: ChannelLayout, saw: SawWave) -> float:
         return 0.0
     far = max(abs(s.position_um - layout.spot.center_um)
               for s in layout.sites)
-    return far / saw.velocity_um_per_ns
+    return arrival_delay(far, saw)
 
 
 def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
@@ -544,7 +544,6 @@ def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
             sizes[b], period, rng=rng, **p["site"])
 
     times = np.concatenate(_map_blocks(block, _G2_BLOCKS, threads))
-    times = np.sort(times)
     hist = g2_histogram(times, p["g2_periods"] * period, p["g2_bin_ns"],
                         period)
     _write_csv(out / "g2_histogram.csv", ["delay_ns", "coincidences"],

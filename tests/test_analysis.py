@@ -152,6 +152,54 @@ class TestOnsetDelayCurve:
                     == pytest.approx(closed, rel=1e-8)
 
 
+def all_pairs_g2(times, max_delay_ns, bin_ns, pulse_period_ns):
+    """Brute-force g2 reference: every pair i < j of the sorted stream with
+    times[j] <= times[i] + max_delay_ns, from an all-pairs delay matrix."""
+    times = np.sort(np.asarray(times, dtype=float))
+    i, j = np.triu_indices(times.size, k=1)
+    in_range = times[j] <= times[i] + max_delay_ns
+    deltas = times[j][in_range] - times[i][in_range]
+
+    nbins = max(int(round(max_delay_ns / bin_ns)), 1)
+    edges = np.arange(0, nbins + 1) * bin_ns
+    # bin b holds [edges[b], edges[b + 1]); the last bin also holds its end
+    b = np.searchsorted(edges, deltas, side="right") - 1
+    b[deltas == edges[-1]] = nbins - 1
+    pos = np.bincount(b[(b >= 0) & (b < nbins)], minlength=nbins)
+    counts = np.concatenate((pos[::-1], pos)).astype(float)
+
+    half = pulse_period_ns / 2.0
+    peak_areas = {0: 2.0 * float(np.sum(deltas < half))}
+    m = 1
+    while m * pulse_period_ns + half <= max_delay_ns:
+        peak_areas[m] = float(np.sum((deltas >= m * pulse_period_ns - half)
+                                     & (deltas < m * pulse_period_ns + half)))
+        m += 1
+    side = [peak_areas[k] for k in range(1, m)]
+    ratio = None
+    if side and np.mean(side) > 0:
+        ratio = peak_areas[0] / float(np.mean(side))
+    normalized = None
+    duration = float(times[-1] - times[0])
+    if duration > 0:
+        normalized = counts / (times.size * (times.size - 1) * bin_ns / duration)
+    return counts, peak_areas, ratio, normalized, deltas
+
+
+def assert_matches_oracle(times, max_delay_ns, bin_ns, pulse_period_ns):
+    hist = g2_histogram(times, max_delay_ns, bin_ns, pulse_period_ns)
+    counts, peak_areas, ratio, normalized, deltas = all_pairs_g2(
+        times, max_delay_ns, bin_ns, pulse_period_ns)
+    assert np.array_equal(hist.counts, counts)
+    assert hist.peak_areas == peak_areas
+    assert hist.zero_peak_ratio == ratio
+    if normalized is None:
+        assert hist.normalized is None
+    else:
+        assert np.array_equal(hist.normalized, normalized)
+    return deltas
+
+
 class TestG2:
     def test_one_photon_per_period_zero_ratio(self):
         times = np.arange(2000) * 5.0
@@ -190,6 +238,34 @@ class TestG2:
                             26.0, 0.5, 5.0)
         assert hist.zero_peak_ratio == 0.0
 
+    def test_matches_all_pairs_oracle_on_random_streams(self):
+        rng = np.random.default_rng(105)
+        for stream in range(200):
+            n = int(rng.integers(2, 301))
+            times = rng.uniform(0.0, rng.uniform(1.0, 400.0), n)
+            if stream % 2 == 0:
+                times = np.round(times, 1)  # ties
+            period = float(rng.choice([5.0, 5.18, 2.5]))
+            max_delay = float(rng.choice([10.5 * period, 26.0, 7.3]))
+            bin_ns = float(rng.choice([0.1, 0.25, 0.5]))
+            assert_matches_oracle(times, max_delay, bin_ns, period)
+
+    def test_matches_all_pairs_oracle_on_edge_cases(self):
+        # a pair exactly at the maximum delay lands in the last bin
+        deltas = assert_matches_oracle([0.5, 3.0, 26.5], 26.0, 0.5, 5.0)
+        assert 26.0 in deltas
+        # delays exactly on the side peaks' lower edges mT - T/2, and a tie
+        deltas = assert_matches_oracle([1.0, 3.5, 8.5, 9.0, 9.0, 9.1],
+                                       26.0, 0.5, 5.0)
+        assert 2.5 in deltas and 7.5 in deltas and 0.0 in deltas
+        # a dense burst inside a sparse stream: many lags, few photons each
+        rng = np.random.default_rng(106)
+        assert_matches_oracle(np.concatenate(
+            (np.arange(80) * 37.0, 500.0 + np.round(rng.uniform(0, 1, 150), 1))),
+            26.0, 0.5, 5.0)
+        # no pair in range, and a two-photon stream
+        assert_matches_oracle(np.arange(10) * 30.0, 26.0, 0.5, 5.0)
+        assert_matches_oracle([4.0, 6.0], 26.0, 0.5, 5.0)
 
 class TestLifetimeProtocol:
     def test_recovers_lifetimes_noiseless(self):
