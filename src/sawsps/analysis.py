@@ -271,24 +271,11 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
         m = len(peaks)
         peaks.append((m * pulse_period_ns - half, m * pulse_period_ns + half))
 
-    # lag k pairs photon i with photon i + k.  Only the photons whose reach
-    # is at least k take part, so the walk costs O(pairs) whatever the
-    # stream's shape (a dense burst in a sparse stream has many lags of few
-    # pairs), and lags are binned in batches of at least as many delays as
-    # photons, so a sparse lag does not pay numpy's per-call cost alone.
+    # lag k pairs photon i with photon i + k, if i reaches that far
     pos_counts = np.zeros(nbins, dtype=np.int64)
     peak_pairs = [0] * len(peaks)
-    active = np.arange(times.size)
-    batch, batched = [], 0
-    max_lag = int(reach.max())
-    for k in range(1, max_lag + 1):
-        active = active[reach[active] >= k]
-        batch.append(times[active + k] - times[active])
-        batched += active.size
-        if batched < times.size and k < max_lag:
-            continue
-        deltas = np.concatenate(batch)
-        batch, batched = [], 0
+    for k in range(1, int(reach.max()) + 1):
+        deltas = (times[k:] - times[:-k])[reach[:-k] >= k]
         pos_counts += np.histogram(deltas, bins=pos_edges)[0]
         for m, (lo_edge, hi_edge) in enumerate(peaks):
             peak_pairs[m] += int(np.count_nonzero((deltas >= lo_edge)

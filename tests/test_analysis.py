@@ -267,6 +267,7 @@ class TestG2:
         assert_matches_oracle(np.arange(10) * 30.0, 26.0, 0.5, 5.0)
         assert_matches_oracle([4.0, 6.0], 26.0, 0.5, 5.0)
 
+
 class TestLifetimeProtocol:
     def test_recovers_lifetimes_noiseless(self):
         taus = measure_intrinsic_lifetimes(MODEL, deterministic_simulator(MODEL))
