@@ -165,17 +165,42 @@ class DelayCurve:
     mean_time_ns: np.ndarray  # shape (len(g), num_levels)
 
 
+def pumped_traces(model: CascadeModel, g_values, time_ns, levels=None,
+                  overflow: str = "fold"):
+    """Expected PL intensity of transitions under Poisson pulse loading
+    (`initial_loading`): yields (g, level, Transient) for each g in turn
+    and, within it, each of `levels` (default: all, ascending).
+
+    A pumped trace is the sum over loaded levels k of w_k(g) * E_k(t),
+    where E_k is the closed-form emission rate of the chain started at k.
+    E_k does not depend on g, so it is built once for the grid; each trace
+    then adds the terms in ascending k, as one solution per (g, level, k)
+    would, so the result is the same to the last bit.
+    """
+    t = np.asarray(time_ns, dtype=float)
+    nlev = model.num_levels
+    levels = range(1, nlev + 1) if levels is None else levels
+    basis = {}  # (k, level) -> E_k of transition `level` on the grid
+    for k in range(min(levels), nlev + 1):
+        solution = solve_cascade_analytic(model, k)
+        for level in levels:
+            if level <= k:
+                basis[k, level] = solution.emission_rate(level, t)
+    for g in g_values:
+        weights = initial_loading(g, nlev, overflow=overflow)
+        for level in levels:
+            y = np.zeros_like(t)
+            for k in range(level, nlev + 1):
+                if weights[k] > 0:
+                    y += weights[k] * basis[k, level]
+            yield g, level, Transient(t, y)
+
+
 def expected_emission_trace(model: CascadeModel, g: float, level: int,
                             time_ns, overflow: str = "fold") -> Transient:
-    """Expected PL intensity of one transition under Poisson pulse loading
-    (`initial_loading`): the weighted sum of the closed-form solutions."""
-    weights = initial_loading(g, model.num_levels, overflow=overflow)
-    t = np.asarray(time_ns, dtype=float)
-    y = np.zeros_like(t)
-    for k in range(level, model.num_levels + 1):
-        if weights[k] > 0:
-            y += weights[k] * solve_cascade_analytic(model, k).emission_rate(level, t)
-    return Transient(t, y)
+    """Expected PL intensity of one transition under Poisson pulse loading:
+    the one-trace case of `pumped_traces`."""
+    return next(pumped_traces(model, [g], time_ns, [level], overflow))[2]
 
 
 def mean_emission_time(model: CascadeModel, g: float, level: int) -> float:
@@ -205,15 +230,12 @@ def onset_delay_curve(model: CascadeModel, g_values,
         span = 8.0 * sum(model.lifetimes_ns)
         step = min(model.lifetimes_ns) / 50.0
         time_ns = np.arange(0.0, span, step)
-    nlev = model.num_levels
-    onset = np.empty((g_arr.size, nlev))
-    mean = np.empty((g_arr.size, nlev))
-    for i, g in enumerate(g_arr):
-        for level in range(1, nlev + 1):
-            trace = expected_emission_trace(model, g, level, time_ns)
-            onset[i, level - 1] = onset_time(trace, threshold_fraction)
-            mean[i, level - 1] = mean_emission_time(model, g, level)
-    return DelayCurve(g_arr, onset, mean)
+    delays = np.array([(onset_time(trace, threshold_fraction),
+                        mean_emission_time(model, g, level))
+                       for g, level, trace in pumped_traces(model, g_arr,
+                                                            time_ns)])
+    delays = delays.reshape(g_arr.size, model.num_levels, 2)
+    return DelayCurve(g_arr, delays[..., 0], delays[..., 1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ its transition's line (Gaussian, linewidth given in meV and converted to nm
 at the line center), so linewidth broadening shows up in rendered frames.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
+from ._csvfile import write_csv
 from .cascade import Transient
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # = 2.3548...
@@ -258,18 +258,13 @@ def write_axes_csv(path, row_centers, col_centers,
                    row_name: str = "row_center_um",
                    col_name: str = "col_center_nm") -> None:
     """Axis calibrations companion to a PGM frame (one row per axis entry)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "index", "value"])
-        for i, v in enumerate(row_centers):
-            writer.writerow([row_name, i, repr(float(v))])
-        for i, v in enumerate(col_centers):
-            writer.writerow([col_name, i, repr(float(v))])
+    rows, cols = len(row_centers), len(col_centers)
+    write_csv(path, ["axis", "index", "value"],
+              [[row_name] * rows + [col_name] * cols,
+               [*range(rows), *range(cols)],
+               np.concatenate((row_centers, col_centers), dtype=float)])
 
 
 def write_transient_csv(path, transient: Transient) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ns", "intensity"])
-        for t, y in zip(transient.time_ns, transient.intensity):
-            writer.writerow([repr(float(t)), repr(float(y))])
+    write_csv(path, ["t_ns", "intensity"],
+              [transient.time_ns, transient.intensity])

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfile import write_csv
 from .cascade import CascadeModel, PumpSpec, Transient
 from .rng import substream
 
@@ -57,15 +58,17 @@ def simulate_trajectory(model: CascadeModel, pump: PumpSpec,
                                      model.num_levels, rng)
     else:
         levels = np.full(n, start_level)
-    times = sample_emission_times(model, levels, rng) \
-        + np.arange(n) * pump.pulse_period_ns
-    fired = np.isfinite(times)
-    photons = np.zeros(np.count_nonzero(fired), PHOTON_DTYPE)
-    photons["time_ns"] = times[fired]
+    # the levels are in range by construction, so unchecked
+    times, fired = _emission_times(model, levels, rng)
+    level_idx, pulse = np.nonzero(fired)
+    times = times[fired] + pulse * pump.pulse_period_ns
+    order = np.argsort(times, kind="stable")
+    photons = np.zeros(times.size, PHOTON_DTYPE)
+    photons["time_ns"] = times[order]
     photons["transition"] = np.array(model.labels, dtype=object)[
-        np.nonzero(fired)[0]]
+        level_idx[order]]
     photons["emitter_id"] = emitter_id
-    return photons[np.argsort(photons["time_ns"], kind="stable")]
+    return photons
 
 
 def sample_emission_times(model: CascadeModel, start_levels: np.ndarray,
@@ -77,17 +80,25 @@ def sample_emission_times(model: CascadeModel, start_levels: np.ndarray,
     trajectory started below level i.
     """
     start = np.asarray(start_levels, dtype=int)
-    nlev = model.num_levels
-    if np.any(start < 0) or np.any(start > nlev):
+    if np.any(start < 0) or np.any(start > model.num_levels):
         raise ValueError("start levels out of range")
-    waits = rng.exponential(np.asarray(model.lifetimes_ns)[:, None],
-                            size=(nlev, start.size))
-    level_idx = np.arange(1, nlev + 1)[:, None]
-    active = level_idx <= start[None, :]
-    masked = np.where(active, waits, 0.0)
+    times, fired = _emission_times(model, start, rng)
+    return np.where(fired, times, np.nan)
+
+
+def _emission_times(model: CascadeModel, start: np.ndarray,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """`sample_emission_times` for start levels known to be in range, as
+    (times, fired): times[i-1, j] is meaningful where fired[i-1, j], i.e.
+    where trajectory j started at level i or above."""
+    nlev = model.num_levels
+    # exponential(scale) draws scale * standard_exponential, in this order
+    waits = rng.standard_exponential((nlev, start.size)) \
+        * np.asarray(model.lifetimes_ns)[:, None]
+    fired = np.arange(1, nlev + 1)[:, None] <= start
     # transition i fires at the sum of waits from the start level down to i
-    times = np.cumsum(masked[::-1], axis=0)[::-1]
-    return np.where(active, times, np.nan)
+    times = np.cumsum(np.where(fired, waits, 0.0)[::-1], axis=0)[::-1]
+    return times, fired
 
 
 def sample_start_levels(g: float, num: int, num_levels: int,
@@ -171,12 +182,10 @@ PHOTON_CSV_HEADER = ["time_ns", "transition", "emitter_id", "x_um", "y_um"]
 
 
 def write_photon_csv(path, records) -> None:
-    columns = [records[name].tolist() for name in PHOTON_CSV_HEADER]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PHOTON_CSV_HEADER)
-        writer.writerows((repr(t), label, eid, repr(x), repr(y))
-                         for t, label, eid, x, y in zip(*columns))
+    """Write a photon stream, one row per photon; a transition label holding
+    ',', '"', CR or LF raises `ValueError` (`_csvfile`)."""
+    write_csv(path, PHOTON_CSV_HEADER,
+              [records[name] for name in PHOTON_CSV_HEADER])
 
 
 def read_photon_csv(path) -> np.ndarray:

@@ -10,5 +10,5 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     from its own substream, so scheduling order and thread count cannot change
     any sampled value.
     """
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(map(int, key)))
     return np.random.Generator(np.random.Philox(seq))

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (expected_emission_trace, g2_histogram,
-                       onset_delay_curve, powerlaw_exponent)
+from ._csvfile import write_csv
+from .analysis import (g2_histogram, onset_delay_curve, powerlaw_exponent,
+                       pumped_traces)
 from .cascade import CascadeModel, PumpSpec, time_integrated_intensity
 from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
                        render_spatial_spectral, write_axes_csv, write_pgm,
@@ -305,18 +306,6 @@ def list_scenarios() -> list[tuple[str, str]]:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, (float, np.floating)) \
-        else str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\r\n")
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -359,33 +348,30 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
         def block(b: int) -> np.ndarray:
             rng = substream(cfg.master_seed, 10 + gi, b)
             levels = sample_start_levels(g, sizes[b], nlev, rng)
-            return np.array([np.sum(levels >= i) for i in range(1, nlev + 1)])
+            return np.array([np.count_nonzero(levels >= i)
+                             for i in range(1, nlev + 1)])
 
         return np.sum(_map_blocks(block, _MC_BLOCKS, threads), axis=0)
 
-    rows = []
-    mc_rates = []
-    for gi, g in enumerate(g_values):
-        counts = mc_counts(gi)
-        rate = counts / pulses
-        mc_rates.append(rate)
-        model_vals = [time_integrated_intensity(model, g, i)
-                      for i in range(1, nlev + 1)]
-        rows.append([g, *model_vals, *rate])
+    mc_rates = [mc_counts(gi) / pulses for gi in range(len(g_values))]
     header = (["g"] + [f"model_{lab}" for lab in model.labels]
               + [f"mc_{lab}" for lab in model.labels])
-    _write_csv(out / "intensity_vs_g.csv", header, rows)
+    write_csv(out / "intensity_vs_g.csv", header,
+              [g_values]
+              + [[time_integrated_intensity(model, g, i) for g in g_values]
+                 for i in range(1, nlev + 1)]
+              + list(np.transpose(mc_rates)))
 
     sel = [i for i, g in enumerate(g_values) if g <= p["powerlaw_g_max"]]
-    slope_rows = []
+    slopes = {}
     for level in range(1, nlev + 1):
         xs = [g_values[i] for i in sel]
         ys = [mc_rates[i][level - 1] for i in sel]
         if len(xs) >= 3 and all(y > 0 for y in ys):
-            fit = powerlaw_exponent(xs, ys)
-            slope_rows.append([model.labels[level - 1], fit.slope, fit.stderr])
-    _write_csv(out / "powerlaw.csv", ["transition", "slope", "stderr"],
-               slope_rows)
+            slopes[model.labels[level - 1]] = powerlaw_exponent(xs, ys)
+    write_csv(out / "powerlaw.csv", ["transition", "slope", "stderr"],
+              [list(slopes), [f.slope for f in slopes.values()],
+               [f.stderr for f in slopes.values()]])
     return ["intensity_vs_g.csv", "powerlaw.csv"]
 
 
@@ -395,16 +381,15 @@ def _run_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     irf = Irf(p["irf_fwhm_ns"])
     grid = np.arange(0.0, p["horizon_ns"], p["step_ns"])
     files = []
-    for g in p["g_values"]:
-        for level, label in enumerate(model.labels, start=1):
-            trace = expected_emission_trace(model, g, level, grid)
-            name = f"transient_g{g:g}_{label}.csv"
-            write_transient_csv(out / name, trace)
-            files.append(name)
-            blurred = convolve_irf(trace, irf)
-            name = f"transient_g{g:g}_{label}_irf.csv"
-            write_transient_csv(out / name, blurred)
-            files.append(name)
+    for g, level, trace in pumped_traces(model, p["g_values"], grid):
+        label = model.labels[level - 1]
+        name = f"transient_g{g:g}_{label}.csv"
+        write_transient_csv(out / name, trace)
+        files.append(name)
+        blurred = convolve_irf(trace, irf)
+        name = f"transient_g{g:g}_{label}_irf.csv"
+        write_transient_csv(out / name, blurred)
+        files.append(name)
     return files
 
 
@@ -415,9 +400,8 @@ def _run_fig4c(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
                               threshold_fraction=p["onset_threshold"])
     header = (["g"] + [f"onset_{lab}" for lab in model.labels]
               + [f"mean_{lab}" for lab in model.labels])
-    rows = [[g, *curve.onset_ns[i], *curve.mean_time_ns[i]]
-            for i, g in enumerate(curve.g_values)]
-    _write_csv(out / "delays.csv", header, rows)
+    write_csv(out / "delays.csv", header,
+              [curve.g_values, *curve.onset_ns.T, *curve.mean_time_ns.T])
     return ["delays.csv"]
 
 
@@ -440,10 +424,10 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
 
     # site ids are 0..len(sites) - 1, in list order
     per_site = np.bincount(result.photons["emitter_id"], minlength=len(sites))
-    _write_csv(out / "site_emission.csv",
-               ["site_id", "x_um", "y_um", "photons"],
-               [[s.site_id, s.position_um, s.y_um, n]
-                for s, n in zip(sites, per_site.tolist())])
+    write_csv(out / "site_emission.csv",
+              ["site_id", "x_um", "y_um", "photons"],
+              [[s.site_id for s in sites], [s.position_um for s in sites],
+               [s.y_um for s in sites], per_site])
 
     counts = per_site.astype(float)
     xs = np.array([s.position_um for s in sites])
@@ -453,10 +437,11 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     upstream_fraction = float(counts[upstream].sum() / total) if total else 0.0
     illuminated = float(total ** 2 / (counts.size * np.sum(counts ** 2))) \
         if total else 0.0
-    _write_csv(out / "depletion_stats.csv",
-               ["total_photons", "num_sites", "upstream_fraction",
-                "illuminated_fraction"],
-               [[int(total), counts.size, upstream_fraction, illuminated]])
+    write_csv(out / "depletion_stats.csv",
+              ["total_photons", "num_sites", "upstream_fraction",
+               "illuminated_fraction"],
+              [[int(total)], [counts.size], [upstream_fraction],
+               [illuminated]])
 
     image = render_pl_image(result.photons, extent_um=extent, **p["image"])
     write_pgm(out / "pl_image.pgm", image.intensity)
@@ -511,9 +496,9 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
                        frame.col_centers_nm)
         counts = np.bincount(result.photons["emitter_id"],
                              minlength=len(sites))
-        _write_csv(out / f"site_counts_{tag}.csv", ["site_id", "x_um", "photons"],
-                   [[s.site_id, s.position_um, n]
-                    for s, n in zip(sites, counts.tolist())])
+        write_csv(out / f"site_counts_{tag}.csv", ["site_id", "x_um", "photons"],
+                  [[s.site_id for s in sites], [s.position_um for s in sites],
+                   counts])
         files.extend([f"frame_{tag}.pgm", f"frame_{tag}_axes.csv",
                       f"site_counts_{tag}.csv"])
         if p["write_photons"]:
@@ -546,13 +531,13 @@ def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     times = np.concatenate(_map_blocks(block, _G2_BLOCKS, threads))
     hist = g2_histogram(times, p["g2_periods"] * period, p["g2_bin_ns"],
                         period)
-    _write_csv(out / "g2_histogram.csv", ["delay_ns", "coincidences"],
-               list(zip(hist.delay_ns, hist.counts)))
+    write_csv(out / "g2_histogram.csv", ["delay_ns", "coincidences"],
+              [hist.delay_ns, hist.counts])
     ratio = hist.zero_peak_ratio
-    _write_csv(out / "g2_summary.csv",
-               ["num_photons", "num_cycles", "zero_peak_ratio"],
-               [[times.size, cycles,
-                 float(ratio) if ratio is not None else float("nan")]])
+    write_csv(out / "g2_summary.csv",
+              ["num_photons", "num_cycles", "zero_peak_ratio"],
+              [[times.size], [cycles],
+               [float(ratio) if ratio is not None else float("nan")]])
     return ["g2_histogram.csv", "g2_summary.csv"]
 
 

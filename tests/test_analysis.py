@@ -7,9 +7,10 @@ from sawsps.analysis import (FitConvergenceError, InsufficientSignalError,
                              deterministic_simulator, expected_emission_trace,
                              exponential_tail_fit, fit_rise_fall, g2_histogram,
                              mean_emission_time, measure_intrinsic_lifetimes,
-                             onset_delay_curve, powerlaw_exponent)
+                             onset_delay_curve, powerlaw_exponent,
+                             pumped_traces)
 from sawsps.cascade import (CascadeModel, Transient, initial_loading,
-                           solve_cascade_analytic)
+                           onset_time, solve_cascade_analytic)
 from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
 
@@ -150,6 +151,69 @@ class TestOnsetDelayCurve:
                     / sum(weights[k] for k in ks)
                 assert mean_emission_time(model, g, level) \
                     == pytest.approx(closed, rel=1e-8)
+
+
+def term_by_term_trace(model, g, level, t, overflow="fold"):
+    """Reference pumped trace: one closed-form solution per (g, level, k),
+    summed in ascending k."""
+    weights = initial_loading(g, model.num_levels, overflow=overflow)
+    y = np.zeros_like(t)
+    for k in range(level, model.num_levels + 1):
+        if weights[k] > 0:
+            y += weights[k] * solve_cascade_analytic(model, k).emission_rate(level, t)
+    return y
+
+
+# the benchmark's dense pump grid, plus weak pumps; at 1e-200 and 800 some
+# loading weights underflow to 0 and their terms drop out
+BASIS_G = [*np.geomspace(1e-12, 1e-3, 10), *np.geomspace(0.05, 20.0, 400)]
+UNDERFLOW_G = [1e-200, 800.0]
+
+
+class TestPumpedTraceBasis:
+    """The shared basis of `pumped_traces` gives every trace to the last
+    bit of the term-by-term sum."""
+
+    LIFETIMES = [(1.5, 1.4, 0.9), (1.5, 1.5000001, 0.9)]
+
+    @pytest.mark.parametrize("overflow", ["fold", "drop"])
+    @pytest.mark.parametrize("lifetimes", LIFETIMES)
+    def test_expected_emission_trace(self, lifetimes, overflow):
+        model = CascadeModel(lifetimes)
+        t = np.arange(0.0, 12.0, 0.02)
+        for g in BASIS_G + UNDERFLOW_G:
+            for level in range(1, model.num_levels + 1):
+                trace = expected_emission_trace(model, g, level, t,
+                                                overflow=overflow)
+                assert trace.intensity.tobytes() == term_by_term_trace(
+                    model, g, level, t, overflow).tobytes(), (g, level)
+
+    @pytest.mark.parametrize("overflow", ["fold", "drop"])
+    @pytest.mark.parametrize("lifetimes", LIFETIMES)
+    def test_all_traces_at_once(self, lifetimes, overflow):
+        model = CascadeModel(lifetimes)
+        t = np.arange(0.0, 12.0, 0.02)
+        seen = [(g, level) for g in BASIS_G + UNDERFLOW_G
+                for level in range(1, model.num_levels + 1)]
+        traces = list(pumped_traces(model, BASIS_G + UNDERFLOW_G, t,
+                                    overflow=overflow))
+        assert [(g, level) for g, level, _ in traces] == seen
+        for g, level, trace in traces:
+            assert trace.intensity.tobytes() == term_by_term_trace(
+                model, g, level, t, overflow).tobytes(), (g, level)
+
+    @pytest.mark.parametrize("lifetimes", LIFETIMES)
+    def test_onset_delay_curve(self, lifetimes):
+        model = CascadeModel(lifetimes)
+        curve = onset_delay_curve(model, BASIS_G)
+        t = np.arange(0.0, 8.0 * sum(model.lifetimes_ns),
+                      min(model.lifetimes_ns) / 50.0)
+        for i, g in enumerate(BASIS_G):
+            for level in range(1, model.num_levels + 1):
+                trace = Transient(t, term_by_term_trace(model, g, level, t))
+                assert curve.onset_ns[i, level - 1] == onset_time(trace, 0.1)
+                assert curve.mean_time_ns[i, level - 1] \
+                    == mean_emission_time(model, g, level)
 
 
 def all_pairs_g2(times, max_delay_ns, bin_ns, pulse_period_ns):
