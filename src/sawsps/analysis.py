@@ -177,6 +177,14 @@ def pumped_traces(model: CascadeModel, g_values, time_ns, levels=None,
     then adds the terms in ascending k, as one solution per (g, level, k)
     would, so the result is the same to the last bit.
     """
+    for g, _, level, trace in _loaded_traces(model, g_values, time_ns, levels,
+                                             overflow):
+        yield g, level, trace
+
+
+def _loaded_traces(model: CascadeModel, g_values, time_ns, levels, overflow):
+    """`pumped_traces` with each g's loading weights: yields
+    (g, weights, level, Transient)."""
     t = np.asarray(time_ns, dtype=float)
     nlev = model.num_levels
     levels = range(1, nlev + 1) if levels is None else levels
@@ -193,7 +201,7 @@ def pumped_traces(model: CascadeModel, g_values, time_ns, levels=None,
             for k in range(level, nlev + 1):
                 if weights[k] > 0:
                     y += weights[k] * basis[k, level]
-            yield g, level, Transient(t, y)
+            yield g, weights, level, Transient(t, y)
 
 
 def expected_emission_trace(model: CascadeModel, g: float, level: int,
@@ -206,7 +214,12 @@ def expected_emission_trace(model: CascadeModel, g: float, level: int,
 def mean_emission_time(model: CascadeModel, g: float, level: int) -> float:
     """Mean arrival time of the transition's photon, averaged over loading
     levels that fire it: each loaded level k adds the waits of steps k..level."""
-    weights = initial_loading(g, model.num_levels)
+    return _mean_emission_time(model, g, level,
+                               initial_loading(g, model.num_levels))
+
+
+def _mean_emission_time(model: CascadeModel, g: float, level: int,
+                        weights: np.ndarray) -> float:
     lifetimes = model.lifetimes_ns
     num = 0.0
     den = 0.0
@@ -231,9 +244,9 @@ def onset_delay_curve(model: CascadeModel, g_values,
         step = min(model.lifetimes_ns) / 50.0
         time_ns = np.arange(0.0, span, step)
     delays = np.array([(onset_time(trace, threshold_fraction),
-                        mean_emission_time(model, g, level))
-                       for g, level, trace in pumped_traces(model, g_arr,
-                                                            time_ns)])
+                        _mean_emission_time(model, g, level, weights))
+                       for g, weights, level, trace in _loaded_traces(
+                           model, g_arr, time_ns, None, "fold")])
     delays = delays.reshape(g_arr.size, model.num_levels, 2)
     return DelayCurve(g_arr, delays[..., 0], delays[..., 1])
 

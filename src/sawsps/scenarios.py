@@ -486,8 +486,8 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
         pump = PumpSpec(1.0, saw.period_ns, num_pulses)
         duration = num_pulses * saw.period_ns \
             + arrival_span(layout, saw) + 20.0 * max(model.lifetimes_ns)
-        result = run_device(layout, saw, pump, duration,
-                            cfg.master_seed + vi)
+        result = run_device(layout, saw, pump, duration, cfg.master_seed,
+                            variant=vi)
         frame = render_spatial_spectral(result.photons, row_edges, col_edges,
                                         spectrum,
                                         substream(cfg.master_seed, 7, vi))

@@ -6,17 +6,17 @@ it at the sound velocity v = f * lambda, and are captured into dot sites as
 they pass.  Excitons form when both species have arrived and each loaded dot
 runs its cascade through the stochastic emitter.
 
-Pocket motion is ballistic and dispersionless, so the device loop processes
-exact window-crossing times in chronological order rather than marching in
-fixed time steps; capture decisions and their ordering are identical to a
-sufficiently fine stepper, at a tiny fraction of the cost.  With the wave
-off (amplitude 0) nothing is conveyed: each pair stays at its generation
-point and is captured there or recombines.
+Pocket motion is ballistic and dispersionless, so geometry alone fixes which
+sites a pocket passes and when.  Each pass gets its capture uniform up front,
+in birth order, and only the passes whose uniform succeeds (hits) can change
+a pocket or a site; the device loop visits just those, in chronological
+order.  With the wave off (amplitude 0) nothing is conveyed: each pair stays
+at its generation point and is captured there or recombines.
 """
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .rng import substream
 
 ELECTRON = "electron"
 HOLE = "hole"
+# the species columns of pockets and captures index this
+SPECIES = (ELECTRON, HOLE)
 
 
 @dataclass(frozen=True)
@@ -107,21 +109,16 @@ class QdSite:
         else:
             self.n_holes += count
 
-    def fresh_copy(self) -> "QdSite":
-        return replace(self, n_electrons=0, n_holes=0, loads=[])
-
 
 @dataclass(slots=True)
 class CarrierPocket:
     """A packet of one carrier species riding the travelling potential from
-    its birth position and time; `next_rank` is the encounter rank of the
-    next site it may pass."""
+    its birth position and time."""
 
     species: str
     count: int
     position_um: float
     birth_time_ns: float
-    next_rank: int = 0
 
     def __post_init__(self):
         if self.species not in (ELECTRON, HOLE):
@@ -154,46 +151,67 @@ class ChannelLayout:
         object.__setattr__(self, "sites", sites)
 
 
-def pocket_lattice_position(x_um: float, t_ns: float, saw: SawWave,
-                            species: str) -> tuple[float, int]:
-    """Nearest extremum of the travelling potential for the given species.
+POCKET_DTYPE = np.dtype([("species", "i1"), ("count", "i8"),
+                         ("position_um", "f8"), ("birth_time_ns", "f8")])
+CAPTURE_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("species", "i1"),
+                          ("count", "i8"), ("pocket_birth_ns", "f8"),
+                          ("pocket_birth_um", "f8")])
+LOAD_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("excitons", "i8")])
+
+# Candidate (pocket, site) passes per block of capture draws; blocks end at
+# pocket boundaries.  Consecutive draws from one generator equal one longer
+# draw, so the block size bounds memory and never shows in the outputs.
+DRAW_BLOCK = 1 << 16
+
+
+def pocket_lattice_position(x_um, t_ns, saw: SawWave, species: str):
+    """Nearest extremum of the travelling potential for the given species,
+    as (position, lattice index), elementwise over arrays.
 
     Electron pockets sit on a moving lattice of spacing lambda; hole pockets
-    on the same lattice shifted by lambda / 2.
+    on the same lattice shifted by lambda / 2.  A pair exactly between two
+    extrema joins the even one (`np.round`, like `round`).
     """
     offset = 0.0 if species == ELECTRON else 0.5
-    ref = (saw.direction * saw.velocity_um_per_ns * t_ns
+    ref = (saw.direction * saw.velocity_um_per_ns * np.asarray(t_ns)
            + offset * saw.wavelength_um)
-    m = round((x_um - ref) / saw.wavelength_um)
-    return ref + m * saw.wavelength_um, int(m)
+    m = np.round((x_um - ref) / saw.wavelength_um)
+    return ref + m * saw.wavelength_um, m
 
 
-def pair_positions(spot: LaserSpot, saw: SawWave,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Generation positions of one laser pulse's electron-hole pairs.
-
-    Pair count is Poisson with the spot's mean; positions are Gaussian around
-    the spot.
-    """
-    n_pairs = int(rng.poisson(spot.pairs_per_pulse))
+def draw_pairs(spot: LaserSpot, saw: SawWave, pulse_times: np.ndarray,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Birth times and positions of every pulse's electron-hole pairs, pulse
+    by pulse: Poisson counts with the spot's mean, then Gaussian positions
+    around the spot, each drawn in one call."""
+    pulse_times = np.asarray(pulse_times, dtype=float)
+    counts = rng.poisson(spot.pairs_per_pulse, pulse_times.size)
     # offsets are drawn along the downstream axis so that reversing the
     # direction mirrors the run draw for draw (the Gaussian is symmetric)
-    return spot.center_um + saw.direction * rng.normal(0.0, spot.radius_um,
-                                                       n_pairs)
+    offsets = rng.normal(0.0, spot.radius_um, int(counts.sum()))
+    return np.repeat(pulse_times, counts), spot.center_um + saw.direction * offsets
 
 
-def generate_pockets(layout: ChannelLayout, saw: SawWave, pulse_time_ns: float,
-                     rng: np.random.Generator) -> list[CarrierPocket]:
-    """Pockets created by one laser pulse: each pair's carriers join the
-    nearest extremum of their species, in downstream order."""
-    grouped: dict[tuple[str, int], list[float]] = {}
-    for x in pair_positions(layout.spot, saw, rng):
-        for species in (ELECTRON, HOLE):
-            pos, m = pocket_lattice_position(float(x), pulse_time_ns, saw, species)
-            grouped.setdefault((species, m), []).append(pos)
-    return [CarrierPocket(k[0], len(grouped[k]), grouped[k][0], pulse_time_ns)
-            for k in sorted(grouped,
-                            key=lambda k: (saw.direction * grouped[k][0], k[0]))]
+def launch_pockets(times: np.ndarray, xs: np.ndarray, saw: SawWave) -> np.ndarray:
+    """Pockets of the given pairs (POCKET_DTYPE), in birth order: by birth
+    time, then downstream.  Each pair's carriers join the nearest extremum of
+    their species; the carriers of one pulse at one extremum form a pocket."""
+    species = np.repeat(np.arange(2, dtype=np.int8), len(times))
+    pos = np.concatenate([pocket_lattice_position(xs, times, saw, sp)[0]
+                          for sp in SPECIES])
+    born = np.concatenate([times, times])
+    order = np.lexsort((species, saw.direction * pos, born))
+    species, pos, born = species[order], pos[order], born[order]
+    new = np.ones(born.size, bool)
+    new[1:] = ((born[1:] != born[:-1]) | (pos[1:] != pos[:-1])
+               | (species[1:] != species[:-1]))
+    first = np.flatnonzero(new)
+    pockets = np.zeros(first.size, POCKET_DTYPE)
+    pockets["species"] = species[first]
+    pockets["count"] = np.diff(np.append(first, born.size))
+    pockets["position_um"] = pos[first]
+    pockets["birth_time_ns"] = born[first]
+    return pockets
 
 
 def capture_pass(pocket: CarrierPocket, site: QdSite, rng: np.random.Generator,
@@ -237,39 +255,28 @@ def arrival_delay(distance_um: float, saw: SawWave) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Device event loop
+# Device run
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CaptureEvent:
-    time_ns: float
-    site_id: int
-    species: str
-    count: int
-    pocket_birth_ns: float
-    pocket_birth_um: float
-
 
 @dataclass
 class DeviceLog:
-    """Bookkeeping of one device run: tallies, captures and load schedules."""
+    """Bookkeeping of one device run: carrier tallies by species, every
+    capture (CAPTURE_DTYPE, in the order the run made them) and every
+    exciton load (LOAD_DTYPE, in formation order)."""
 
-    pulse_times: list
+    pulse_times: np.ndarray
     generated: dict
     captured: dict
     exited: dict
     in_transit: dict
     recombined: dict
-    captures: list
-    sites: list  # final site copies, including their load schedules
-
-    def loads_by_site(self) -> dict:
-        return {s.site_id: list(s.loads) for s in self.sites}
+    captures: np.ndarray
+    loads: np.ndarray
 
     def conservation_ok(self) -> bool:
         return all(self.generated[sp] == self.captured[sp] + self.exited[sp]
                    + self.in_transit[sp] + self.recombined[sp]
-                   for sp in (ELECTRON, HOLE))
+                   for sp in SPECIES)
 
 
 @dataclass
@@ -278,124 +285,244 @@ class DeviceResult:
     log: DeviceLog
 
 
+def _hits(pockets, s0, sp, radius, p_eff, v, duration_ns, rng):
+    """The site rank of every pass whose capture draw succeeds (a hit),
+    grouped by pocket in birth order and ascending within a pocket, and the
+    number of hits of each pocket.
+
+    A pocket passes the site of rank r unless it was born past the window
+    (s0 > sp + radius) or the crossing (`_crossing`) comes after the run.
+    Every pass draws one uniform, pocket by pocket in birth order.
+    """
+    n = len(pockets)
+    per_pocket = np.zeros(n, np.int64)
+    if n == 0 or sp.size == 0:
+        return np.zeros(0, np.int32), per_pocket
+    born = pockets["birth_time_ns"]
+    # a superset of each pocket's passes, by rank, checked exactly below
+    slack = 1e-9 * (1.0 + np.abs(sp).max() + np.abs(s0).max() + v * duration_ns)
+    lo = np.searchsorted(sp, s0 - radius.max() - slack)
+    hi = np.searchsorted(sp, s0 + v * (duration_ns - born) + slack, side="right")
+    size = np.maximum(hi - lo, 0)
+    ends = np.cumsum(size)
+    ranks = []
+    a = 0
+    while a < n:
+        start = int(ends[a] - size[a])
+        b = max(int(np.searchsorted(ends, start + DRAW_BLOCK, side="right")), a + 1)
+        sizes = size[a:b]
+        pk = np.repeat(np.arange(a, b), sizes)
+        rank = np.arange(start, ends[b - 1]) \
+            + np.repeat(lo[a:b] - (ends[a:b] - sizes), sizes)
+        ok = (s0[pk] <= sp[rank] + radius[rank]) \
+            & (_crossing(born[pk], s0[pk], sp[rank], v) <= duration_ns)
+        rank, pk = rank[ok], pk[ok]
+        hit = rng.random(rank.size) < p_eff[rank]
+        ranks.append(rank[hit].astype(np.int32))
+        per_pocket[a:b] = np.bincount(pk[hit] - a, minlength=b - a)
+        a = b
+    return np.concatenate(ranks), per_pocket
+
+
+def _crossing(born, s0, sp, v):
+    """When a pocket born at signed position s0 passes the site at sp: at
+    the site center, or at birth if born inside the window past it."""
+    return born + np.maximum(sp - s0, 0.0) / v
+
+
+def _convey(pockets, sites, saw, duration_ns, rng):
+    """Conveyed pockets through the sites (in encounter order): at each hit,
+    in order of (time, pocket, rank), capture then exciton formation.
+
+    Returns the pocket counts left, the captures (CAPTURE_DTYPE) and the
+    loads as (time, rank, excitons) columns.
+    """
+    d, v = saw.direction, saw.velocity_um_per_ns
+    sp = np.array([d * s.position_um for s in sites])
+    radius = np.array([s.capture_radius_um for s in sites])
+    p_eff = np.array([s.capture_prob * saw.amplitude for s in sites])
+    s0 = d * pockets["position_um"]
+    born = pockets["birth_time_ns"]
+    hit_rank, per_pocket = _hits(pockets, s0, sp, radius, p_eff, v,
+                                 duration_ns, rng)
+    ends = np.cumsum(per_pocket)
+    live = np.flatnonzero(per_pocket)
+    first = ends[live] - per_pocket[live]
+    t0 = _crossing(born[live], s0[live], sp[hit_rank[first]], v)
+    order = np.lexsort((live, t0))
+    # each live pocket's first hit, in order, then a sentinel; the heap holds
+    # the later hits of pockets in flight, so it stays small
+    firsts = list(zip(t0[order].tolist(), live[order].tolist(),
+                      first[order].tolist()))
+    firsts.append((math.inf, -1, -1))
+    heap = [firsts[-1]]
+    rank_of, end = memoryview(hit_rank), ends.tolist()
+    born_l, s0_l, sp_l = born.tolist(), s0.tolist(), sp.tolist()
+    counts = pockets["count"].tolist()
+    codes = pockets["species"].tolist()
+    capacity = [s.capacity for s in sites]
+    held = ([0] * len(sites), [0] * len(sites))
+    electrons, holes = held
+    captures, moves, loads, excitons = [], [], [], []  # hits and amounts
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+    q = 0
+    while True:
+        from_heap = heap[0] < firsts[q]
+        _, i, h = heap[0] if from_heap else firsts[q]
+        if i < 0:
+            break
+        q += not from_heap
+        r = rank_of[h]
+        mine = held[codes[i]]
+        moved = capacity[r] - mine[r]
+        if counts[i] < moved:
+            moved = counts[i]
+        if moved:
+            counts[i] -= moved
+            mine[r] += moved
+            captures.append(h)
+            moves.append(moved)
+            formed = electrons[r] if electrons[r] < holes[r] else holes[r]
+            if formed:
+                electrons[r] -= formed
+                holes[r] -= formed
+                loads.append(h)
+                excitons.append(formed)
+        h += 1
+        if counts[i] and h < end[i]:
+            wait = sp_l[rank_of[h]] - s0_l[i]  # _crossing, on floats
+            nxt = (born_l[i] + (wait if wait > 0.0 else 0.0) / v, i, h)
+            if from_heap:
+                replace(heap, nxt)
+            else:
+                push(heap, nxt)
+        elif from_heap:
+            pop(heap)
+
+    def locate(hits):
+        hits = np.array(hits, np.int64)
+        pk, rank = np.searchsorted(ends, hits, side="right"), hit_rank[hits]
+        return pk, rank, _crossing(born[pk], s0[pk], sp[rank], v)
+
+    pk, rank, t = locate(captures)
+    caps = np.zeros(pk.size, CAPTURE_DTYPE)
+    caps["time_ns"] = t
+    caps["site_id"] = np.array([s.site_id for s in sites], np.int64)[rank]
+    caps["species"] = pockets["species"][pk]
+    caps["count"] = moves
+    caps["pocket_birth_ns"] = born[pk]
+    caps["pocket_birth_um"] = pockets["position_um"][pk]
+    _, rank, t = locate(loads)
+    return np.array(counts, np.int64), caps, (t, rank, np.array(excitons, np.int64))
+
+
+def _nearest_covering(xs, sites):
+    """Encounter rank of the nearest site whose capture window covers each
+    position (the first of equally near ones), or -1."""
+    pos = np.array([s.position_um for s in sites])
+    radius = np.array([s.capture_radius_um for s in sites])
+    nearest = np.full(len(xs), -1, np.intp)
+    if pos.size == 0:
+        return nearest
+    step = max(DRAW_BLOCK // pos.size, 1)
+    for a in range(0, len(xs), step):
+        dist = np.abs(pos - xs[a:a + step, None])
+        dist[dist > radius] = np.inf
+        k = np.argmin(dist, axis=1)
+        nearest[a:a + step] = np.where(
+            np.isfinite(dist[np.arange(k.size), k]), k, -1)
+    return nearest
+
+
+def _zero() -> dict:
+    return {ELECTRON: 0, HOLE: 0}
+
+
 def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
-               duration_ns: float, master_seed: int) -> DeviceResult:
+               duration_ns: float, master_seed: int,
+               variant: int = 0) -> DeviceResult:
     """Full device run: pulses -> pockets -> conveyance -> capture ->
     exciton formation -> cascade photons.
 
     Laser pulses follow the pump's period for its pulse count (clipped to the
-    run duration); pair yield per pulse comes from the layout's spot.  With
-    amplitude 0 each pair is captured whole, with that site's capture
-    probability, by the nearest site whose window covers its generation
-    point, or else recombines there.  Each photon carries its emitting
-    site's position.  The run is a pure function of (layout, saw, pump,
-    duration, master_seed).
+    run duration); pair yield per pulse comes from the layout's spot.  A
+    pass captures with probability capture_prob * amplitude and moves
+    min(pocket count, room for that species) carriers; passes at one instant
+    go in order of pocket birth, then of site.  With amplitude 0 each pair
+    is captured whole, with that site's capture probability, by the nearest
+    site whose window covers its generation point, or else recombines there.
+    Each photon carries its emitting site's position.  The run is a pure
+    function of (layout, saw, pump, duration, master_seed, variant); runs
+    that differ only in `variant` draw from disjoint streams (see `rng`).
     """
     if duration_ns <= 0:
         raise ValueError("duration must be > 0")
-    rng = substream(master_seed, 0)
-    v = saw.velocity_um_per_ns
-    d = saw.direction
+    d, v = saw.direction, saw.velocity_um_per_ns
+    sites = sorted(layout.sites, key=lambda s: d * s.position_um)  # encounter order
+    site_ids = np.array([s.site_id for s in sites], np.int64)
 
-    sites = [s.fresh_copy() for s in layout.sites]
-    sites.sort(key=lambda s: d * s.position_um)  # encounter order
-    s_pos = [d * s.position_um for s in sites]
-    s_exit = d * (layout.extent_um[1] if d > 0 else layout.extent_um[0])
+    pulse_times = pump.pulse_times()
+    pulse_times = pulse_times[pulse_times <= duration_ns]
+    pair_t, pair_x = draw_pairs(layout.spot, saw, pulse_times,
+                                substream(master_seed, 0, variant))
+    rng = substream(master_seed, 3, variant)
+    log = DeviceLog(pulse_times, _zero(), _zero(), _zero(), _zero(), _zero(),
+                    np.zeros(0, CAPTURE_DTYPE), np.zeros(0, LOAD_DTYPE))
 
-    def zero():
-        return {ELECTRON: 0, HOLE: 0}
+    if saw.amplitude == 0:
+        uniform = rng.random(pair_t.size)
+        rank = _nearest_covering(pair_x, sites)
+        prob = np.array([s.capture_prob for s in sites] + [0.0])
+        pair = np.flatnonzero(uniform < prob[rank])
+        rank = rank[pair]
+        for sp in SPECIES:
+            log.generated[sp] = int(pair_t.size)
+            log.captured[sp] = int(pair.size)
+            log.recombined[sp] = int(pair_t.size - pair.size)
+        # each pair's electron row, then its hole row
+        caps = np.zeros(2 * pair.size, CAPTURE_DTYPE)
+        caps["time_ns"] = caps["pocket_birth_ns"] = np.repeat(pair_t[pair], 2)
+        caps["site_id"] = np.repeat(site_ids[rank], 2)
+        caps["species"] = np.tile(np.arange(2, dtype=np.int8), pair.size)
+        caps["count"] = 1
+        caps["pocket_birth_um"] = np.repeat(pair_x[pair], 2)
+        log.captures = caps
+        load_time, load_rank = pair_t[pair], rank
+        load_n = np.ones(pair.size, np.int64)
+    else:
+        pockets = launch_pockets(pair_t, pair_x, saw)
+        counts, log.captures, (load_time, load_rank, load_n) = _convey(
+            pockets, sites, saw, duration_ns, rng)
 
-    log = DeviceLog(pulse_times=[], generated=zero(), captured=zero(),
-                    exited=zero(), in_transit=zero(), recombined=zero(),
-                    captures=[], sites=sites)
-    for p in range(pump.num_pulses):
-        t = p * pump.pulse_period_ns
-        if t > duration_ns:
-            break
-        log.pulse_times.append(t)
+        # classify carriers still in a pocket at the end of the run
+        s_exit = d * (layout.extent_um[1] if d > 0 else layout.extent_um[0])
+        s_end = d * pockets["position_um"] \
+            + v * (duration_ns - pockets["birth_time_ns"])
+        out = s_end > s_exit
+        for code, sp in enumerate(SPECIES):
+            mine = pockets["species"] == code
+            log.generated[sp] = int(pockets["count"][mine].sum())
+            log.captured[sp] = int(
+                log.captures["count"][log.captures["species"] == code].sum())
+            log.exited[sp] = int(counts[mine & out].sum())
+            log.in_transit[sp] = int(counts[mine & ~out].sum())
 
-    heap: list = []  # (crossing time, scheduling order, pocket)
-    seq = 0
-    conveyed: list[CarrierPocket] = []
+    loads = np.zeros(load_rank.size, LOAD_DTYPE)
+    loads["time_ns"] = load_time
+    loads["site_id"] = site_ids[load_rank]
+    loads["excitons"] = load_n
+    log.loads = loads
 
-    def schedule(pk: CarrierPocket) -> None:
-        # Capture is attempted as the pocket crosses the site center, so the
-        # conveyance delay is exactly |site - birth| / v; a pocket born inside
-        # the capture window but already past the center attempts at birth.
-        # Positions are signed along the downstream axis.
-        nonlocal seq
-        s0 = d * pk.position_um
-        while pk.next_rank < len(sites):
-            sp = s_pos[pk.next_rank]
-            if s0 > sp + sites[pk.next_rank].capture_radius_um:  # born past
-                pk.next_rank += 1
-                continue
-            t_cross = pk.birth_time_ns + max(sp - s0, 0.0) / v
-            if t_cross > duration_ns:
-                return
-            heapq.heappush(heap, (t_cross, seq, pk))
-            seq += 1
-            return
-
-    def cross_before(t_stop: float) -> None:
-        # a pulse goes before the crossings at its own time
-        while heap and heap[0][0] < t_stop:
-            t, _, pk = heapq.heappop(heap)
-            site = sites[pk.next_rank]
-            transferred = capture_pass(pk, site, rng, saw.amplitude)
-            if transferred:
-                log.captured[pk.species] += transferred
-                log.captures.append(CaptureEvent(
-                    t, site.site_id, pk.species, transferred,
-                    pk.birth_time_ns, pk.position_um))
-                exciton_formation(site, t)
-            pk.next_rank += 1
-            if pk.count > 0:
-                schedule(pk)
-
-    def strand(x: float, t: float) -> None:
-        log.generated[ELECTRON] += 1
-        log.generated[HOLE] += 1
-        near = [s for s in sites if abs(s.position_um - x) <= s.capture_radius_um]
-        site = min(near, key=lambda s: abs(s.position_um - x), default=None)
-        if site is not None and rng.random() < site.capture_prob:
-            site.receive(ELECTRON, 1)
-            site.receive(HOLE, 1)
-            for species in (ELECTRON, HOLE):
-                log.captured[species] += 1
-                log.captures.append(CaptureEvent(t, site.site_id, species, 1,
-                                                 t, x))
-            exciton_formation(site, t)
-        else:
-            log.recombined[ELECTRON] += 1
-            log.recombined[HOLE] += 1
-
-    for t in log.pulse_times:
-        cross_before(t)
-        if saw.amplitude == 0:
-            for x in pair_positions(layout.spot, saw, rng):
-                strand(float(x), t)
-            continue
-        for pk in generate_pockets(layout, saw, t, rng):
-            log.generated[pk.species] += pk.count
-            conveyed.append(pk)
-            schedule(pk)
-    cross_before(math.inf)
-
-    # classify leftover carriers at the end of the run
-    for pk in conveyed:
-        if pk.count == 0:
-            continue
-        s_end = d * pk.position_um + v * (duration_ns - pk.birth_time_ns)
-        bucket = log.exited if s_end > s_exit else log.in_transit
-        bucket[pk.species] += pk.count
-
+    by_rank = np.argsort(load_rank, kind="stable")
+    ranks, starts = np.unique(load_rank[by_rank], return_index=True)
     photons = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
-        sample_cascade_from_loads(site.model, site.loads,
-                                  substream(master_seed, 1, rank),
-                                  emitter_id=site.site_id,
-                                  position_um=(site.position_um, site.y_um))
-        for rank, site in enumerate(sites) if site.loads])
+        sample_cascade_from_loads(
+            sites[r].model,
+            list(zip(load_time[rows].tolist(), load_n[rows].tolist())),
+            substream(master_seed, 1, variant, r),
+            emitter_id=sites[r].site_id,
+            position_um=(sites[r].position_um, sites[r].y_um))
+        for r, rows in zip(ranks.tolist(), np.split(by_rank, starts[1:]))])
     photons = photons[np.argsort(photons["time_ns"], kind="stable")]
     return DeviceResult(photons=photons, log=log)
 

@@ -8,7 +8,7 @@ import pytest
 from sawsps.cli import main
 from sawsps.scenarios import (ConfigError, ScenarioConfig, list_scenarios,
                               run_scenario)
-from sawsps import scenarios
+from sawsps import emitter, rng, scenarios, transport
 
 
 def dir_digest(path, skip=()):
@@ -189,6 +189,51 @@ class TestDeterminism:
         man4 = run_scenario(cfg, out4, threads=4)
         assert dir_digest(out1) == dir_digest(out4)
         assert man1 == man4
+
+
+# A small config of every preset, for the stream-key checks.
+SMALL = {
+    "fig3_power_series": {"mc_pulses_per_point": 2000},
+    "fig4_transients": {"g_values": [0.2, 1.9], "horizon_ns": 6.0},
+    "fig4c_delays": {"g_values": [0.1, 1.0]},
+    "fig5_ensemble": {"num_pulses": 10},
+    "fig7_remote": {"num_pulses": 50},
+    "g2_antibunching": {"num_cycles": 5000},
+}
+
+
+def streams_used(monkeypatch, tmp_path, name, seed):
+    """(master_seed, *key) of every substream one run of a preset opens."""
+    keys = []
+
+    def recording(master_seed, *key):
+        keys.append((master_seed, *key))
+        return rng.substream(master_seed, *key)
+
+    for module in (scenarios, transport, emitter):
+        monkeypatch.setattr(module, "substream", recording)
+    run_scenario(ScenarioConfig.preset(name, SMALL[name], master_seed=seed),
+                 tmp_path / f"{name}-{seed}")
+    return keys
+
+
+class TestStreamKeys:
+    def test_no_two_streams_of_a_run_share_a_key(self, monkeypatch, tmp_path):
+        assert sorted(SMALL) == [name for name, _ in list_scenarios()]
+        for name in SMALL:
+            keys = streams_used(monkeypatch, tmp_path, name, 7)
+            assert len(keys) == len(set(keys)), name
+
+    def test_fig7_variants_do_not_replay_the_next_seed(self, monkeypatch,
+                                                       tmp_path):
+        # variant 1 of seed 7 once reused the device stream of variant 0 of
+        # seed 8 (seed + variant)
+        at_7 = streams_used(monkeypatch, tmp_path, "fig7_remote", 7)
+        at_8 = streams_used(monkeypatch, tmp_path, "fig7_remote", 8)
+        assert at_7 and not set(at_7) & set(at_8)
+        first_8 = {tuple(rng.substream(*k).random(4)) for k in at_8}
+        assert not any(tuple(rng.substream(*k).random(4)) in first_8
+                       for k in at_7)
 
 
 def read_pgm(path):

@@ -1,13 +1,20 @@
+import heapq
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawsps import transport
 from sawsps.cascade import CascadeModel, PumpSpec
+from sawsps.emitter import PHOTON_DTYPE, sample_cascade_from_loads
 from sawsps.rng import substream
-from sawsps.transport import (ELECTRON, HOLE, CarrierPocket, ChannelLayout,
-                              LaserSpot, QdSite, SawWave, arrival_delay,
-                              capture_pass, exciton_formation, generate_pockets, per_cycle_emission_times,
+from sawsps.transport import (ELECTRON, HOLE, SPECIES, CarrierPocket,
+                              ChannelLayout, LaserSpot, QdSite, SawWave,
+                              arrival_delay, capture_pass, draw_pairs,
+                              exciton_formation, launch_pockets,
+                              per_cycle_emission_times,
                               pocket_lattice_position, run_device,
                               uniform_site_field)
 
@@ -40,29 +47,59 @@ class TestSawWave:
             SawWave(193.0, 15.0, direction=0)
 
 
-class TestGeneratePockets:
+def pulse_pockets(layout, saw, pulse_times, rng):
+    return launch_pockets(*draw_pairs(layout.spot, saw, pulse_times, rng), saw)
+
+
+class TestLaunchPockets:
     def test_no_pairs_no_pockets(self):
         layout = simple_layout(pairs=0.0)
-        assert generate_pockets(layout, SAW, 0.0, substream(1, 0)) == []
+        assert pulse_pockets(layout, SAW, [0.0], substream(1, 0)).size == 0
 
     def test_species_counts_balance(self):
         layout = simple_layout(pairs=5.0)
-        pockets = generate_pockets(layout, SAW, 0.3, substream(2, 0))
-        e = sum(p.count for p in pockets if p.species == ELECTRON)
-        h = sum(p.count for p in pockets if p.species == HOLE)
+        pockets = pulse_pockets(layout, SAW, [0.3], substream(2, 0))
+        e = pockets["count"][pockets["species"] == SPECIES.index(ELECTRON)].sum()
+        h = pockets["count"][pockets["species"] == SPECIES.index(HOLE)].sum()
         assert e == h > 0
 
     def test_half_wavelength_offset(self):
         layout = simple_layout(pairs=1.0)
         rng = substream(3, 0)
         for _ in range(20):
-            pockets = generate_pockets(layout, SAW, 0.0, rng)
-            es = [p.position_um for p in pockets if p.species == ELECTRON]
-            hs = [p.position_um for p in pockets if p.species == HOLE]
+            pockets = pulse_pockets(layout, SAW, [0.0], rng)
+            es = pockets["position_um"][pockets["species"] == 0]
+            hs = pockets["position_um"][pockets["species"] == 1]
             for e in es:
                 for h in hs:
                     offset = (e - h) % 15.0
                     assert min(offset, 15.0 - offset) == pytest.approx(7.5, abs=1e-9)
+
+    @pytest.mark.parametrize("direction", [-1, 1])
+    def test_matches_per_pair_grouping(self, direction):
+        # each pair's carriers join the nearest extremum of their species; one
+        # pulse's carriers at one extremum are one pocket; pockets are in
+        # order of birth, then downstream, electron before hole
+        saw = SawWave(193.0, 4.0, direction=direction)
+        layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.5, 3.0, 6.0), ())
+        times, xs = draw_pairs(layout.spot, saw, np.arange(40) * 1.7,
+                               substream(4, 0))
+        grouped = {}
+        for t, x in zip(times.tolist(), xs.tolist()):
+            for code, species in enumerate(SPECIES):
+                offset = 0.0 if species == ELECTRON else 0.5
+                ref = (direction * saw.velocity_um_per_ns * t
+                       + offset * saw.wavelength_um)
+                m = round((x - ref) / saw.wavelength_um)
+                key = (t, code, m)
+                pos = ref + m * saw.wavelength_um
+                grouped[key] = (pos, grouped.get(key, (pos, 0))[1] + 1)
+        expected = sorted((t, direction * pos, code, n, pos)
+                          for (t, code, _), (pos, n) in grouped.items())
+        pockets = launch_pockets(times, xs, saw)
+        assert [(p["birth_time_ns"], direction * p["position_um"], p["species"],
+                 p["count"], p["position_um"]) for p in pockets] == expected
+        assert pockets["count"].sum() == 2 * times.size
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,15 +179,13 @@ class TestRunDevice:
 
     def test_exact_ballistic_causality(self):
         layout, saw, res = self.run()
-        pos = {s.site_id: s.position_um for s in layout.sites}
-        checked = 0
-        for ev in res.log.captures:
-            dist = abs(pos[ev.site_id] - ev.pocket_birth_um)
-            if dist > 0.5:  # born outside the capture window: exact delay
-                checked += 1
-                assert ev.time_ns >= ev.pocket_birth_ns \
-                    + dist / saw.velocity_um_per_ns - 1e-9
-        assert checked > 100
+        pos = np.array([s.position_um for s in layout.sites])  # by site id
+        caps = res.log.captures
+        dist = np.abs(pos[caps["site_id"]] - caps["pocket_birth_um"])
+        far = dist > 0.5  # born outside the capture window: exact delay
+        assert np.all(caps["time_ns"][far] >= caps["pocket_birth_ns"][far]
+                      + dist[far] / saw.velocity_um_per_ns - 1e-9)
+        assert np.count_nonzero(far) > 100
 
     def test_remote_photons_respect_spot_delay(self):
         # photons from the 7 um site: no earlier than the pocket lattice
@@ -199,9 +234,8 @@ class TestRunDevice:
         saw = SawWave(193.0, 15.0, direction=-1)
         pump = PumpSpec(1.0, saw.period_ns, num_pulses=10000)
         res = run_device(layout, saw, pump, 10000 * saw.period_ns + 40.0, 31)
-        captures = {0: 0, 1: 0}
-        for ev in res.log.captures:
-            captures[ev.site_id] += ev.count
+        captures = np.bincount(res.log.captures["site_id"],
+                               weights=res.log.captures["count"], minlength=2)
         photons = np.bincount(res.photons["emitter_id"], minlength=2)
         assert captures[0] > captures[1] > 0
         assert photons[0] > photons[1] > 0
@@ -214,10 +248,10 @@ class TestRunDevice:
         saw = SawWave(193.0, 15.0, direction=-1)
         pump = PumpSpec(1.0, saw.period_ns, num_pulses=20000)
         res = run_device(layout, saw, pump, 20000 * saw.period_ns + 30.0, 41)
-        loads = res.log.loads_by_site()[0]
-        assert loads and all(k == 1 for _, k in loads)
-        cycles = [int(t // saw.period_ns) for t, _ in loads]
-        assert len(cycles) == len(set(cycles))
+        loads = res.log.loads[res.log.loads["site_id"] == 0]
+        assert loads.size and np.all(loads["excitons"] == 1)
+        cycles = (loads["time_ns"] // saw.period_ns).astype(int)
+        assert cycles.size == np.unique(cycles).size
 
     def test_site_outside_extent_rejected(self):
         sites = (QdSite(0, 50.0, 0.5, 0.5, MODEL),)
@@ -239,26 +273,25 @@ class TestRunDevice:
         pump = PumpSpec(1.0, saw.period_ns, num_pulses=200)
         res = run_device(layout, saw, pump, 200 * saw.period_ns + 30.0, 71)
         captures = res.log.captures
-        assert captures and len(captures) % 2 == 0
-        pulse_times = set(res.log.pulse_times)
-        for ev in captures:
-            assert ev.site_id == 0 and ev.count == 1
-            assert ev.time_ns in pulse_times and ev.time_ns == ev.pocket_birth_ns
-        for e_ev, h_ev in zip(captures[0::2], captures[1::2]):
-            assert (e_ev.species, h_ev.species) == (ELECTRON, HOLE)
-            assert (e_ev.time_ns, e_ev.pocket_birth_um) \
-                == (h_ev.time_ns, h_ev.pocket_birth_um)
+        assert captures.size and captures.size % 2 == 0
+        assert np.all(captures["site_id"] == 0) and np.all(captures["count"] == 1)
+        assert np.all(np.isin(captures["time_ns"], res.log.pulse_times))
+        assert np.array_equal(captures["time_ns"], captures["pocket_birth_ns"])
+        e_ev, h_ev = captures[0::2], captures[1::2]
+        assert np.all(e_ev["species"] == SPECIES.index(ELECTRON))
+        assert np.all(h_ev["species"] == SPECIES.index(HOLE))
+        for field in ("time_ns", "pocket_birth_um"):
+            assert np.array_equal(e_ev[field], h_ev[field])
         assert res.log.recombined == {ELECTRON: 0, HOLE: 0}
         assert res.log.conservation_ok()
 
     def test_formation_time_is_later_species_arrival(self):
         layout, saw, res = self.run(pulses=300)
-        arrivals = {}
-        for ev in res.log.captures:
-            arrivals.setdefault(ev.site_id, []).append(ev.time_ns)
-        for site_id, loads in res.log.loads_by_site().items():
-            for t, _ in loads:
-                assert any(abs(t - a) < 1e-9 for a in arrivals[site_id])
+        caps, loads = res.log.captures, res.log.loads
+        assert loads.size
+        for site_id, t in zip(loads["site_id"], loads["time_ns"]):
+            arrivals = caps["time_ns"][caps["site_id"] == site_id]
+            assert np.any(np.abs(t - arrivals) < 1e-9)
 
 
 class TestFieldAndPerCycle:
@@ -280,3 +313,208 @@ class TestFieldAndPerCycle:
             per_cycle_emission_times(0, 5.0, 0.5, 0.5, substream(0, 0))
         with pytest.raises(ValueError):
             per_cycle_emission_times(10, 5.0, 1.5, 0.5, substream(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the event-by-event device loop
+# ---------------------------------------------------------------------------
+
+class KeyedUniform:
+    """Stands in for the generator in `capture_pass`: returns the uniform
+    the run drew for the current (pocket, rank) pass."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+        self.key = None
+
+    def random(self):
+        return self.uniforms[self.key]
+
+
+def reference_device(layout, saw, pump, duration, seed, variant=0):
+    """The device run crossing by crossing: one heap event and one
+    `capture_pass` per pocket-site pass, pulses interleaved in time.  Ties
+    between passes at one instant go by pocket birth index, then rank.
+    Pair draws are `draw_pairs`' and `launch_pockets`'; the capture uniform
+    of a pass is the run's, laid out pocket by pocket in birth order, one per
+    pass the geometry allows.  Returns the run's outputs as plain values."""
+    d, v = saw.direction, saw.velocity_um_per_ns
+    sites = [replace(s, n_electrons=0, n_holes=0, loads=[])
+             for s in sorted(layout.sites, key=lambda s: d * s.position_um)]
+    s_pos = [d * s.position_um for s in sites]
+    pulse_times = []
+    for p in range(pump.num_pulses):
+        if p * pump.pulse_period_ns > duration:
+            break
+        pulse_times.append(p * pump.pulse_period_ns)
+    pair_t, pair_x = draw_pairs(layout.spot, saw, pulse_times,
+                                substream(seed, 0, variant))
+    draws = substream(seed, 3, variant)
+    tallies = {k: {ELECTRON: 0, HOLE: 0}
+               for k in ("generated", "captured", "exited", "in_transit",
+                         "recombined")}
+    captures, loads = [], []
+
+    def form(site, t):
+        if exciton_formation(site, t):
+            loads.append((site.loads[-1][0], site.site_id, site.loads[-1][1]))
+
+    if saw.amplitude == 0:
+        uniforms = draws.random(pair_t.size)
+        for t, x, u in zip(pair_t.tolist(), pair_x.tolist(), uniforms.tolist()):
+            near = [s for s in sites
+                    if abs(s.position_um - x) <= s.capture_radius_um]
+            site = min(near, key=lambda s: abs(s.position_um - x), default=None)
+            for sp in SPECIES:
+                tallies["generated"][sp] += 1
+            if site is not None and u < site.capture_prob:
+                for code, sp in enumerate(SPECIES):
+                    site.receive(sp, 1)
+                    tallies["captured"][sp] += 1
+                    captures.append((t, site.site_id, code, 1, t, x))
+                form(site, t)
+            else:
+                for sp in SPECIES:
+                    tallies["recombined"][sp] += 1
+    else:
+        pockets = [CarrierPocket(SPECIES[p["species"]], int(p["count"]),
+                                 float(p["position_um"]), float(p["birth_time_ns"]))
+                   for p in launch_pockets(pair_t, pair_x, saw)]
+        passes = []  # (pocket, rank) in draw order
+        for i, pk in enumerate(pockets):
+            s0 = d * pk.position_um
+            for r, sp in enumerate(s_pos):
+                if s0 > sp + sites[r].capture_radius_um:
+                    continue
+                if pk.birth_time_ns + max(sp - s0, 0.0) / v > duration:
+                    break
+                passes.append((i, r))
+        rng = KeyedUniform(dict(zip(passes, draws.random(len(passes)).tolist())))
+        heap = []
+
+        def schedule(i, rank):
+            pk = pockets[i]
+            s0 = d * pk.position_um
+            while rank < len(sites):
+                sp = s_pos[rank]
+                if s0 > sp + sites[rank].capture_radius_um:  # born past
+                    rank += 1
+                    continue
+                t_cross = pk.birth_time_ns + max(sp - s0, 0.0) / v
+                if t_cross <= duration:
+                    heapq.heappush(heap, (t_cross, i, rank))
+                return
+
+        def cross_before(t_stop):
+            while heap and heap[0][0] < t_stop:
+                t, i, rank = heapq.heappop(heap)
+                pk, site = pockets[i], sites[rank]
+                rng.key = (i, rank)
+                moved = capture_pass(pk, site, rng, saw.amplitude)
+                if moved:
+                    tallies["captured"][pk.species] += moved
+                    captures.append((t, site.site_id, SPECIES.index(pk.species),
+                                     moved, pk.birth_time_ns, pk.position_um))
+                    form(site, t)
+                if pk.count > 0:
+                    schedule(i, rank + 1)
+
+        for i, pk in enumerate(pockets):
+            cross_before(pk.birth_time_ns)
+            tallies["generated"][pk.species] += pk.count
+            schedule(i, 0)
+        cross_before(np.inf)
+        s_exit = d * (layout.extent_um[1] if d > 0 else layout.extent_um[0])
+        for pk in pockets:
+            s_end = d * pk.position_um + v * (duration - pk.birth_time_ns)
+            bucket = "exited" if s_end > s_exit else "in_transit"
+            tallies[bucket][pk.species] += pk.count
+
+    photons = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
+        sample_cascade_from_loads(site.model, site.loads,
+                                  substream(seed, 1, variant, rank),
+                                  emitter_id=site.site_id,
+                                  position_um=(site.position_um, site.y_um))
+        for rank, site in enumerate(sites) if site.loads])
+    photons = photons[np.argsort(photons["time_ns"], kind="stable")]
+    return tallies, captures, loads, photons
+
+
+def device_outputs(res):
+    log = res.log
+    tallies = {k: getattr(log, k) for k in ("generated", "captured", "exited",
+                                             "in_transit", "recombined")}
+    return (tallies, log.captures.tolist(), log.loads.tolist(), res.photons)
+
+
+def assert_same_photons(a, b):
+    assert a.dtype == b.dtype and a.size == b.size
+    for name in a.dtype.names:
+        assert np.array_equal(a[name], b[name]), name
+
+
+def random_device(seed):
+    """A small random device: per-site radii, capture probabilities and
+    capacities, either direction, a spot that births pockets inside windows,
+    and a duration that may end with pockets in flight."""
+    g = np.random.default_rng(seed)
+    saw = SawWave(float(g.uniform(50.0, 400.0)), float(g.uniform(1.5, 8.0)),
+                  amplitude=float(g.choice([0.0, 0.3, 1.0], p=[0.2, 0.3, 0.5])),
+                  direction=int(g.choice([-1, 1])))
+    models = (CascadeModel((0.7,)), CascadeModel((1.5, 1.4, 0.9)))
+    positions = g.uniform(-12.0, 12.0, g.integers(1, 9))
+    positions[: g.integers(0, 3)] = g.uniform(-1.0, 1.0)  # share a window
+    sites = tuple(QdSite(i, float(x), float(g.uniform(0.05, 5.0)),
+                         float(g.choice([0.0, g.uniform(), 1.0], p=[0.1, 0.6, 0.3])),
+                         models[int(g.integers(2))])
+                  for i, x in enumerate(positions))
+    spot = LaserSpot(float(g.uniform(-3.0, 3.0)), float(g.uniform(0.2, 3.0)),
+                     float(g.uniform(0.5, 6.0)))
+    layout = ChannelLayout((-15.0, 15.0), spot, sites)
+    pulses = int(g.integers(5, 40))
+    period = saw.period_ns * float(g.choice([1.0, 0.5, g.uniform(0.2, 3.0)]))
+    pump = PumpSpec(1.0, period, num_pulses=pulses)
+    full = pulses * period + 30.0 / saw.velocity_um_per_ns
+    duration = full * float(g.uniform(0.3, 1.2))
+    return layout, saw, pump, duration
+
+
+def test_kernel_matches_event_loop_oracle():
+    seen = {"amplitude": set(), "direction": set(), "capacity": set(),
+            "in_transit": 0, "born_inside": 0, "ties": 0}
+    for seed in range(100):
+        layout, saw, pump, duration = random_device(seed)
+        got = device_outputs(run_device(layout, saw, pump, duration, seed))
+        tallies, captures, loads, photons = reference_device(
+            layout, saw, pump, duration, seed)
+        assert got[0] == tallies, seed
+        assert got[1] == captures, seed
+        assert got[2] == loads, seed
+        assert_same_photons(got[3], photons)
+        seen["amplitude"].add(saw.amplitude)
+        seen["direction"].add(saw.direction)
+        seen["capacity"].update(s.capacity for s in layout.sites)
+        seen["in_transit"] += sum(tallies["in_transit"].values()) > 0
+        pos = {s.site_id: s.position_um for s in layout.sites}
+        inside = [c for c in captures
+                  if c[0] == c[4] and abs(pos[c[1]] - c[5]) > 0]
+        seen["born_inside"] += bool(inside)
+        times = [(c[0], c[1]) for c in captures]
+        seen["ties"] += len(times) - len(set(times))
+    # the layouts reach every case the kernel must order exactly
+    assert seen["amplitude"] == {0.0, 0.3, 1.0}
+    assert seen["direction"] == {-1, 1}
+    assert seen["capacity"] == {1, 3}
+    assert seen["in_transit"] >= 10
+    assert seen["born_inside"] >= 10
+    assert seen["ties"] >= 10
+
+
+def test_draw_block_never_shows(monkeypatch):
+    runs = [random_device(seed) for seed in range(8)]
+    default = [device_outputs(run_device(*run, 5)) for run in runs]
+    monkeypatch.setattr(transport, "DRAW_BLOCK", 7)
+    for run, expected in zip(runs, default):
+        got = device_outputs(run_device(*run, 5))
+        assert got[:3] == expected[:3]
+        assert_same_photons(got[3], expected[3])
