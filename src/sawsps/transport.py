@@ -472,6 +472,7 @@ def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
     if saw.amplitude == 0:
         uniform = rng.random(pair_t.size)
         rank = _nearest_covering(pair_x, sites)
+        # rank -1 (no covering site) reads the trailing 0: never captured
         prob = np.array([s.capture_prob for s in sites] + [0.0])
         pair = np.flatnonzero(uniform < prob[rank])
         rank = rank[pair]

@@ -481,7 +481,7 @@ def random_device(seed):
 
 def test_kernel_matches_event_loop_oracle():
     seen = {"amplitude": set(), "direction": set(), "capacity": set(),
-            "in_transit": 0, "born_inside": 0, "ties": 0}
+            "in_transit": 0, "inside_before": 0, "inside_past": 0, "ties": 0}
     for seed in range(100):
         layout, saw, pump, duration = random_device(seed)
         got = device_outputs(run_device(layout, saw, pump, duration, seed))
@@ -495,18 +495,22 @@ def test_kernel_matches_event_loop_oracle():
         seen["direction"].add(saw.direction)
         seen["capacity"].update(s.capacity for s in layout.sites)
         seen["in_transit"] += sum(tallies["in_transit"].values()) > 0
-        pos = {s.site_id: s.position_um for s in layout.sites}
-        inside = [c for c in captures
-                  if c[0] == c[4] and abs(pos[c[1]] - c[5]) > 0]
-        seen["born_inside"] += bool(inside)
-        times = [(c[0], c[1]) for c in captures]
-        seen["ties"] += len(times) - len(set(times))
+        site = {s.site_id: s for s in layout.sites}
+        inside = [c[0] > c[4] for c in captures
+                  if 0 < abs(site[c[1]].position_um - c[5])
+                  <= site[c[1]].capture_radius_um]
+        if saw.amplitude > 0:
+            seen["inside_before"] += any(inside)  # captured at the center
+            seen["inside_past"] += not all(inside)  # captured at birth
+            # captures of two pockets at one site and instant
+            times = [(c[0], c[1]) for c in captures]
+            seen["ties"] += len(times) - len(set(times))
     # the layouts reach every case the kernel must order exactly
     assert seen["amplitude"] == {0.0, 0.3, 1.0}
     assert seen["direction"] == {-1, 1}
     assert seen["capacity"] == {1, 3}
     assert seen["in_transit"] >= 10
-    assert seen["born_inside"] >= 10
+    assert seen["inside_before"] >= 10 and seen["inside_past"] >= 10
     assert seen["ties"] >= 10
 
 
