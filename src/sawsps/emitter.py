@@ -8,6 +8,7 @@ transport device.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,43 +110,64 @@ def sample_start_levels(g: float, num: int, num_levels: int,
     return np.minimum(rng.poisson(g, size=num), num_levels)
 
 
-def sample_cascade_from_loads(model: CascadeModel,
-                              loads: list[tuple[float, int]],
+def sample_cascade_from_loads(model: CascadeModel, load_times, load_counts,
                               rng: np.random.Generator,
                               emitter_id: int = 0,
                               position_um: tuple[float, float] = (0.0, 0.0),
                               ) -> np.ndarray:
     """Event-driven cascade for loading events at arbitrary times.
 
-    `loads` is a time-sorted list of (time_ns, exciton_count).  Between loads
-    the dot steps down the chain with exponential waits; a load arriving
-    before the next emission re-raises the level (capped at the top), and the
-    emission clock restarts, which is exact because exponential waits are
-    memoryless.
+    Load i brings `load_counts[i]` excitons at `load_times[i]`; the times are
+    finite and non-decreasing and the counts >= 0, else `ValueError` before
+    any draw.  Between loads the dot steps down the chain with exponential
+    waits; a load arriving before the next emission re-raises the level
+    (capped at the top), and the emission clock restarts, which is exact
+    because exponential waits are memoryless.
+
+    The waits are one block of standard exponentials, taken in order, each
+    scaled by the lifetime of the level it leaves.  Every draw either emits a
+    photon or is cut short by the next load, so sum(min(count, levels)) plus
+    one per load always suffices; the rest of the block goes unused.
     """
+    times = np.asarray(load_times, dtype=float)
+    counts = np.asarray(load_counts)
+    if times.ndim != 1 or times.shape != counts.shape:
+        raise ValueError("need one exciton count per load time")
     nlev = model.num_levels
-    lifetimes = model.lifetimes_ns
-    labels = model.labels
-    x, y = position_um
-    records = []
-    level = 0
-    t_now = 0.0
-    events = list(loads) + [(np.inf, 0)]
-    for t_load, count in events:
-        if count < 0:
-            raise ValueError("load count must be >= 0")
-        while level > 0:
-            t_emit = t_now + rng.exponential(lifetimes[level - 1])
+    load_t, load_n = times.tolist(), np.minimum(counts, nlev).tolist()
+    # sorted with finite ends means all finite; NaN fails every comparison
+    if load_t and not (math.isfinite(load_t[0]) and math.isfinite(load_t[-1])
+                       and (times[1:] >= times[:-1]).all()):
+        raise ValueError("load times must be finite and non-decreasing")
+    if min(load_n, default=0) < 0:
+        raise ValueError("load count must be >= 0")
+    waits = rng.standard_exponential(sum(load_n) + len(load_t)).tolist()
+    # indexed by the level a photon leaves
+    lifetimes, labels = (0.0, *model.lifetimes_ns), (None, *model.labels)
+    emitted, emitted_labels = [], []
+    emit, label = emitted.append, emitted_labels.append
+    level, t_now, k = 0, 0.0, 0
+    for t_load, count in zip(load_t + [math.inf], load_n + [0]):
+        while level:
+            # exponential(scale) is scale * standard_exponential, in order
+            t_emit = t_now + lifetimes[level] * waits[k]
+            k += 1
             if t_emit >= t_load:
                 break
-            records.append((t_emit, labels[level - 1], emitter_id, x, y))
+            emit(t_emit)
+            label(labels[level])
             level -= 1
             t_now = t_emit
-        if not np.isfinite(t_load):
-            break
-        level = min(level + count, nlev)
+        level += count
+        if level > nlev:
+            level = nlev
         t_now = t_load
-    return np.array(records, dtype=PHOTON_DTYPE)
+    photons = np.zeros(len(emitted), PHOTON_DTYPE)
+    photons["time_ns"] = emitted
+    photons["transition"] = emitted_labels
+    photons["emitter_id"] = emitter_id
+    photons["x_um"], photons["y_um"] = position_um
+    return photons
 
 
 def ensemble_histogram(streams, transition: str, bin_ns: float,

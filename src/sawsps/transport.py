@@ -518,8 +518,7 @@ def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
     ranks, starts = np.unique(load_rank[by_rank], return_index=True)
     photons = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
         sample_cascade_from_loads(
-            sites[r].model,
-            list(zip(load_time[rows].tolist(), load_n[rows].tolist())),
+            sites[r].model, load_time[rows], load_n[rows],
             substream(master_seed, 1, variant, r),
             emitter_id=sites[r].site_id,
             position_um=(sites[r].position_um, sites[r].y_um))

@@ -113,31 +113,120 @@ class TestVectorizedEnsemble:
         assert np.isfinite(times[0, 0])
 
 
+def reference_cascade(model, loads, rng, emitter_id=0, position_um=(0.0, 0.0)):
+    """The event-driven cascade one scalar exponential draw per step: the
+    oracle for `sample_cascade_from_loads`.  `loads` is a time-sorted list of
+    (time_ns, exciton_count)."""
+    records = []
+    level, t_now = 0, 0.0
+    for t_load, count in list(loads) + [(np.inf, 0)]:
+        while level > 0:
+            t_emit = t_now + rng.exponential(model.lifetimes_ns[level - 1])
+            if t_emit >= t_load:
+                break
+            records.append((t_emit, model.labels[level - 1], emitter_id,
+                            *position_um))
+            level -= 1
+            t_now = t_emit
+        level = min(level + count, model.num_levels)
+        t_now = t_load
+    return np.array(records, dtype=PHOTON_DTYPE)
+
+
+def sample(model, loads, rng, **kw):
+    """`sample_cascade_from_loads` on a list of (time_ns, count) pairs."""
+    times = [t for t, _ in loads]
+    counts = [n for _, n in loads]
+    return sample_cascade_from_loads(model, times, counts, rng, **kw)
+
+
+def random_schedule(g):
+    """A random load schedule: equal times, reloads within a lifetime, gaps
+    long after the chain has emptied, zero counts and counts above three."""
+    n = int(g.integers(0, 12))
+    gaps = np.choose(g.choice(4, n, p=[0.2, 0.4, 0.3, 0.1]),
+                     [np.zeros(n), g.uniform(0.0, 0.5, n),
+                      g.exponential(2.0, n), g.uniform(50.0, 100.0, n)])
+    times = g.uniform(0.0, 10.0) + np.cumsum(gaps)
+    counts = g.choice(6, n, p=[0.15, 0.35, 0.2, 0.1, 0.1, 0.1])
+    return list(zip(times.tolist(), counts.tolist()))
+
+
 class TestEventDrivenLoads:
+    def test_matches_scalar_draw_oracle(self):
+        models = (CascadeModel((0.7,)), MODEL)
+        seen = {"levels": set(), "empty": 0, "zero": 0, "above_top": 0,
+                "equal_times": 0, "reload": 0, "long_gap": 0}
+        for seed in range(250):
+            g = np.random.default_rng(seed)
+            model = models[int(g.integers(2))]
+            loads = random_schedule(g)
+            kw = {"emitter_id": seed, "position_um": (g.normal(), g.normal())}
+            got = sample(model, loads, substream(seed, 1), **kw)
+            expected = reference_cascade(model, loads, substream(seed, 1), **kw)
+            assert got.dtype == PHOTON_DTYPE and got.size == expected.size, seed
+            for name in PHOTON_DTYPE.names:
+                assert np.array_equal(got[name], expected[name]), (seed, name)
+            # the chain's level just before each load, from the photons
+            seen["levels"].add(model.num_levels)
+            seen["empty"] += not loads
+            times = [t for t, _ in loads]
+            seen["equal_times"] += len(set(times)) < len(times)
+            level, t_prev = 0, -np.inf
+            for t, count in loads:
+                level -= np.count_nonzero((expected["time_ns"] >= t_prev)
+                                          & (expected["time_ns"] < t))
+                seen["zero"] += count == 0
+                seen["above_top"] += count > model.num_levels
+                seen["reload"] += level > 0 and count > 0
+                seen["long_gap"] += level == 0 and t - t_prev > 40.0
+                level = min(level + count, model.num_levels)
+                t_prev = t
+        assert seen["levels"] == {1, 3}
+        assert seen["empty"] >= 5
+        for case in ("zero", "above_top", "equal_times", "reload", "long_gap"):
+            assert seen[case] >= 20, case
+
     def test_single_load_equals_pulse_start(self):
         # the event-driven sampler at one load reproduces the cascade means
         ones = []
         for i in range(20000):
-            recs = sample_cascade_from_loads(MODEL, [(5.0, 3)], substream(5, i))
+            recs = sample_cascade_from_loads(MODEL, [5.0], [3], substream(5, i))
             ones.extend(recs["time_ns"][recs["transition"] == "1X"] - 5.0)
         ones = np.array(ones)
         se = ones.std() / np.sqrt(ones.size)
         assert abs(ones.mean() - 3.8) < 3.0 * se
 
     def test_level_caps_at_top(self):
-        recs = sample_cascade_from_loads(MODEL, [(0.0, 10)], substream(6, 0))
+        recs = sample_cascade_from_loads(MODEL, [0.0], [10], substream(6, 0))
         assert len(recs) == 3  # folded to the top level
 
     def test_reload_during_cascade_keeps_emitting(self):
-        recs = sample_cascade_from_loads(MODEL, [(0.0, 1), (0.05, 1), (0.1, 1)],
+        recs = sample_cascade_from_loads(MODEL, [0.0, 0.05, 0.1], [1, 1, 1],
                                          substream(7, 0))
         times = recs["time_ns"].tolist()
         assert times == sorted(times)
         assert all(t >= 0.0 for t in times)
 
     def test_empty_loads(self):
-        recs = sample_cascade_from_loads(MODEL, [], substream(8, 0))
+        recs = sample_cascade_from_loads(MODEL, [], [], substream(8, 0))
         assert recs.dtype == PHOTON_DTYPE and len(recs) == 0
+
+    @pytest.mark.parametrize("loads", [
+        [(5.0, 1), (0.0, 1)],
+        [(0.0, 2), (np.inf, 1)],
+        [(np.nan, 2)],
+        [(0.0, 1), (1.0, -1)],
+    ], ids=["time_below_previous", "infinite_time", "nan_time", "negative_count"])
+    def test_malformed_schedule_raises_before_any_draw(self, loads):
+        rng = substream(9, 0)
+        with pytest.raises(ValueError):
+            sample(MODEL, loads, rng)
+        assert rng.random() == substream(9, 0).random()
+
+    def test_one_count_per_time(self):
+        with pytest.raises(ValueError):
+            sample_cascade_from_loads(MODEL, [0.0, 1.0], [1], substream(9, 0))
 
 
 class TestEnsembleHistogram:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sawsps import transport
 from sawsps.cascade import CascadeModel, PumpSpec
-from sawsps.emitter import PHOTON_DTYPE, sample_cascade_from_loads
+from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
 from sawsps.transport import (ELECTRON, HOLE, SPECIES, CarrierPocket,
                               ChannelLayout, LaserSpot, QdSite, SawWave,
@@ -17,6 +17,7 @@ from sawsps.transport import (ELECTRON, HOLE, SPECIES, CarrierPocket,
                               per_cycle_emission_times,
                               pocket_lattice_position, run_device,
                               uniform_site_field)
+from test_emitter import reference_cascade
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
 SAW = SawWave(193.0, 15.0)
@@ -431,10 +432,10 @@ def reference_device(layout, saw, pump, duration, seed, variant=0):
             tallies[bucket][pk.species] += pk.count
 
     photons = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
-        sample_cascade_from_loads(site.model, site.loads,
-                                  substream(seed, 1, variant, rank),
-                                  emitter_id=site.site_id,
-                                  position_um=(site.position_um, site.y_um))
+        reference_cascade(site.model, site.loads,
+                          substream(seed, 1, variant, rank),
+                          emitter_id=site.site_id,
+                          position_um=(site.position_um, site.y_um))
         for rank, site in enumerate(sites) if site.loads])
     photons = photons[np.argsort(photons["time_ns"], kind="stable")]
     return tallies, captures, loads, photons
