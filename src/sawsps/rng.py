@@ -6,7 +6,9 @@ all distinct within one scenario run:
     key                  draws                                  opened by
     (0, variant)         device pair counts and positions       run_device
     (1, variant, rank)   cascade photons of the device site at  run_device
-                         encounter rank `rank`
+                         encounter rank `rank`: one block of
+                         standard exponentials, the same values
+                         as one scalar draw per emission step
     (2, block)           g2 per-cycle photon times of a block   g2_antibunching
     (3, variant)         device capture uniforms                run_device
     (7, variant)         fig7 spectral frame of a SAW variant   fig7_remote

@@ -114,7 +114,7 @@ class TestVectorizedEnsemble:
 
 
 def reference_cascade(model, loads, rng, emitter_id=0, position_um=(0.0, 0.0)):
-    """The event-driven cascade one scalar exponential draw per step: the
+    """The event-driven cascade with one scalar exponential draw per step: the
     oracle for `sample_cascade_from_loads`.  `loads` is a time-sorted list of
     (time_ns, exciton_count)."""
     records = []
@@ -167,11 +167,11 @@ class TestEventDrivenLoads:
             assert got.dtype == PHOTON_DTYPE and got.size == expected.size, seed
             for name in PHOTON_DTYPE.names:
                 assert np.array_equal(got[name], expected[name]), (seed, name)
-            # the chain's level just before each load, from the photons
             seen["levels"].add(model.num_levels)
             seen["empty"] += not loads
             times = [t for t, _ in loads]
             seen["equal_times"] += len(set(times)) < len(times)
+            # the chain's level just before each load, from the photons
             level, t_prev = 0, -np.inf
             for t, count in loads:
                 level -= np.count_nonzero((expected["time_ns"] >= t_prev)
