@@ -10,9 +10,9 @@ resolved measurements.
 __version__ = "0.1.0"
 
 from .cascade import (CascadeModel, OccupancyTrace, PumpSpec, Transient,
-                      emission_rate_trace, initial_loading, onset_time,
-                      poisson_pmf, poisson_tail, solve_cascade_analytic,
-                      solve_cascade_numeric, time_integrated_intensity)
+                      initial_loading, onset_time, poisson_pmf, poisson_tail,
+                      solve_cascade_analytic, solve_cascade_numeric,
+                      time_integrated_intensity)
 from .emitter import (PHOTON_DTYPE, TrajectoryConfig, ensemble_histogram,
                       sample_cascade_from_loads, simulate_trajectory)
 from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
@@ -20,6 +20,5 @@ from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
 from .detector import (CcdFrame, Irf, TransitionSpectrum, convolve_irf,
                        render_pl_image, render_spatial_spectral)
 from .analysis import (G2Histogram, RiseFallFit, fit_rise_fall, g2_histogram,
-                       measure_intrinsic_lifetimes, onset_delay_curve,
-                       powerlaw_exponent)
+                       onset_delay_curve, powerlaw_exponent)
 from .scenarios import ScenarioConfig, list_scenarios, run_scenario

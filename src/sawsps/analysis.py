@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .cascade import (CascadeModel, NoSignalError, Transient, initial_loading,
-                      onset_time, poisson_tail, solve_cascade_analytic)
+                      onset_time, solve_cascade_analytic)
 
 
 class FitConvergenceError(RuntimeError):
@@ -110,26 +110,6 @@ def fit_rise_fall(transient: Transient) -> RiseFallFit:
                        float(t0), ssr, cov)
 
 
-def exponential_tail_fit(transient: Transient, stop_fraction: float = 1e-3) -> float:
-    """Decay constant from a log-linear fit of the trace tail (from the peak
-    down to stop_fraction of it)."""
-    t = transient.time_ns
-    y = transient.intensity
-    peak = float(np.max(y)) if y.size else 0.0
-    if peak <= 0:
-        raise InsufficientSignalError("trace has no signal")
-    i_peak = int(np.argmax(y))
-    sel = np.zeros_like(y, dtype=bool)
-    sel[i_peak:] = True
-    sel &= y > stop_fraction * peak
-    if np.sum(sel) < 3:
-        raise InsufficientSignalError("tail too short to fit")
-    slope = np.polyfit(t[sel], np.log(y[sel]), 1)[0]
-    if slope >= 0:
-        raise FitConvergenceError("tail does not decay")
-    return -1.0 / slope
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     slope: float
@@ -168,8 +148,9 @@ class DelayCurve:
 def pumped_traces(model: CascadeModel, g_values, time_ns, levels=None,
                   overflow: str = "fold"):
     """Expected PL intensity of transitions under Poisson pulse loading
-    (`initial_loading`): yields (g, level, Transient) for each g in turn
-    and, within it, each of `levels` (default: all, ascending).
+    (`initial_loading`): yields (g, weights, level, Transient) for each g in
+    turn and, within it, each of `levels` (default: all, ascending), where
+    `weights` is g's loading distribution.
 
     A pumped trace is the sum over loaded levels k of w_k(g) * E_k(t),
     where E_k is the closed-form emission rate of the chain started at k.
@@ -177,14 +158,6 @@ def pumped_traces(model: CascadeModel, g_values, time_ns, levels=None,
     then adds the terms in ascending k, as one solution per (g, level, k)
     would, so the result is the same to the last bit.
     """
-    for g, _, level, trace in _loaded_traces(model, g_values, time_ns, levels,
-                                             overflow):
-        yield g, level, trace
-
-
-def _loaded_traces(model: CascadeModel, g_values, time_ns, levels, overflow):
-    """`pumped_traces` with each g's loading weights: yields
-    (g, weights, level, Transient)."""
     t = np.asarray(time_ns, dtype=float)
     nlev = model.num_levels
     levels = range(1, nlev + 1) if levels is None else levels
@@ -208,18 +181,13 @@ def expected_emission_trace(model: CascadeModel, g: float, level: int,
                             time_ns, overflow: str = "fold") -> Transient:
     """Expected PL intensity of one transition under Poisson pulse loading:
     the one-trace case of `pumped_traces`."""
-    return next(pumped_traces(model, [g], time_ns, [level], overflow))[2]
-
-
-def mean_emission_time(model: CascadeModel, g: float, level: int) -> float:
-    """Mean arrival time of the transition's photon, averaged over loading
-    levels that fire it: each loaded level k adds the waits of steps k..level."""
-    return _mean_emission_time(model, g, level,
-                               initial_loading(g, model.num_levels))
+    return next(pumped_traces(model, [g], time_ns, [level], overflow))[3]
 
 
 def _mean_emission_time(model: CascadeModel, g: float, level: int,
                         weights: np.ndarray) -> float:
+    """Mean arrival time of the transition's photon, averaged over loading
+    levels that fire it: each loaded level k adds the waits of steps k..level."""
     lifetimes = model.lifetimes_ns
     num = 0.0
     den = 0.0
@@ -245,8 +213,8 @@ def onset_delay_curve(model: CascadeModel, g_values,
         time_ns = np.arange(0.0, span, step)
     delays = np.array([(onset_time(trace, threshold_fraction),
                         _mean_emission_time(model, g, level, weights))
-                       for g, weights, level, trace in _loaded_traces(
-                           model, g_arr, time_ns, None, "fold")])
+                       for g, weights, level, trace in pumped_traces(
+                           model, g_arr, time_ns)])
     delays = delays.reshape(g_arr.size, model.num_levels, 2)
     return DelayCurve(g_arr, delays[..., 0], delays[..., 1])
 
@@ -330,58 +298,3 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
         if expected > 0:
             normalized = counts / expected
     return G2Histogram(centers, counts, ratio, peak_areas, normalized)
-
-
-# ---------------------------------------------------------------------------
-# Lifetime calibration protocol
-# ---------------------------------------------------------------------------
-
-def measure_intrinsic_lifetimes(model: CascadeModel, simulator,
-                                contamination: float = 0.01,
-                                g_overrides=None) -> np.ndarray:
-    """Reproduce the lifetime calibration: for each level, pick a pump weak
-    enough that the level is (almost) never exceeded, then fit the tail.
-
-    `simulator` is a callable (g, level) -> Transient giving the transition's
-    time trace at pump g.  The contamination guard rejects any pump at which
-    P(load > level | load >= level) is not below the threshold.
-    """
-    taus = np.empty(model.num_levels)
-    for level in range(1, model.num_levels + 1):
-        if g_overrides is not None and g_overrides[level - 1] is not None:
-            g = float(g_overrides[level - 1])
-            if _contamination(g, level, model.num_levels) >= contamination:
-                raise ValueError(
-                    f"pump g = {g} contaminates level {level}: higher levels "
-                    f"fire too often for an intrinsic-lifetime measurement")
-        else:
-            g = 0.5
-            while _contamination(g, level, model.num_levels) >= contamination:
-                g /= 2.0
-                if g < 1e-12:
-                    raise RuntimeError("could not find a clean pump level")
-        taus[level - 1] = exponential_tail_fit(simulator(g, level))
-    return taus
-
-
-def _contamination(g: float, level: int, num_levels: int) -> float:
-    if level >= num_levels:
-        return 0.0  # overflow folds into the top level; nothing sits above it
-    fires = poisson_tail(g, level)
-    if fires == 0:
-        return 0.0
-    return poisson_tail(g, level + 1) / fires
-
-
-def deterministic_simulator(model: CascadeModel, time_ns=None):
-    """Noiseless simulator for the calibration protocol, built on the
-    closed-form pumped traces."""
-    if time_ns is None:
-        span = 10.0 * max(model.lifetimes_ns)
-        step = min(model.lifetimes_ns) / 100.0
-        time_ns = np.arange(0.0, span, step)
-
-    def simulate(g: float, level: int) -> Transient:
-        return expected_emission_trace(model, g, level, time_ns)
-
-    return simulate

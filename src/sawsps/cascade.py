@@ -327,23 +327,20 @@ def _chain_matrix(rates: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rk4_step_map(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_step_map(a: np.ndarray, dt: float) -> np.ndarray:
     """One classic RK4 step of a linear system, precomputed.
 
-    For dn/dt = A n + g the RK4 stages collapse algebraically to
-    n' = M n + B g with M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and
-    B = h I + h^2 A / 2 + h^3 A^2 / 6 + h^4 A^3 / 24, so the integration is
-    one matrix-vector product per step.
+    For dn/dt = A n the RK4 stages collapse algebraically to n' = M n with
+    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so the integration is one
+    matrix-vector product per step.
     """
     eye = np.eye(a.shape[0])
     ha = dt * a
-    m = eye + ha @ (eye + ha @ (eye / 2 + ha @ (eye / 6 + ha / 24)))
-    b = dt * (eye + ha @ (eye / 2 + ha @ (eye / 6 + ha / 24)))
-    return m, b
+    return eye + ha @ (eye + ha @ (eye / 2 + ha @ (eye / 6 + ha / 24)))
 
 
 def solve_cascade_numeric(model: CascadeModel, pump: PumpSpec, horizon_ns: float,
-                          dt_ns: float, mode: str = "pulsed",
+                          dt_ns: float,
                           start_level: int | None = None) -> OccupancyTrace:
     """Fixed-step fourth-order integration of the expected-occupancy equations.
 
@@ -351,9 +348,7 @@ def solve_cascade_numeric(model: CascadeModel, pump: PumpSpec, horizon_ns: float
     one-step matrix (`_rk4_step_map`), identical to stage-form RK4 up to
     rounding.  Pulsed loading is applied as instantaneous occupation jumps at
     the grid node nearest each pulse time (the recorded value at a pulse node
-    is the post-jump state).  ``mode="continuous"`` instead spreads each
-    pulse's loading uniformly over the pulse period, i.e. it integrates the
-    rate equations with a constant generation term, for cross-checking.
+    is the post-jump state).
 
     `start_level` forces a deterministic single-pulse start at that level
     instead of Poisson loading.
@@ -366,8 +361,6 @@ def solve_cascade_numeric(model: CascadeModel, pump: PumpSpec, horizon_ns: float
             f"dt = {dt_ns} too large; need dt <= min lifetime / 20 = {min_tau / 20:g}")
     if horizon_ns < dt_ns:
         raise ValueError("horizon must be at least one step")
-    if mode not in ("pulsed", "continuous"):
-        raise ValueError("mode must be 'pulsed' or 'continuous'")
 
     nlev = model.num_levels
     num_steps = int(math.ceil(horizon_ns / dt_ns))
@@ -382,12 +375,7 @@ def solve_cascade_numeric(model: CascadeModel, pump: PumpSpec, horizon_ns: float
         pulse_times = [t for t in pump.pulse_times() if t <= horizon_ns]
     jump = weights[1:]  # loading into levels 1..N
 
-    step_m, step_b = _rk4_step_map(_chain_matrix(model.rates), dt_ns)
-    drive = np.zeros(nlev)
-    if mode == "continuous":
-        drive = step_b @ (jump / pump.pulse_period_ns)
-        pulse_times = []
-
+    step_m = _rk4_step_map(_chain_matrix(model.rates), dt_ns)
     pulse_nodes = sorted({int(round(t / dt_ns)) for t in pulse_times})
     next_pulse = 0
     n = np.zeros(nlev)
@@ -397,7 +385,7 @@ def solve_cascade_numeric(model: CascadeModel, pump: PumpSpec, horizon_ns: float
     occ = np.empty((num_steps + 1, nlev))
     occ[0] = n
     for s in range(num_steps):
-        n = step_m @ n + drive
+        n = step_m @ n
         if next_pulse < len(pulse_nodes) and pulse_nodes[next_pulse] == s + 1:
             n = n + jump
             next_pulse += 1
@@ -408,13 +396,6 @@ def solve_cascade_numeric(model: CascadeModel, pump: PumpSpec, horizon_ns: float
 # ---------------------------------------------------------------------------
 # Derived observables
 # ---------------------------------------------------------------------------
-
-def emission_rate_trace(trace: OccupancyTrace, level: int,
-                        model: CascadeModel) -> Transient:
-    """Expected PL intensity of transition `level`: n_level(t) / tau_level."""
-    return Transient(trace.time_ns,
-                     trace.level(level) / model.lifetimes_ns[level - 1])
-
 
 def time_integrated_intensity(model: CascadeModel, g: float, level: int) -> float:
     """Expected photons per pulse on transition `level` under Poisson loading.

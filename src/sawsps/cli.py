@@ -33,8 +33,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ScenarioConfig:
     data: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ConfigError(f"cannot read config {args.config}: {err}") from err
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
     if args.scenario:
@@ -60,7 +63,7 @@ def main(argv=None) -> int:
         config = _load_config(args)
         manifest = run_scenario(config, args.out, force=args.force,
                                 threads=args.threads)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - runtime failures exit 1

@@ -230,28 +230,18 @@ def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
 # Exports: portable graymap + axis calibration CSV
 # ---------------------------------------------------------------------------
 
-def write_pgm(path, intensity: np.ndarray, binary: bool = True,
-              maxval: int = 65535) -> None:
-    """Write an intensity grid as a P5 (binary) or P2 (ASCII) graymap,
-    scaled so the brightest pixel maps to maxval."""
+def write_pgm(path, intensity: np.ndarray) -> None:
+    """Write an intensity grid as a binary (P5) 16-bit graymap, scaled so the
+    brightest pixel maps to 65535."""
     a = np.asarray(intensity, dtype=float)
     if a.ndim != 2:
         raise ValueError("intensity must be 2-d")
-    if not 0 < maxval <= 65535:
-        raise ValueError("maxval must be in 1..65535")
     peak = a.max()
     scaled = np.zeros(a.shape, dtype=np.uint16) if peak <= 0 else \
-        np.round(a / peak * maxval).astype(np.uint16)
-    header = f"{'P5' if binary else 'P2'}\n{a.shape[1]} {a.shape[0]}\n{maxval}\n"
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(scaled.astype(">u2").tobytes())
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header)
-            for row in scaled:
-                fh.write(" ".join(str(v) for v in row) + "\n")
+        np.round(a / peak * 65535).astype(np.uint16)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{a.shape[1]} {a.shape[0]}\n65535\n".encode("ascii"))
+        fh.write(scaled.astype(">u2").tobytes())
 
 
 def write_axes_csv(path, row_centers, col_centers,

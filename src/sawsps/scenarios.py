@@ -381,7 +381,7 @@ def _run_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     irf = Irf(p["irf_fwhm_ns"])
     grid = np.arange(0.0, p["horizon_ns"], p["step_ns"])
     files = []
-    for g, level, trace in pumped_traces(model, p["g_values"], grid):
+    for g, _, level, trace in pumped_traces(model, p["g_values"], grid):
         label = model.labels[level - 1]
         name = f"transient_g{g:g}_{label}.csv"
         write_transient_csv(out / name, trace)
@@ -564,6 +564,8 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
     only once the manifest is written, so a run that fails leaves the
     output directory as it was.  Returns the manifest dictionary.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     out = Path(out_dir).resolve()
     if out.exists():
         if not out.is_dir():
@@ -575,7 +577,7 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
     stage = out.with_name(f".{out.name}.partial-{secrets.token_hex(4)}")
     stage.mkdir()
     try:
-        files = _RUNNERS[config.name](config, stage, max(int(threads), 1))
+        files = _RUNNERS[config.name](config, stage, threads)
         canonical = json.dumps(config.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         manifest = {

@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawsps.analysis import (FitConvergenceError, InsufficientSignalError,
-                             deterministic_simulator, expected_emission_trace,
-                             exponential_tail_fit, fit_rise_fall, g2_histogram,
-                             mean_emission_time, measure_intrinsic_lifetimes,
-                             onset_delay_curve, powerlaw_exponent,
-                             pumped_traces)
+from sawsps.analysis import (InsufficientSignalError, expected_emission_trace,
+                             fit_rise_fall, g2_histogram, onset_delay_curve,
+                             powerlaw_exponent, pumped_traces)
 from sawsps.cascade import (CascadeModel, Transient, initial_loading,
-                           onset_time, solve_cascade_analytic)
+                           onset_time, poisson_tail, solve_cascade_analytic)
 from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
 
@@ -67,18 +64,6 @@ class TestRiseFallFit:
             fit_rise_fall(Transient(t, y))
 
 
-class TestTailFit:
-    def test_pure_exponential(self):
-        t = np.arange(0.0, 15.0, 0.01)
-        assert exponential_tail_fit(Transient(t, np.exp(-t / 1.4))) == \
-            pytest.approx(1.4, rel=1e-6)
-
-    def test_flat_trace_rejected(self):
-        t = np.arange(0.0, 5.0, 0.05)
-        with pytest.raises(FitConvergenceError):
-            exponential_tail_fit(Transient(t, np.ones_like(t)))
-
-
 class TestPowerLaw:
     def test_linear(self):
         fit = powerlaw_exponent([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
@@ -128,8 +113,9 @@ class TestOnsetDelayCurve:
         assert np.all(np.diff(two_x) >= -1e-9)
 
     def test_saturating_mean_delays(self):
-        assert mean_emission_time(MODEL, 200.0, 1) == pytest.approx(3.8, rel=1e-6)
-        assert mean_emission_time(MODEL, 200.0, 2) == pytest.approx(2.3, rel=1e-6)
+        means = onset_delay_curve(MODEL, [200.0]).mean_time_ns[0]
+        assert means[0] == pytest.approx(3.8, rel=1e-6)
+        assert means[1] == pytest.approx(2.3, rel=1e-6)
 
     def test_ascending_g_required(self):
         with pytest.raises(ValueError):
@@ -142,14 +128,16 @@ class TestOnsetDelayCurve:
         # of the exact Bateman photon-arrival means
         model = CascadeModel(lifetimes)
         nlev = model.num_levels
-        for g in np.geomspace(0.01, 50.0, 40):
+        g_values = np.geomspace(0.01, 50.0, 40)
+        curve = onset_delay_curve(model, g_values)
+        for i, g in enumerate(g_values):
             weights = initial_loading(g, nlev)
             for level in range(1, nlev + 1):
                 ks = range(level, nlev + 1)
                 closed = sum(weights[k] * solve_cascade_analytic(model, k)
                              .mean_emission_time(level) for k in ks) \
                     / sum(weights[k] for k in ks)
-                assert mean_emission_time(model, g, level) \
+                assert curve.mean_time_ns[i, level - 1] \
                     == pytest.approx(closed, rel=1e-8)
 
 
@@ -197,8 +185,10 @@ class TestPumpedTraceBasis:
                 for level in range(1, model.num_levels + 1)]
         traces = list(pumped_traces(model, BASIS_G + UNDERFLOW_G, t,
                                     overflow=overflow))
-        assert [(g, level) for g, level, _ in traces] == seen
-        for g, level, trace in traces:
+        assert [(g, level) for g, _, level, _ in traces] == seen
+        for g, weights, level, trace in traces:
+            assert weights.tobytes() == initial_loading(
+                g, model.num_levels, overflow=overflow).tobytes(), g
             assert trace.intensity.tobytes() == term_by_term_trace(
                 model, g, level, t, overflow).tobytes(), (g, level)
 
@@ -212,8 +202,13 @@ class TestPumpedTraceBasis:
             for level in range(1, model.num_levels + 1):
                 trace = Transient(t, term_by_term_trace(model, g, level, t))
                 assert curve.onset_ns[i, level - 1] == onset_time(trace, 0.1)
-                assert curve.mean_time_ns[i, level - 1] \
-                    == mean_emission_time(model, g, level)
+
+    def test_expected_trace_superposition(self):
+        t = np.arange(0.0, 10.0, 0.01)
+        trace = expected_emission_trace(MODEL, 0.3, 1, t)
+        assert trace.intensity[0] > 0.0  # direct 1X loading emits immediately
+        total = np.trapezoid(trace.intensity, t)
+        assert total == pytest.approx(poisson_tail(0.3, 1), abs=1e-3)
 
 
 def all_pairs_g2(times, max_delay_ns, bin_ns, pulse_period_ns):
@@ -330,27 +325,3 @@ class TestG2:
         # no pair in range, and a two-photon stream
         assert_matches_oracle(np.arange(10) * 30.0, 26.0, 0.5, 5.0)
         assert_matches_oracle([4.0, 6.0], 26.0, 0.5, 5.0)
-
-
-class TestLifetimeProtocol:
-    def test_recovers_lifetimes_noiseless(self):
-        taus = measure_intrinsic_lifetimes(MODEL, deterministic_simulator(MODEL))
-        for measured, truth in zip(taus, MODEL.lifetimes_ns):
-            assert measured == pytest.approx(truth, rel=0.05)
-
-    def test_top_level_exact(self):
-        taus = measure_intrinsic_lifetimes(MODEL, deterministic_simulator(MODEL))
-        assert taus[2] == pytest.approx(0.9, rel=0.05)
-
-    def test_contamination_guard(self):
-        with pytest.raises(ValueError):
-            measure_intrinsic_lifetimes(MODEL, deterministic_simulator(MODEL),
-                                        g_overrides=[2.0, None, None])
-
-    def test_expected_trace_superposition(self):
-        t = np.arange(0.0, 10.0, 0.01)
-        trace = expected_emission_trace(MODEL, 0.3, 1, t)
-        assert trace.intensity[0] > 0.0  # direct 1X loading emits immediately
-        total = np.trapezoid(trace.intensity, t)
-        from sawsps.cascade import poisson_tail
-        assert total == pytest.approx(poisson_tail(0.3, 1), abs=1e-3)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawsps.cascade import (CascadeModel, NoSignalError, OccupancyTrace,
-                            PumpSpec, Transient, emission_rate_trace,
-                            initial_loading, onset_time, poisson_pmf,
-                            poisson_tail, solve_cascade_analytic,
+                            PumpSpec, Transient, initial_loading, onset_time,
+                            poisson_pmf, poisson_tail, solve_cascade_analytic,
                             solve_cascade_numeric, time_integrated_intensity)
 
 THREE_LEVEL = CascadeModel((1.5, 1.4, 0.9))
@@ -195,16 +194,6 @@ class TestNumericSolution:
         second = trace.occupancies[:, nodes:2 * nodes]
         assert np.max(np.abs(first - second)) < 1e-6
 
-    def test_continuous_mode_generates_steadily(self):
-        g = 0.5
-        period = 5.0
-        trace = solve_cascade_numeric(THREE_LEVEL, PumpSpec(g, period), 200.0,
-                                      1e-3, mode="continuous")
-        # steady state of dn/dt = w/period + inflow - n/tau, top level first
-        w = initial_loading(g, 3)
-        n3 = w[3] / period * 0.9
-        assert trace.level(3)[-1] == pytest.approx(n3, rel=1e-4)
-
     def test_step_size_preconditions(self):
         with pytest.raises(ValueError):
             solve_cascade_numeric(THREE_LEVEL, PumpSpec(1.0, 10.0), 5.0, 0.1)
@@ -213,17 +202,12 @@ class TestNumericSolution:
 
 
 class TestEmissionTrace:
-    def test_zero_level_zero_trace(self):
-        trace = solve_cascade_numeric(THREE_LEVEL, PumpSpec(0.0, 10.0), 2.0, 1e-3)
-        em = emission_rate_trace(trace, 1, THREE_LEVEL)
-        assert np.all(em.intensity == 0.0)
-
     def test_single_exponential(self):
         model = CascadeModel((1.0,))
         trace = solve_cascade_numeric(model, PumpSpec(0.0, 10.0), 5.0, 1e-3,
                                       start_level=1)
-        em = emission_rate_trace(trace, 1, model)
-        assert np.allclose(em.intensity, np.exp(-em.time_ns), atol=1e-6)
+        em = trace.level(1) / model.lifetimes_ns[0]
+        assert np.allclose(em, np.exp(-trace.time_ns), atol=1e-6)
 
     def test_quadrature_photon_identity(self):
         # one photon per transition when starting at the top
@@ -236,7 +220,7 @@ class TestEmissionTrace:
     def test_out_of_range_level(self):
         trace = solve_cascade_numeric(THREE_LEVEL, PumpSpec(1.0, 10.0), 2.0, 1e-3)
         with pytest.raises(ValueError):
-            emission_rate_trace(trace, 4, THREE_LEVEL)
+            trace.level(4)
 
 
 class TestTimeIntegratedIntensity:

@@ -218,13 +218,6 @@ class TestExports:
         pixels = np.frombuffer(raw.split(b"65535\n", 1)[1], dtype=">u2")
         assert list(pixels) == [0, 16384, 32768, 65535]
 
-    def test_pgm_ascii(self, tmp_path):
-        path = tmp_path / "frame.pgm"
-        write_pgm(path, np.array([[0.0, 2.0]]), binary=False)
-        text = path.read_text()
-        assert text.splitlines()[0] == "P2"
-        assert text.splitlines()[-1].split() == ["0", "65535"]
-
     def test_axes_csv(self, tmp_path):
         path = tmp_path / "axes.csv"
         write_axes_csv(path, [1.0, 2.0], [870.0])

@@ -387,6 +387,18 @@ class TestCli:
             err = capsys.readouterr().err
             assert code == 2 and key in err, (config, err)
             assert dir_digest(out) == {"f": hashlib.sha256(b"x").hexdigest()}
+        # an unreadable config file exits 2: a non-UTF-8 byte, a directory,
+        # a missing file
+        cfg_file.write_bytes(b'{"scenario": "fig4c_delays\xff"}')
+        for path in (cfg_file, tmp_path, tmp_path / "missing.json"):
+            assert main(["run", "--config", str(path), "--out", str(out),
+                         "--force"]) == 2, path
+            assert dir_digest(out) == {"f": hashlib.sha256(b"x").hexdigest()}
+        # fewer than one thread exits 2 before the output path is touched
+        for threads, target in (("0", out), ("-3", tmp_path / "x")):
+            assert main(["run", "--scenario", "fig4_transients", "--out",
+                         str(target), "--force", "--threads", threads]) == 2
+            assert dir_digest(out) == {"f": hashlib.sha256(b"x").hexdigest()}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["busy", "cfg.json"]
 
     def test_config_file_with_overrides(self, tmp_path):
