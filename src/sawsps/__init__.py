@@ -13,8 +13,8 @@ from .cascade import (CascadeModel, OccupancyTrace, PumpSpec, Transient,
                       initial_loading, onset_time, poisson_pmf, poisson_tail,
                       solve_cascade_analytic, solve_cascade_numeric,
                       time_integrated_intensity)
-from .emitter import (PHOTON_DTYPE, TrajectoryConfig, ensemble_histogram,
-                      sample_cascade_from_loads, simulate_trajectory)
+from .emitter import (PHOTON_DTYPE, ensemble_histogram,
+                      sample_cascade_from_loads)
 from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
                         arrival_delay, run_device)
 from .detector import (CcdFrame, Irf, TransitionSpectrum, convolve_irf,

@@ -229,9 +229,6 @@ class G2Histogram:
     counts: np.ndarray
     zero_peak_ratio: float | None
     peak_areas: dict  # peak index m -> coincidences in [mT - T/2, mT + T/2)
-    # counts divided by the homogeneous-stream (rate^2) expectation; ~1 for
-    # a Poisson stream, the continuous-normalization alternative to peak areas
-    normalized: np.ndarray | None = None
 
 
 def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
@@ -291,10 +288,4 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     ratio = None
     if side and np.mean(side) > 0:
         ratio = zero_area / float(np.mean(side))
-    duration = float(times[-1] - times[0])
-    normalized = None
-    if duration > 0:
-        expected = times.size * (times.size - 1) * bin_ns / duration
-        if expected > 0:
-            normalized = counts / expected
-    return G2Histogram(centers, counts, ratio, peak_areas, normalized)
+    return G2Histogram(centers, counts, ratio, peak_areas)

@@ -1,105 +1,25 @@
 """Stochastic sampling of the cascade: time-stamped photon streams.
 
-Loading per pulse is a Poisson draw folded to the top level; the chain then
-steps down through sequential exponential waiting times, which is exact for a
-linear chain (no time-stepped propagation needed).  An event-driven variant
-handles loading times that are not pulse-aligned, as produced by the
-transport device.
+One event-driven sampler serves every caller: a dot is loaded with excitons
+at given times (pulse-aligned Poisson loads folded to the top level, or the
+captures of the transport device) and steps down the chain through
+sequential exponential waiting times, which is exact for a linear chain (no
+time-stepped propagation needed).
 """
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._csvfile import write_csv
-from .cascade import CascadeModel, PumpSpec, Transient
-from .rng import substream
+from .cascade import CascadeModel, Transient
 
 
 # One emitted photon per entry: when, which transition, from which emitter,
 # where.  Every photon stream is a 1-d array of this dtype, sorted by time.
 PHOTON_DTYPE = np.dtype([("time_ns", "f8"), ("transition", "O"),
                          ("emitter_id", "i8"), ("x_um", "f8"), ("y_um", "f8")])
-
-
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    """Addresses one trajectory's private random substream."""
-
-    num_pulses: int
-    master_seed: int
-    trajectory_index: int = 0
-
-    def __post_init__(self):
-        if self.num_pulses < 1:
-            raise ValueError("need at least one pulse")
-        if self.trajectory_index < 0:
-            raise ValueError("trajectory index must be >= 0")
-
-
-def simulate_trajectory(model: CascadeModel, pump: PumpSpec,
-                        config: TrajectoryConfig,
-                        start_level: int | None = None,
-                        emitter_id: int = 0) -> np.ndarray:
-    """One emitter's photon stream over a pulse train.
-
-    Each pulse draws a loading level (or uses the forced `start_level`), then
-    emits that many photons at cumulative exponential waiting times, labelled
-    from the loaded level downwards.  The stream is a pure function of
-    (master_seed, trajectory_index).
-    """
-    if start_level is not None and not 1 <= start_level <= model.num_levels:
-        raise ValueError("start level out of range")
-    rng = substream(config.master_seed, config.trajectory_index)
-    n = config.num_pulses
-    if start_level is None:
-        levels = sample_start_levels(pump.mean_excitons_per_pulse, n,
-                                     model.num_levels, rng)
-    else:
-        levels = np.full(n, start_level)
-    # the levels are in range by construction, so unchecked
-    times, fired = _emission_times(model, levels, rng)
-    level_idx, pulse = np.nonzero(fired)
-    times = times[fired] + pulse * pump.pulse_period_ns
-    order = np.argsort(times, kind="stable")
-    photons = np.zeros(times.size, PHOTON_DTYPE)
-    photons["time_ns"] = times[order]
-    photons["transition"] = np.array(model.labels, dtype=object)[
-        level_idx[order]]
-    photons["emitter_id"] = emitter_id
-    return photons
-
-
-def sample_emission_times(model: CascadeModel, start_levels: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Vectorized emission times for a batch of single-pulse cascades.
-
-    Returns an array of shape (num_levels, len(start_levels)); entry [i-1, j]
-    is the emission time of transition i in trajectory j, or NaN when the
-    trajectory started below level i.
-    """
-    start = np.asarray(start_levels, dtype=int)
-    if np.any(start < 0) or np.any(start > model.num_levels):
-        raise ValueError("start levels out of range")
-    times, fired = _emission_times(model, start, rng)
-    return np.where(fired, times, np.nan)
-
-
-def _emission_times(model: CascadeModel, start: np.ndarray,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """`sample_emission_times` for start levels known to be in range, as
-    (times, fired): times[i-1, j] is meaningful where fired[i-1, j], i.e.
-    where trajectory j started at level i or above."""
-    nlev = model.num_levels
-    # exponential(scale) draws scale * standard_exponential, in this order
-    waits = rng.standard_exponential((nlev, start.size)) \
-        * np.asarray(model.lifetimes_ns)[:, None]
-    fired = np.arange(1, nlev + 1)[:, None] <= start
-    # transition i fires at the sum of waits from the start level down to i
-    times = np.cumsum(np.where(fired, waits, 0.0)[::-1], axis=0)[::-1]
-    return times, fired
 
 
 def sample_start_levels(g: float, num: int, num_levels: int,
@@ -171,14 +91,9 @@ def sample_cascade_from_loads(model: CascadeModel, load_times, load_counts,
 
 
 def ensemble_histogram(streams, transition: str, bin_ns: float,
-                       period_ns: float, normalized: bool = False,
-                       num_pulses: int = 1):
-    """Histogram of photon times folded modulo the pulse period.
-
-    Returns (bin_centers_ns, values).  `normalized` divides counts by
-    (number of streams * num_pulses * bin width), giving a rate per pulse
-    comparable to the analytic emission trace.
-    """
+                       period_ns: float):
+    """Photon counts of one transition, times folded modulo the pulse period,
+    as a `Transient` of (bin_centers_ns, counts)."""
     if bin_ns <= 0:
         raise ValueError("bin width must be > 0")
     if period_ns <= 0:
@@ -188,12 +103,8 @@ def ensemble_histogram(streams, transition: str, bin_ns: float,
     photons = np.concatenate([np.zeros(0, PHOTON_DTYPE), *streams])
     times = photons["time_ns"][photons["transition"] == transition]
     counts, _ = np.histogram(np.mod(times, period_ns), bins=edges)
-    values = counts.astype(float)
-    if normalized:
-        width = edges[1] - edges[0]
-        values = values / (max(len(streams), 1) * num_pulses * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return Transient(centers, values)
+    return Transient(centers, counts.astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ all distinct within one scenario run:
     (7, variant)         fig7 spectral frame of a SAW variant   fig7_remote
     (10 + gi, block)     fig3 start levels of pump index gi     fig3_power_series
     (99,)                fig5 dot field                         fig5_ensemble
-    (trajectory_index,)  one cascade trajectory                 simulate_trajectory
 
 `variant` is fig7's SAW variant (0 saw_off, 1 idt1, 2 idt2) and 0 in every
 other device run, so no two variants or seeds share a stream.

@@ -190,12 +190,16 @@ _BOUNDS: dict[str, tuple] = {
     "fig4_transients": ("step_ns < horizon_ns and step_ns <= irf_fwhm_ns",
                         lambda p: p["irf_fwhm_ns"] >= p["step_ns"]
                         < p["horizon_ns"]),
+    # the PL image spans field.extent_um in whole pixels, as a frame does
     "fig5_ensemble": ("the x-range of field.extent_um inside "
-                      "channel_extent_um",
+                      "channel_extent_um, and image.pixel_um dividing each "
+                      "axis of field.extent_um into whole pixels",
                       lambda p: p["channel_extent_um"][0]
                       <= p["field"]["extent_um"][0][0]
                       < p["field"]["extent_um"][0][1]
-                      <= p["channel_extent_um"][1]),
+                      <= p["channel_extent_um"][1]
+                      and all(_whole_bins(axis, p["image"]["pixel_um"])
+                              for axis in p["field"]["extent_um"])),
     "fig7_remote": ("every sites.positions_um inside channel_extent_um",
                     lambda p: all(p["channel_extent_um"][0] <= x
                                   <= p["channel_extent_um"][1]

@@ -15,9 +15,8 @@ from sawsps.analysis import fit_rise_fall, g2_histogram
 from sawsps.cascade import (CascadeModel, PumpSpec, Transient,
                             solve_cascade_analytic, solve_cascade_numeric)
 from sawsps.detector import Irf, convolve_irf
-from sawsps.emitter import (TrajectoryConfig, ensemble_histogram,
-                            sample_emission_times, sample_start_levels,
-                            simulate_trajectory)
+from sawsps.emitter import (ensemble_histogram, sample_cascade_from_loads,
+                            sample_start_levels)
 from sawsps.rng import substream
 from sawsps.scenarios import ScenarioConfig, run_scenario
 from sawsps.transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
@@ -59,14 +58,15 @@ def test_criterion_1_bateman_ode_oracle():
 
 def test_criterion_2_mc_ode_convergence():
     """1e5 stochastic trajectories from level 3 sit inside 3-sigma Poisson
-    bands of the analytic emission traces for all three transitions."""
+    bands of the analytic emission traces for all three transitions.  Each
+    trajectory is one load of three excitons at t = 0, from its own
+    substream (777, i)."""
     t_start = time.perf_counter()
     num = 100000
     period = 50.0
     bin_ns = 0.2
-    pump = PumpSpec(0.0, period)
-    streams = [simulate_trajectory(THREE_LEVEL, pump,
-                                   TrajectoryConfig(1, 777, i), start_level=3)
+    streams = [sample_cascade_from_loads(THREE_LEVEL, [0.0], [3],
+                                         substream(777, i))
                for i in range(num)]
     sol = solve_cascade_analytic(THREE_LEVEL, 3)
     worst_z = 0.0
@@ -111,13 +111,21 @@ def test_criterion_3_rise_fall_identity():
 
 def test_criterion_4_delay_identity():
     """Mean 1X (2X) emission time at saturating pump equals the sum of the
-    fall times above it, within 2 standard errors over 1e5 pulses."""
+    fall times above it, within 2 standard errors over 1e5 pulses.  The
+    pulses are loads 100 ns apart on one dot; every cascade must end before
+    the next load, so each pulse is measured on its own."""
     rng = substream(444, 0)
     num = 100000
+    period = 100.0
     levels = sample_start_levels(50.0, num, 3, rng)
-    times = sample_emission_times(THREE_LEVEL, levels, rng)
+    photons = sample_cascade_from_loads(THREE_LEVEL, np.arange(num) * period,
+                                        levels, rng)
+    # each window [k T, (k + 1) T) holds exactly the photons of pulse k
+    pulse = (photons["time_ns"] // period).astype(int)
+    assert np.array_equal(np.bincount(pulse, minlength=num), levels)
     for level, expected in ((1, 3.8), (2, 2.3)):
-        sample = times[level - 1][np.isfinite(times[level - 1])]
+        label = THREE_LEVEL.labels[level - 1]
+        sample = photons["time_ns"][photons["transition"] == label] % period
         se = sample.std(ddof=1) / np.sqrt(sample.size)
         assert abs(sample.mean() - expected) <= 2.0 * se, \
             f"level {level}: {sample.mean():.4f} vs {expected} (2se = {2 * se:.4f})"

@@ -238,24 +238,16 @@ def all_pairs_g2(times, max_delay_ns, bin_ns, pulse_period_ns):
     ratio = None
     if side and np.mean(side) > 0:
         ratio = peak_areas[0] / float(np.mean(side))
-    normalized = None
-    duration = float(times[-1] - times[0])
-    if duration > 0:
-        normalized = counts / (times.size * (times.size - 1) * bin_ns / duration)
-    return counts, peak_areas, ratio, normalized, deltas
+    return counts, peak_areas, ratio, deltas
 
 
 def assert_matches_oracle(times, max_delay_ns, bin_ns, pulse_period_ns):
     hist = g2_histogram(times, max_delay_ns, bin_ns, pulse_period_ns)
-    counts, peak_areas, ratio, normalized, deltas = all_pairs_g2(
+    counts, peak_areas, ratio, deltas = all_pairs_g2(
         times, max_delay_ns, bin_ns, pulse_period_ns)
     assert np.array_equal(hist.counts, counts)
     assert hist.peak_areas == peak_areas
     assert hist.zero_peak_ratio == ratio
-    if normalized is None:
-        assert hist.normalized is None
-    else:
-        assert np.array_equal(hist.normalized, normalized)
     return deltas
 
 
@@ -281,13 +273,6 @@ class TestG2:
         hist = g2_histogram(np.array([1.0]), 20.0, 0.4, 5.0)
         assert hist.zero_peak_ratio is None
         assert np.all(hist.counts == 0.0)
-
-    def test_rate_squared_normalization_flat_for_poisson(self):
-        rng = substream(104, 0)
-        times = np.sort(rng.uniform(0.0, 2e5, 50000))
-        hist = g2_histogram(times, 52.0, 0.5, 5.0)
-        assert hist.normalized is not None
-        assert np.mean(hist.normalized) == pytest.approx(1.0, abs=0.02)
 
     def test_accepts_photon_records_with_filter(self):
         recs = np.array([(t, "1X", 0, 0.0, 0.0) for t in np.arange(100) * 5.0]

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from sawsps._csvfile import write_csv
-from sawsps.cascade import CascadeModel, PumpSpec, Transient
+from sawsps.cascade import CascadeModel, Transient
 from sawsps.detector import write_axes_csv, write_transient_csv
-from sawsps.emitter import (PHOTON_DTYPE, TrajectoryConfig, read_photon_csv,
-                            simulate_trajectory, write_photon_csv)
+from sawsps.emitter import (PHOTON_DTYPE, read_photon_csv,
+                            sample_cascade_from_loads, write_photon_csv)
+from sawsps.rng import substream
 
 # shortest reprs at the edges of float64, and what g2_summary.csv can hold
 EDGE_FLOATS = [-0.0, 5e-324, 1e300, float("nan"), 0.1, -1.0 / 3.0]
@@ -110,8 +111,8 @@ def test_unsafe_cells_rejected(tmp_path, label):
 def test_unsafe_model_label_rejected(tmp_path):
     # CascadeModel takes any label; the photon writer must not split rows
     model = CascadeModel((1.5, 0.9), ("1X", "X,X"))
-    photons = simulate_trajectory(model, PumpSpec(0.0, 10.0, 20),
-                                  TrajectoryConfig(20, 3), start_level=2)
+    photons = sample_cascade_from_loads(model, np.arange(20) * 10.0,
+                                        np.full(20, 2), substream(3, 0))
     with pytest.raises(ValueError):
         write_photon_csv(tmp_path / "photons.csv", photons)
     safe = photons[photons["transition"] == "1X"]

@@ -8,7 +8,7 @@ import pytest
 from sawsps.cli import main
 from sawsps.scenarios import (ConfigError, ScenarioConfig, list_scenarios,
                               run_scenario)
-from sawsps import emitter, rng, scenarios, transport
+from sawsps import rng, scenarios, transport
 
 
 def dir_digest(path, skip=()):
@@ -210,7 +210,7 @@ def streams_used(monkeypatch, tmp_path, name, seed):
         keys.append((master_seed, *key))
         return rng.substream(master_seed, *key)
 
-    for module in (scenarios, transport, emitter):
+    for module in (scenarios, transport):
         monkeypatch.setattr(module, "substream", recording)
     run_scenario(ScenarioConfig.preset(name, SMALL[name], master_seed=seed),
                  tmp_path / f"{name}-{seed}")
@@ -353,6 +353,11 @@ BAD_CONFIGS = [
      "fig7_remote.frame"),
     ({"scenario": "fig7_remote", "params": {"frame": {"col_bin_nm": 0.3}}},
      "fig7_remote.frame"),
+    # a pixel that does not divide the field leaves part of it off the image
+    ({"scenario": "fig5_ensemble", "params": {"image": {"pixel_um": 0.3}}},
+     "fig5_ensemble"),
+    ({"scenario": "fig5_ensemble", "params": {"image": {"pixel_um": 6.0}}},
+     "fig5_ensemble"),
 ]
 
 
