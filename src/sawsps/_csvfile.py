@@ -29,8 +29,9 @@ def write_csv(path, header, columns) -> None:
             or any(a.shape != (rows,) for a in arrays):
         raise ValueError("need one 1-d column per header entry, all of "
                          "equal length")
-    # str of an int, float or bool never holds an unsafe character
-    for cells in [header] + [a.tolist() for a in arrays
+    # str of an int, float or bool never holds an unsafe character; text is
+    # checked once per distinct value, in order of first appearance
+    for cells in [header] + [dict.fromkeys(a.tolist()) for a in arrays
                              if a.dtype.kind not in "biuf"]:
         cells = list(map(str, cells))
         if _UNSAFE.search("".join(cells)):

@@ -117,8 +117,15 @@ PHOTON_CSV_HEADER = ["time_ns", "transition", "emitter_id", "x_um", "y_um"]
 def write_photon_csv(path, records) -> None:
     """Write a photon stream, one row per photon; a transition label holding
     ',', '"', CR or LF raises `ValueError` (`_csvfile`)."""
-    write_csv(path, PHOTON_CSV_HEADER,
-              [records[name] for name in PHOTON_CSV_HEADER])
+    columns = [records[name] for name in PHOTON_CSV_HEADER]
+    for c in (3, 4):
+        # positions repeat per site: format each distinct bit pattern once
+        # (so -0.0 keeps its sign), as `write_csv` would format it
+        bits, row = np.unique(np.asarray(columns[c], np.float64).view(np.int64),
+                              return_inverse=True)
+        columns[c] = np.array([str(x) for x in bits.view(np.float64).tolist()],
+                              object)[row]
+    write_csv(path, PHOTON_CSV_HEADER, columns)
 
 
 def read_photon_csv(path) -> np.ndarray:

@@ -7,15 +7,19 @@ they pass.  Excitons form when both species have arrived and each loaded dot
 runs its cascade through the stochastic emitter.
 
 Pocket motion is ballistic and dispersionless, so geometry alone fixes which
-sites a pocket passes and when.  Each pass gets its capture uniform up front,
-in birth order, and only the passes whose uniform succeeds (hits) can change
-a pocket or a site; the device loop visits just those, in chronological
-order.  With the wave off (amplitude 0) nothing is conveyed: each pair stays
-at its generation point and is captured there or recombines.
+sites a pocket passes and when, and so the draw of the capture stream each
+pass reads (pocket by pocket in birth order).  Only the passes whose uniform
+succeeds (hits) can change a pocket or a site; the device loop visits just
+those, in chronological order.  The draws are read by offset, a window of a
+pocket's passes at a time, and a later window only once the pocket has
+visited its hits so far and still holds carriers.  With the wave off
+(amplitude 0) nothing is conveyed: each pair stays at its generation point
+and is captured there or recombines.
 """
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,10 +162,12 @@ CAPTURE_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("species", "i1"
                           ("pocket_birth_um", "f8")])
 LOAD_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("excitons", "i8")])
 
-# Candidate (pocket, site) passes per block of capture draws; blocks end at
-# pocket boundaries.  Consecutive draws from one generator equal one longer
-# draw, so the block size bounds memory and never shows in the outputs.
+# Capture draws are taken DRAW_WINDOW passes of a pocket at a time: before
+# the run in blocks of pockets that hold about DRAW_BLOCK passes, which
+# bounds memory.  Each pass reads its own draw of the stream by offset, so
+# neither size shows in the outputs.
 DRAW_BLOCK = 1 << 16
+DRAW_WINDOW = 256
 
 
 def pocket_lattice_position(x_um, t_ns, saw: SawWave, species: str):
@@ -285,43 +291,113 @@ class DeviceResult:
     log: DeviceLog
 
 
-def _hits(pockets, s0, sp, radius, p_eff, v, duration_ns, rng):
-    """The site rank of every pass whose capture draw succeeds (a hit),
-    grouped by pocket in birth order and ascending within a pocket, and the
-    number of hits of each pocket.
+def _stream_reader(rng):
+    """`read(j, n)`: draws j to j + n - 1 of the stream of `rng`, a numpy
+    Philox generator, wherever it stands.  Philox makes block b of four
+    words at counter b + 1, and a double takes one word."""
+    bits, state = rng.bit_generator, rng.bit_generator.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
 
-    A pocket passes the site of rank r unless it was born past the window
-    (s0 > sp + radius) or the crossing (`_crossing`) comes after the run.
-    Every pass draws one uniform, pocket by pocket in birth order.
+    def read(j, n):
+        state["state"]["counter"][:] = (j // 4, 0, 0, 0)
+        bits.state = state
+        return rng.random(j % 4 + n)[j % 4:]
+    return read
+
+
+def _pass_layout(s0, born, sp, radius, v, duration_ns):
+    """The number of passes of each pocket and `rank(pk, k)`, the site rank
+    of pass k of pocket pk, elementwise.
+
+    A pocket passes, in rank order, the sites behind its birth point whose
+    window still covers it (s0 <= sp + radius), then the sites from its
+    birth point on up to the first whose crossing comes after the run.
+    """
+    m = np.searchsorted(sp, s0)
+    # behind s0 only ranks past s0 - radius can cover it, each checked; the
+    # crossing there is the birth
+    slack = 1e-9 * (1.0 + np.abs(sp).max() + np.abs(s0).max())
+    size = m - np.searchsorted(sp, s0 - radius.max() - slack)
+    pk = np.repeat(np.arange(s0.size), size)
+    back = np.arange(pk.size) + np.repeat(m - np.cumsum(size), size)
+    ok = (s0[pk] <= sp[back] + radius[back]) & (born[pk] <= duration_ns)
+    n_back = np.bincount(pk[ok], minlength=s0.size)
+    # a pocket's band ends at stop in back; a pass past the band reads
+    # back[stop - 1] (a rank, or the trailing 0) and discards it
+    back, stop = np.append(back[ok], 0), np.cumsum(n_back)
+
+    def late(r):  # from rank m on, the crossing grows with rank
+        return (r == sp.size) | (_crossing(
+            born, s0, sp[np.minimum(r, sp.size - 1)], v) > duration_ns)
+    end = np.maximum(m, np.searchsorted(sp, s0 + v * (duration_ns - born),
+                                        side="right"))
+    while ((up := ~late(end)) | (down := (end > m) & late(end - 1))).any():
+        end += up.astype(np.int64) - down
+
+    def rank(pk, k):
+        k = k - n_back[pk]  # < 0 in the band behind s0
+        return np.where(k < 0, back[stop[pk] + np.minimum(k, -1)], m[pk] + k)
+    return n_back + end - m, rank
+
+
+def _hits(pockets, s0, sp, radius, p_eff, v, duration_ns, rng):
+    """The hits (passes whose capture draw succeeds) known before the run,
+    as site ranks grouped by pocket in birth order and ascending within a
+    pocket; the number of each pocket's known hits; whether each pocket has
+    passes left to draw; and `more(i)`, the ranks of pocket i's next hits
+    ([] once it has none), or None when no pocket has passes left.
+
+    Pass k of pocket i reads draw O_i + k of `rng`'s stream, where O_i
+    counts the passes of the pockets born before it.  A pocket's hits are
+    known up to its first window with a hit; `more` draws on from there to
+    the next window with one.
     """
     n = len(pockets)
-    per_pocket = np.zeros(n, np.int64)
     if n == 0 or sp.size == 0:
-        return np.zeros(0, np.int32), per_pocket
-    born = pockets["birth_time_ns"]
-    # a superset of each pocket's passes, by rank, checked exactly below
-    slack = 1e-9 * (1.0 + np.abs(sp).max() + np.abs(s0).max() + v * duration_ns)
-    lo = np.searchsorted(sp, s0 - radius.max() - slack)
-    hi = np.searchsorted(sp, s0 + v * (duration_ns - born) + slack, side="right")
-    size = np.maximum(hi - lo, 0)
-    ends = np.cumsum(size)
-    ranks = []
-    a = 0
-    while a < n:
-        start = int(ends[a] - size[a])
-        b = max(int(np.searchsorted(ends, start + DRAW_BLOCK, side="right")), a + 1)
-        sizes = size[a:b]
-        pk = np.repeat(np.arange(a, b), sizes)
-        rank = np.arange(start, ends[b - 1]) \
-            + np.repeat(lo[a:b] - (ends[a:b] - sizes), sizes)
-        ok = (s0[pk] <= sp[rank] + radius[rank]) \
-            & (_crossing(born[pk], s0[pk], sp[rank], v) <= duration_ns)
-        rank, pk = rank[ok], pk[ok]
-        hit = rng.random(rank.size) < p_eff[rank]
-        ranks.append(rank[hit].astype(np.int32))
-        per_pocket[a:b] = np.bincount(pk[hit] - a, minlength=b - a)
-        a = b
-    return np.concatenate(ranks), per_pocket
+        return np.zeros(0, np.int64), np.zeros(n, np.int64), [False] * n, None
+    passes, rank_at = _pass_layout(s0, pockets["birth_time_ns"], sp, radius,
+                                   v, duration_ns)
+    offset, drawn = np.cumsum(passes) - passes, np.zeros(n, np.int64)
+    read = _stream_reader(rng)
+
+    def window(pks):
+        """Draw the next window of each pocket of `pks`: (pocket, rank) of
+        its hits."""
+        take = np.minimum(passes[pks] - drawn[pks], DRAW_WINDOW)
+        at = offset[pks] + drawn[pks]  # where each window starts
+        pk = np.repeat(pks, take)
+        rank = rank_at(pk, np.arange(pk.size)
+                       + np.repeat(drawn[pks] - np.cumsum(take) + take, take))
+        # windows that follow on in the stream share one read
+        calls = np.flatnonzero(np.append(True, at[1:] != at[:-1] + take[:-1]))
+        u = np.concatenate([read(j, c) for j, c in zip(
+            at[calls].tolist(), np.add.reduceat(take, calls).tolist())])
+        drawn[pks] += take
+        hit = u < p_eff[rank]
+        return pk[hit], rank[hit]
+
+    ends = np.cumsum(np.minimum(passes, DRAW_WINDOW))
+    got, found = [], np.zeros(n, bool)
+    for pks in np.split(np.arange(n), np.flatnonzero(np.diff(ends // DRAW_BLOCK)) + 1):
+        while pks.size:  # windows until each pocket has a hit or no passes
+            got.append(window(pks))
+            found[got[-1][0]] = True
+            pks = pks[~found[pks] & (drawn[pks] < passes[pks])]
+    pk, rank = map(np.concatenate, zip(*got))
+    pending = (drawn < passes).tolist()
+
+    def more(i):  # `window` for one pocket, without its fixed costs
+        hits, k, last = [], int(drawn[i]), int(passes[i])
+        while not hits and k < last:
+            count = min(last - k, DRAW_WINDOW)
+            rank = rank_at(i, np.arange(k, k + count))
+            hits = rank[read(offset[i] + k, count) < p_eff[rank]].tolist()
+            k += count
+        drawn[i], pending[i] = k, k < last
+        return hits
+    # with nothing left to draw, the layout `more` holds is freed
+    return (rank[np.argsort(pk, kind="stable")], np.bincount(pk, minlength=n),
+            pending, more if any(pending) else None)
 
 
 def _crossing(born, s0, sp, v):
@@ -332,7 +408,9 @@ def _crossing(born, s0, sp, v):
 
 def _convey(pockets, sites, saw, duration_ns, rng):
     """Conveyed pockets through the sites (in encounter order): at each hit,
-    in order of (time, pocket, rank), capture then exciton formation.
+    in order of (time, pocket, rank), capture then exciton formation.  A
+    pocket that has visited its known hits and still holds carriers draws
+    its next ones (`_hits`).
 
     Returns the pocket counts left, the captures (CAPTURE_DTYPE) and the
     loads as (time, rank, excitons) columns.
@@ -343,20 +421,22 @@ def _convey(pockets, sites, saw, duration_ns, rng):
     p_eff = np.array([s.capture_prob * saw.amplitude for s in sites])
     s0 = d * pockets["position_um"]
     born = pockets["birth_time_ns"]
-    hit_rank, per_pocket = _hits(pockets, s0, sp, radius, p_eff, v,
-                                 duration_ns, rng)
+    hit_rank, per_pocket, pending, more = _hits(pockets, s0, sp, radius, p_eff,
+                                                v, duration_ns, rng)
     ends = np.cumsum(per_pocket)
     live = np.flatnonzero(per_pocket)
     first = ends[live] - per_pocket[live]
     t0 = _crossing(born[live], s0[live], sp[hit_rank[first]], v)
     order = np.lexsort((live, t0))
     # each live pocket's first hit, in order, then a sentinel; the heap holds
-    # the later hits of pockets in flight, so it stays small
+    # the next hit of each pocket in flight, so it stays small and the hit
+    # index, which grows with rank, never decides
     firsts = list(zip(t0[order].tolist(), live[order].tolist(),
                       first[order].tolist()))
     firsts.append((math.inf, -1, -1))
     heap = [firsts[-1]]
-    rank_of, end = memoryview(hit_rank), ends.tolist()
+    rank_of, end = array("q", hit_rank.tobytes()), ends.tolist()
+    owner = []  # the pocket of each hit that `more` adds
     born_l, s0_l, sp_l = born.tolist(), s0.tolist(), sp.tolist()
     counts = pockets["count"].tolist()
     codes = pockets["species"].tolist()
@@ -389,6 +469,11 @@ def _convey(pockets, sites, saw, duration_ns, rng):
                 loads.append(h)
                 excitons.append(formed)
         h += 1
+        if counts[i] and h == end[i] and pending[i]:
+            h, new = len(rank_of), more(i)  # the pocket's next hits
+            rank_of.extend(new)
+            owner += [i] * len(new)
+            end[i] = len(rank_of)
         if counts[i] and h < end[i]:
             wait = sp_l[rank_of[h]] - s0_l[i]  # _crossing, on floats
             nxt = (born_l[i] + (wait if wait > 0.0 else 0.0) / v, i, h)
@@ -399,9 +484,13 @@ def _convey(pockets, sites, saw, duration_ns, rng):
         elif from_heap:
             pop(heap)
 
+    owner = np.append(np.repeat(np.arange(len(pockets)), per_pocket),
+                      np.array(owner, np.int64))
+    rank_of = np.frombuffer(rank_of, np.int64)
+
     def locate(hits):
         hits = np.array(hits, np.int64)
-        pk, rank = np.searchsorted(ends, hits, side="right"), hit_rank[hits]
+        pk, rank = owner[hits], rank_of[hits]
         return pk, rank, _crossing(born[pk], s0[pk], sp[rank], v)
 
     pk, rank, t = locate(captures)

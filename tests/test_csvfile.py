@@ -9,7 +9,7 @@ import pytest
 from sawsps._csvfile import write_csv
 from sawsps.cascade import CascadeModel, Transient
 from sawsps.detector import write_axes_csv, write_transient_csv
-from sawsps.emitter import (PHOTON_DTYPE, read_photon_csv,
+from sawsps.emitter import (PHOTON_CSV_HEADER, PHOTON_DTYPE, read_photon_csv,
                             sample_cascade_from_loads, write_photon_csv)
 from sawsps.rng import substream
 
@@ -63,6 +63,24 @@ def test_photon_rows(tmp_path):
     assert_same_bytes(tmp_path, lambda p: write_photon_csv(p, photons),
                       ["time_ns", "transition", "emitter_id", "x_um", "y_um"],
                       photons.tolist())
+
+
+
+def test_photon_positions_match_plain_path(tmp_path):
+    # positions are formatted once per distinct value: -0.0 and 0.0 differ
+    xs = [-0.0, 0.0, 7.0, -0.0, 0.0, 7.0, 5e-324, float("nan"), 7.0]
+    photons = np.zeros(len(xs), PHOTON_DTYPE)
+    photons["time_ns"] = np.arange(len(xs)) * 0.1
+    photons["transition"] = "1X"
+    photons["x_um"] = xs
+    photons["y_um"] = xs[::-1]
+    write_photon_csv(tmp_path / "photons.csv", photons)
+    write_csv(tmp_path / "plain.csv", PHOTON_CSV_HEADER,
+              [photons[name] for name in PHOTON_CSV_HEADER])
+    assert (tmp_path / "photons.csv").read_bytes() \
+        == (tmp_path / "plain.csv").read_bytes()
+    rows = (tmp_path / "photons.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == list(map(str, xs))
 
 
 def test_table_rows(tmp_path):

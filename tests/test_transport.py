@@ -10,6 +10,7 @@ from sawsps import transport
 from sawsps.cascade import CascadeModel, PumpSpec
 from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
+from sawsps.scenarios import ScenarioConfig, run_scenario
 from sawsps.transport import (ELECTRON, HOLE, SPECIES, CarrierPocket,
                               ChannelLayout, LaserSpot, QdSite, SawWave,
                               arrival_delay, capture_pass, draw_pairs,
@@ -332,6 +333,24 @@ class KeyedUniform:
         return self.uniforms[self.key]
 
 
+def reference_passes(pockets, sites, saw, duration):
+    """Every (pocket, rank) pass the geometry allows, pocket by pocket in
+    birth order and by rank within a pocket: the order of the capture draws.
+    `sites` are in encounter order."""
+    d, v = saw.direction, saw.velocity_um_per_ns
+    s_pos = [d * s.position_um for s in sites]
+    passes = []
+    for i, pk in enumerate(pockets):
+        s0 = d * pk.position_um
+        for r, sp in enumerate(s_pos):
+            if s0 > sp + sites[r].capture_radius_um:
+                continue
+            if pk.birth_time_ns + max(sp - s0, 0.0) / v > duration:
+                break
+            passes.append((i, r))
+    return passes
+
+
 def reference_device(layout, saw, pump, duration, seed, variant=0):
     """The device run crossing by crossing: one heap event and one
     `capture_pass` per pocket-site pass, pulses interleaved in time.  Ties
@@ -381,15 +400,7 @@ def reference_device(layout, saw, pump, duration, seed, variant=0):
         pockets = [CarrierPocket(SPECIES[p["species"]], int(p["count"]),
                                  float(p["position_um"]), float(p["birth_time_ns"]))
                    for p in launch_pockets(pair_t, pair_x, saw)]
-        passes = []  # (pocket, rank) in draw order
-        for i, pk in enumerate(pockets):
-            s0 = d * pk.position_um
-            for r, sp in enumerate(s_pos):
-                if s0 > sp + sites[r].capture_radius_um:
-                    continue
-                if pk.birth_time_ns + max(sp - s0, 0.0) / v > duration:
-                    break
-                passes.append((i, r))
+        passes = reference_passes(pockets, sites, saw, duration)
         rng = KeyedUniform(dict(zip(passes, draws.random(len(passes)).tolist())))
         heap = []
 
@@ -518,8 +529,115 @@ def test_kernel_matches_event_loop_oracle():
 def test_draw_block_never_shows(monkeypatch):
     runs = [random_device(seed) for seed in range(8)]
     default = [device_outputs(run_device(*run, 5)) for run in runs]
-    monkeypatch.setattr(transport, "DRAW_BLOCK", 7)
-    for run, expected in zip(runs, default):
-        got = device_outputs(run_device(*run, 5))
-        assert got[:3] == expected[:3]
-        assert_same_photons(got[3], expected[3])
+    for name, size in (("DRAW_BLOCK", 7), ("DRAW_WINDOW", 1),
+                       ("DRAW_WINDOW", 7)):
+        with monkeypatch.context() as patch:
+            patch.setattr(transport, name, size)
+            for run, expected in zip(runs, default):
+                got = device_outputs(run_device(*run, 5))
+                assert got[:3] == expected[:3], (name, size)
+                assert_same_photons(got[3], expected[3])
+
+
+def test_stream_reader_reads_any_offset():
+    # reads by offset rely on a fresh Philox stream starting at counter 0
+    # with an empty buffer; a numpy that changes this fails here
+    state = substream(12345, 3, 0).bit_generator.state
+    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+    assert state["buffer_pos"] == 4
+    for variant in range(3):
+        stream = substream(12345, 3, variant).random(4200)
+        read = transport._stream_reader(substream(12345, 3, variant))
+        # every residue mod 4, reads that start, end on and cross Philox
+        # blocks of four draws, empty reads, in no particular order
+        for j in [4093, 4099] + list(range(40, -1, -1)):
+            for n in (0, 1, 3, 4, 5, 17):
+                assert np.array_equal(read(j, n), stream[j:j + n]), (j, n)
+
+
+def layouts(pockets, sites, saw, duration):
+    """Each pocket's pass ranks from `_pass_layout` and from the oracle's
+    enumeration; `sites` are in encounter order."""
+    d = saw.direction
+    s0 = np.array([d * p.position_um for p in pockets])
+    passes, rank = transport._pass_layout(
+        s0, np.array([p.birth_time_ns for p in pockets]),
+        np.array([d * s.position_um for s in sites]),
+        np.array([s.capture_radius_um for s in sites]),
+        saw.velocity_um_per_ns, duration)
+    expected = [[] for _ in pockets]
+    for i, r in reference_passes(pockets, sites, saw, duration):
+        expected[i].append(r)
+    return [rank(i, np.arange(n)).tolist() for i, n in enumerate(passes)], expected
+
+
+def test_pass_layout_matches_oracle_enumeration():
+    seen = {"behind": 0, "cut_short": 0}
+    for seed in range(100):
+        layout, saw, pump, duration = random_device(seed)
+        d = saw.direction
+        sites = sorted(layout.sites, key=lambda s: d * s.position_um)
+        pulse_times = pump.pulse_times()
+        pockets = [CarrierPocket(SPECIES[p["species"]], int(p["count"]),
+                                 float(p["position_um"]), float(p["birth_time_ns"]))
+                   for p in launch_pockets(*draw_pairs(
+                       layout.spot, saw, pulse_times[pulse_times <= duration],
+                       substream(seed, 0, 0)), saw)]
+        got, expected = layouts(pockets, sites, saw, duration)
+        assert got == expected, seed
+        sp = [d * s.position_um for s in sites]
+        for pk, ranks in zip(pockets, expected):
+            s0 = d * pk.position_um
+            seen["behind"] += any(sp[r] < s0 for r in ranks)
+            seen["cut_short"] += not {r for r in range(len(sp))
+                                      if sp[r] >= s0} <= set(ranks)
+    # pockets born inside the window past a site, and pockets the run ends
+    # before their last site
+    assert seen["behind"] >= 10 and seen["cut_short"] >= 10
+
+
+def test_pass_layout_at_crossing_boundaries():
+    # runs that end at a crossing or one float either side of it, where a
+    # guess of the last site reached from positions can be a rank off
+    g = np.random.default_rng(5)
+    for trial in range(300):
+        saw = SawWave(float(g.uniform(50.0, 400.0)), float(g.uniform(1.5, 8.0)))
+        sites = [QdSite(r, float(x), float(g.uniform(0.05, 3.0)), 0.5, MODEL)
+                 for r, x in enumerate(np.sort(g.uniform(-10.0, 10.0, 10)))]
+        pockets = [CarrierPocket(ELECTRON, 1, float(x), float(t)) for x, t in
+                   zip(g.uniform(-10.0, 10.0, 40), g.uniform(0.0, 5.0, 40).round(1))]
+        pk, site = pockets[trial % 40], sites[trial % 10]
+        crossing = float(transport._crossing(pk.birth_time_ns, pk.position_um,
+                                             site.position_um,
+                                             saw.velocity_um_per_ns))
+        duration = float(np.nextafter(crossing, (-np.inf, crossing, np.inf)[trial % 3]))
+        got, expected = layouts(pockets, sites, saw, duration)
+        assert got == expected, trial
+
+
+def test_capture_draws_stay_lazy(monkeypatch, tmp_path):
+    """fig5 at its defaults draws a small share of its pockets' passes: a
+    pocket that runs dry draws no further window."""
+    count = {"passes": 0, "draws": 0}
+    layout, reader = transport._pass_layout, transport._stream_reader
+
+    def counting_layout(*args):
+        passes, rank = layout(*args)
+        count["passes"] += int(passes.sum())
+        return passes, rank
+
+    def counting_reader(rng):
+        read = reader(rng)
+
+        def counting_read(j, n):
+            count["draws"] += n
+            return read(j, n)
+        return counting_read
+
+    monkeypatch.setattr(transport, "_pass_layout", counting_layout)
+    monkeypatch.setattr(transport, "_stream_reader", counting_reader)
+    config = ScenarioConfig.from_dict({"scenario": "fig5_ensemble",
+                                       "params": {"num_pulses": 200}})
+    run_scenario(config, tmp_path / "out")
+    assert count["passes"] > 10 ** 6
+    assert count["draws"] <= 0.25 * count["passes"]
