@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ._csvfile import write_csv
-from .cascade import CascadeModel, Transient
+from .cascade import Transient
 
 
 # One emitted photon per entry: when, which transition, from which emitter,
@@ -30,44 +30,65 @@ def sample_start_levels(g: float, num: int, num_levels: int,
     return np.minimum(rng.poisson(g, size=num), num_levels)
 
 
-def sample_cascade_from_loads(model: CascadeModel, load_times, load_counts,
-                              rng: np.random.Generator,
-                              emitter_id: int = 0,
-                              position_um: tuple[float, float] = (0.0, 0.0),
-                              ) -> np.ndarray:
-    """Event-driven cascade for loading events at arbitrary times.
+def sample_cascade_from_loads(models, load_times, load_counts, rngs,
+                              load_site=None, emitter_ids=None,
+                              positions_um=None) -> np.ndarray:
+    """Event-driven cascade for loads at arbitrary times on many sites.
 
-    Load i brings `load_counts[i]` excitons at `load_times[i]`; the times are
-    finite and non-decreasing and the counts >= 0, else `ValueError` before
-    any draw.  Between loads the dot steps down the chain with exponential
-    waits; a load arriving before the next emission re-raises the level
-    (capped at the top), and the emission clock restarts, which is exact
-    because exponential waits are memoryless.
+    Site s has model `models[s]`, draws from the s-th stream of `rngs`, and
+    stamps its photons with `emitter_ids[s]` and `positions_um[s]` (default
+    0 and (0, 0)).  Load i brings `load_counts[i]` excitons at
+    `load_times[i]` to site `load_site[i]` (default 0).  Each site's loads
+    are contiguous and in time order, sites ascending, times finite and
+    counts integers >= 0, else `ValueError` before any site draws.  Between
+    loads a dot steps down its chain with exponential waits; a load arriving
+    before the next emission re-raises the level (capped at the top), and
+    the emission clock restarts, which is exact because waits are memoryless.
 
-    The waits are one block of standard exponentials, taken in order, each
-    scaled by the lifetime of the level it leaves.  Every draw either emits a
-    photon or is cut short by the next load, so sum(min(count, levels)) plus
-    one per load always suffices; the rest of the block goes unused.
+    A site's waits are one block of standard exponentials from its stream,
+    taken in order, each scaled by the lifetime of the level it leaves.
+    Every draw either emits a photon or is cut short by the next load, so
+    sum(min(count, levels)) plus one per load always suffices.  Photons come
+    site by site, each site's in time order.
     """
+    nsites = len(models)
     times = np.asarray(load_times, dtype=float)
     counts = np.asarray(load_counts)
-    if times.ndim != 1 or times.shape != counts.shape:
-        raise ValueError("need one exciton count per load time")
-    nlev = model.num_levels
-    load_t, load_n = times.tolist(), np.minimum(counts, nlev).tolist()
-    # sorted with finite ends means all finite; NaN fails every comparison
-    if load_t and not (math.isfinite(load_t[0]) and math.isfinite(load_t[-1])
-                       and (times[1:] >= times[:-1]).all()):
-        raise ValueError("load times must be finite and non-decreasing")
-    if min(load_n, default=0) < 0:
-        raise ValueError("load count must be >= 0")
-    waits = rng.standard_exponential(sum(load_n) + len(load_t)).tolist()
+    site = np.zeros(times.shape, np.int64) if load_site is None \
+        else np.asarray(load_site)
+    if times.ndim != 1 or not times.shape == counts.shape == site.shape:
+        raise ValueError("need one exciton count and one site per load time")
+    stamp = np.zeros(nsites, PHOTON_DTYPE)  # each site's id and position
+    stamp["emitter_id"] = 0 if emitter_ids is None else emitter_ids
+    if positions_um is not None:
+        stamp["x_um"], stamp["y_um"] = np.reshape(positions_um, (nsites, 2)).T
+    if not times.size:
+        return stamp[:0]
+    if not (counts.dtype.kind in "iu" and site.dtype.kind in "iu"
+            and counts.min() >= 0 and 0 <= site[0] and site[-1] < nsites
+            and np.isfinite(times).all()
+            and ((site[1:] > site[:-1]) | (site[1:] == site[:-1])
+                 & (times[1:] >= times[:-1])).all()):
+        raise ValueError("each site's loads must be contiguous and in time "
+                         "order, sites ascending, times finite and counts "
+                         "integers >= 0")
     # indexed by the level a photon leaves
-    lifetimes, labels = (0.0, *model.lifetimes_ns), (None, *model.labels)
-    emitted, emitted_labels = [], []
+    chains = [((0.0, *m.lifetimes_ns), (None, *m.labels), m.num_levels)
+              for m in models]
+    counts = np.minimum(counts, np.array([c[2] for c in chains])[site])
+    need = np.bincount(site, counts + 1, nsites).astype(np.int64).tolist()
+    blocks = [rng.standard_exponential(n).tolist()
+              for rng, n in zip(rngs, need, strict=True)]
+    # a load of -1 at infinity opens each site and closes the last: it
+    # empties the chain, then the next site's model and waits take over
+    rows = np.arange(1, times.size + 1) + site
+    load_t = np.full(times.size + nsites + 1, math.inf)
+    load_n = np.full(load_t.size, -1)
+    load_t[rows], load_n[rows] = times, counts
+    emitted, emitted_labels, ends = [], [], []
     emit, label = emitted.append, emitted_labels.append
-    level, t_now, k = 0, 0.0, 0
-    for t_load, count in zip(load_t + [math.inf], load_n + [0]):
+    level, t_now, s = 0, 0.0, -1
+    for t_load, count in zip(load_t.tolist(), load_n.tolist()):
         while level:
             # exponential(scale) is scale * standard_exponential, in order
             t_emit = t_now + lifetimes[level] * waits[k]
@@ -78,29 +99,32 @@ def sample_cascade_from_loads(model: CascadeModel, load_times, load_counts,
             label(labels[level])
             level -= 1
             t_now = t_emit
+        if count < 0:
+            ends.append(len(emitted))
+            s += 1
+            if s < nsites:
+                (lifetimes, labels, nlev), waits, k = chains[s], blocks[s], 0
+            continue
         level += count
         if level > nlev:
             level = nlev
         t_now = t_load
-    photons = np.zeros(len(emitted), PHOTON_DTYPE)
+    photons = np.repeat(stamp, np.diff(ends))
     photons["time_ns"] = emitted
     photons["transition"] = emitted_labels
-    photons["emitter_id"] = emitter_id
-    photons["x_um"], photons["y_um"] = position_um
     return photons
 
 
-def ensemble_histogram(streams, transition: str, bin_ns: float,
+def ensemble_histogram(photons, transition: str, bin_ns: float,
                        period_ns: float):
-    """Photon counts of one transition, times folded modulo the pulse period,
-    as a `Transient` of (bin_centers_ns, counts)."""
+    """Photon counts of one transition in a photon array, times folded
+    modulo the pulse period, as a `Transient` of (bin_centers_ns, counts)."""
     if bin_ns <= 0:
         raise ValueError("bin width must be > 0")
     if period_ns <= 0:
         raise ValueError("period must be > 0")
     nbins = max(int(round(period_ns / bin_ns)), 1)
     edges = np.linspace(0.0, period_ns, nbins + 1)
-    photons = np.concatenate([np.zeros(0, PHOTON_DTYPE), *streams])
     times = photons["time_ns"][photons["transition"] == transition]
     counts, _ = np.histogram(np.mod(times, period_ns), bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])

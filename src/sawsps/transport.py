@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import CascadeModel, PumpSpec
-from .emitter import PHOTON_DTYPE, sample_cascade_from_loads
-from .rng import substream
+from .emitter import sample_cascade_from_loads
+from .rng import substream, substreams
 
 ELECTRON = "electron"
 HOLE = "hole"
@@ -604,14 +604,13 @@ def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
     log.loads = loads
 
     by_rank = np.argsort(load_rank, kind="stable")
-    ranks, starts = np.unique(load_rank[by_rank], return_index=True)
-    photons = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
-        sample_cascade_from_loads(
-            sites[r].model, load_time[rows], load_n[rows],
-            substream(master_seed, 1, variant, r),
-            emitter_id=sites[r].site_id,
-            position_um=(sites[r].position_um, sites[r].y_um))
-        for r, rows in zip(ranks.tolist(), np.split(by_rank, starts[1:]))])
+    ranks, load_site = np.unique(load_rank[by_rank], return_inverse=True)
+    loaded = [sites[r] for r in ranks.tolist()]
+    photons = sample_cascade_from_loads(
+        [s.model for s in loaded], load_time[by_rank], load_n[by_rank],
+        substreams(master_seed, 1, variant, ranks), load_site,
+        emitter_ids=site_ids[ranks],
+        positions_um=[(s.position_um, s.y_um) for s in loaded])
     photons = photons[np.argsort(photons["time_ns"], kind="stable")]
     return DeviceResult(photons=photons, log=log)
 

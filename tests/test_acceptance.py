@@ -17,7 +17,7 @@ from sawsps.cascade import (CascadeModel, PumpSpec, Transient,
 from sawsps.detector import Irf, convolve_irf
 from sawsps.emitter import (ensemble_histogram, sample_cascade_from_loads,
                             sample_start_levels)
-from sawsps.rng import substream
+from sawsps.rng import substream, substreams
 from sawsps.scenarios import ScenarioConfig, run_scenario
 from sawsps.transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
                               arrival_delay, per_cycle_emission_times,
@@ -60,18 +60,18 @@ def test_criterion_2_mc_ode_convergence():
     """1e5 stochastic trajectories from level 3 sit inside 3-sigma Poisson
     bands of the analytic emission traces for all three transitions.  Each
     trajectory is one load of three excitons at t = 0, from its own
-    substream (777, i)."""
+    substream (777, i), all drawn in one sampler call."""
     t_start = time.perf_counter()
     num = 100000
     period = 50.0
     bin_ns = 0.2
-    streams = [sample_cascade_from_loads(THREE_LEVEL, [0.0], [3],
-                                         substream(777, i))
-               for i in range(num)]
+    photons = sample_cascade_from_loads(
+        [THREE_LEVEL] * num, np.zeros(num), np.full(num, 3),
+        substreams(777, np.arange(num)), np.arange(num))
     sol = solve_cascade_analytic(THREE_LEVEL, 3)
     worst_z = 0.0
     for level, label in enumerate(THREE_LEVEL.labels, start=1):
-        hist = ensemble_histogram(streams, label, bin_ns, period)
+        hist = ensemble_histogram(photons, label, bin_ns, period)
         # integrate the analytic rate over each bin
         expected = np.array([
             np.trapezoid(sol.emission_rate(level,
@@ -118,8 +118,8 @@ def test_criterion_4_delay_identity():
     num = 100000
     period = 100.0
     levels = sample_start_levels(50.0, num, 3, rng)
-    photons = sample_cascade_from_loads(THREE_LEVEL, np.arange(num) * period,
-                                        levels, rng)
+    photons = sample_cascade_from_loads([THREE_LEVEL], np.arange(num) * period,
+                                        levels, [rng])
     # each window [k T, (k + 1) T) holds exactly the photons of pulse k
     pulse = (photons["time_ns"] // period).astype(int)
     assert np.array_equal(np.bincount(pulse, minlength=num), levels)

@@ -129,8 +129,8 @@ def test_unsafe_cells_rejected(tmp_path, label):
 def test_unsafe_model_label_rejected(tmp_path):
     # CascadeModel takes any label; the photon writer must not split rows
     model = CascadeModel((1.5, 0.9), ("1X", "X,X"))
-    photons = sample_cascade_from_loads(model, np.arange(20) * 10.0,
-                                        np.full(20, 2), substream(3, 0))
+    photons = sample_cascade_from_loads([model], np.arange(20) * 10.0,
+                                        np.full(20, 2), [substream(3, 0)])
     with pytest.raises(ValueError):
         write_photon_csv(tmp_path / "photons.csv", photons)
     safe = photons[photons["transition"] == "1X"]

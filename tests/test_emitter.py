@@ -7,7 +7,7 @@ from sawsps.cascade import CascadeModel, poisson_tail
 from sawsps.emitter import (PHOTON_DTYPE, ensemble_histogram,
                             read_photon_csv, sample_cascade_from_loads,
                             sample_start_levels, write_photon_csv)
-from sawsps.rng import substream
+from sawsps.rng import substream, substreams
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
 
@@ -47,8 +47,8 @@ class TestPulseLoading:
 
 def pulse_train(level, num, period_ns, rng):
     """`level` excitons loaded every `period_ns`, `num` times, on one dot."""
-    return sample_cascade_from_loads(MODEL, np.arange(num) * period_ns,
-                                     np.full(num, level), rng)
+    return sample_cascade_from_loads([MODEL], np.arange(num) * period_ns,
+                                     np.full(num, level), [rng])
 
 
 class TestTrajectory:
@@ -99,11 +99,35 @@ def reference_cascade(model, loads, rng, emitter_id=0, position_um=(0.0, 0.0)):
     return np.array(records, dtype=PHOTON_DTYPE)
 
 
-def sample(model, loads, rng, **kw):
-    """`sample_cascade_from_loads` on a list of (time_ns, count) pairs."""
+def sample(model, loads, rng, emitter_id=0, position_um=(0.0, 0.0)):
+    """`sample_cascade_from_loads` on one site's list of (time_ns, count)
+    pairs."""
     times = [t for t, _ in loads]
     counts = [n for _, n in loads]
-    return sample_cascade_from_loads(model, times, counts, rng, **kw)
+    return sample_cascade_from_loads([model], times, counts, [rng],
+                                     emitter_ids=[emitter_id],
+                                     positions_um=[position_um])
+
+
+def sample_sites(models, schedules, rngs, **kw):
+    """`sample_cascade_from_loads` on one list of (time_ns, count) pairs per
+    site, in one call."""
+    site = [s for s, loads in enumerate(schedules) for _ in loads]
+    times = [t for loads in schedules for t, _ in loads]
+    counts = [n for loads in schedules for _, n in loads]
+    return sample_cascade_from_loads(models, times, counts, rngs,
+                                     np.array(site, np.int64), **kw)
+
+
+class CountingStream:
+    """A stream stub that counts its draw calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def standard_exponential(self, n):
+        self.calls += 1
+        return np.ones(n)
 
 
 def random_schedule(g):
@@ -123,6 +147,7 @@ class TestEventDrivenLoads:
         models = (CascadeModel((0.7,)), MODEL)
         seen = {"levels": set(), "empty": 0, "zero": 0, "above_top": 0,
                 "equal_times": 0, "reload": 0, "long_gap": 0}
+        sites = []  # (model, loads, kw) of each seed
         for seed in range(250):
             g = np.random.default_rng(seed)
             model = models[int(g.integers(2))]
@@ -133,6 +158,7 @@ class TestEventDrivenLoads:
             assert got.dtype == PHOTON_DTYPE and got.size == expected.size, seed
             for name in PHOTON_DTYPE.names:
                 assert np.array_equal(got[name], expected[name]), (seed, name)
+            sites.append((model, loads, kw))
             seen["levels"].add(model.num_levels)
             seen["empty"] += not loads
             times = [t for t, _ in loads]
@@ -152,30 +178,45 @@ class TestEventDrivenLoads:
         assert seen["empty"] >= 5
         for case in ("zero", "above_top", "equal_times", "reload", "long_gap"):
             assert seen[case] >= 20, case
+        # all schedules in one call: site i draws from substreams(1, i),
+        # and its photons are the oracle's on substream(1, i)
+        models, schedules, kws = zip(*sites)
+        got = sample_sites(models, schedules, substreams(1, np.arange(250)),
+                           emitter_ids=[kw["emitter_id"] for kw in kws],
+                           positions_um=[kw["position_um"] for kw in kws])
+        expected = np.concatenate([
+            reference_cascade(model, loads, substream(1, i), **kw)
+            for i, (model, loads, kw) in enumerate(sites)])
+        assert got.dtype == PHOTON_DTYPE and got.size == expected.size
+        for name in PHOTON_DTYPE.names:
+            assert np.array_equal(got[name], expected[name]), name
 
     def test_single_load_equals_pulse_start(self):
-        # the event-driven sampler at one load reproduces the cascade means
-        ones = []
-        for i in range(20000):
-            recs = sample_cascade_from_loads(MODEL, [5.0], [3], substream(5, i))
-            ones.extend(recs["time_ns"][recs["transition"] == "1X"] - 5.0)
-        ones = np.array(ones)
+        # the event-driven sampler at one load reproduces the cascade means;
+        # dot i draws from substream(5, i)
+        num = 20000
+        recs = sample_cascade_from_loads(
+            [MODEL] * num, np.full(num, 5.0), np.full(num, 3),
+            substreams(5, np.arange(num)), np.arange(num))
+        ones = recs["time_ns"][recs["transition"] == "1X"] - 5.0
         se = ones.std() / np.sqrt(ones.size)
         assert abs(ones.mean() - 3.8) < 3.0 * se
 
     def test_level_caps_at_top(self):
-        recs = sample_cascade_from_loads(MODEL, [0.0], [10], substream(6, 0))
+        recs = sample_cascade_from_loads([MODEL], [0.0], [10], [substream(6, 0)])
         assert len(recs) == 3  # folded to the top level
 
     def test_reload_during_cascade_keeps_emitting(self):
-        recs = sample_cascade_from_loads(MODEL, [0.0, 0.05, 0.1], [1, 1, 1],
-                                         substream(7, 0))
+        recs = sample_cascade_from_loads([MODEL], [0.0, 0.05, 0.1], [1, 1, 1],
+                                         [substream(7, 0)])
         times = recs["time_ns"].tolist()
         assert times == sorted(times)
         assert all(t >= 0.0 for t in times)
 
     def test_empty_loads(self):
-        recs = sample_cascade_from_loads(MODEL, [], [], substream(8, 0))
+        recs = sample_cascade_from_loads([MODEL], [], [], [substream(8, 0)])
+        assert recs.dtype == PHOTON_DTYPE and len(recs) == 0
+        recs = sample_cascade_from_loads([], [], [], substreams(8, np.arange(0)))
         assert recs.dtype == PHOTON_DTYPE and len(recs) == 0
 
     @pytest.mark.parametrize("loads", [
@@ -183,31 +224,52 @@ class TestEventDrivenLoads:
         [(0.0, 2), (np.inf, 1)],
         [(np.nan, 2)],
         [(0.0, 1), (1.0, -1)],
-    ], ids=["time_below_previous", "infinite_time", "nan_time", "negative_count"])
+        [(0.0, 2.0)],
+        [(0.0, 1), (1.0, 1.5)],
+    ], ids=["time_below_previous", "infinite_time", "nan_time", "negative_count",
+            "float_count", "fractional_count"])
     def test_malformed_schedule_raises_before_any_draw(self, loads):
         rng = substream(9, 0)
         with pytest.raises(ValueError):
             sample(MODEL, loads, rng)
         assert rng.random() == substream(9, 0).random()
+        # malformed at the last site: no site draws, not even the good ones
+        good = [(5.0, 2), (6.0, 1)]
+        stubs = [CountingStream() for _ in range(3)]
+        with pytest.raises(ValueError):
+            sample_sites([MODEL] * 3, [good, good, loads], stubs)
+        assert [stub.calls for stub in stubs] == [0, 0, 0]
+
+    @pytest.mark.parametrize("site", [[1, 0], [0, 2], [-1, 0], [0.0, 1.0]],
+                             ids=["decreasing", "past_last", "negative", "float"])
+    def test_sites_contiguous_and_in_range(self, site):
+        stubs = [CountingStream(), CountingStream()]
+        with pytest.raises(ValueError):
+            sample_cascade_from_loads([MODEL] * 2, [0.0, 1.0], [1, 1], stubs,
+                                      site)
+        assert [stub.calls for stub in stubs] == [0, 0]
+
+    def test_one_stream_per_site(self):
+        with pytest.raises(ValueError):
+            sample_sites([MODEL] * 2, [[(0.0, 1)], [(0.0, 1)]],
+                         [substream(9, 0)])
 
     def test_one_count_per_time(self):
         with pytest.raises(ValueError):
-            sample_cascade_from_loads(MODEL, [0.0, 1.0], [1], substream(9, 0))
+            sample_cascade_from_loads([MODEL], [0.0, 1.0], [1], [substream(9, 0)])
 
 
 class TestEnsembleHistogram:
     def test_single_photon_lands_in_first_bin(self):
-        stream = [one_x_stream(0.5)]
-        h = ensemble_histogram(stream, "1X", 1.0, 10.0)
+        h = ensemble_histogram(one_x_stream(0.5), "1X", 1.0, 10.0)
         assert h.intensity[0] == 1.0 and h.intensity.sum() == 1.0
 
     def test_folding_modulo_period(self):
-        stream = [one_x_stream(0.5, 10.5)]
-        h = ensemble_histogram(stream, "1X", 1.0, 10.0)
+        h = ensemble_histogram(one_x_stream(0.5, 10.5), "1X", 1.0, 10.0)
         assert h.intensity[0] == 2.0
 
     def test_empty_input_zero_trace(self):
-        h = ensemble_histogram([], "1X", 1.0, 10.0)
+        h = ensemble_histogram(one_x_stream(), "1X", 1.0, 10.0)
         assert np.all(h.intensity == 0.0)
 
 
@@ -215,8 +277,8 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         rng = substream(9, 0)
         recs = sample_cascade_from_loads(
-            MODEL, np.arange(50) * 5.0, sample_start_levels(2.0, 50, 3, rng),
-            rng, emitter_id=3, position_um=(1.25, -0.1))
+            [MODEL], np.arange(50) * 5.0, sample_start_levels(2.0, 50, 3, rng),
+            [rng], emitter_ids=[3], positions_um=[(1.25, -0.1)])
         assert len(recs), "need a non-empty stream for the round trip"
         path = tmp_path / "photons.csv"
         write_photon_csv(path, recs)

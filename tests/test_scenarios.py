@@ -203,15 +203,24 @@ SMALL = {
 
 
 def streams_used(monkeypatch, tmp_path, name, seed):
-    """(master_seed, *key) of every substream one run of a preset opens."""
+    """(master_seed, *key) of every substream one run of a preset opens, on
+    its own or in a batch."""
     keys = []
 
     def recording(master_seed, *key):
         keys.append((master_seed, *key))
         return rng.substream(master_seed, *key)
 
+    def recording_batch(master_seed, *key):
+        each = zip(*(np.ravel(k).tolist() for k in np.broadcast_arrays(*key)))
+        for one, stream in zip(each, rng.substreams(master_seed, *key),
+                               strict=True):
+            keys.append((master_seed, *one))
+            yield stream
+
     for module in (scenarios, transport):
         monkeypatch.setattr(module, "substream", recording)
+    monkeypatch.setattr(transport, "substreams", recording_batch)
     run_scenario(ScenarioConfig.preset(name, SMALL[name], master_seed=seed),
                  tmp_path / f"{name}-{seed}")
     return keys
@@ -223,6 +232,24 @@ class TestStreamKeys:
         for name in SMALL:
             keys = streams_used(monkeypatch, tmp_path, name, 7)
             assert len(keys) == len(set(keys)), name
+
+    def test_fig5_opens_one_stream_per_loaded_site(self, monkeypatch,
+                                                   tmp_path):
+        loaded = set()  # encounter ranks of the sites that got a load
+
+        def recording_run(layout, saw, *args):
+            result = transport.run_device(layout, saw, *args)
+            order = sorted(layout.sites,
+                           key=lambda s: saw.direction * s.position_um)
+            rank = {s.site_id: r for r, s in enumerate(order)}
+            loaded.update(rank[i] for i in result.log.loads["site_id"].tolist())
+            return result
+
+        monkeypatch.setattr(scenarios, "run_device", recording_run)
+        keys = streams_used(monkeypatch, tmp_path, "fig5_ensemble", 7)
+        site_keys = [key[1:] for key in keys if key[1] == 1]
+        assert len(loaded) > 10
+        assert sorted(site_keys) == [(1, 0, r) for r in sorted(loaded)]
 
     def test_fig7_variants_do_not_replay_the_next_seed(self, monkeypatch,
                                                        tmp_path):
