@@ -236,22 +236,25 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     """All-pairs coincidence histogram and the pulsed zero-peak ratio.
 
     Photon i of the sorted stream pairs with every later photon j for which
-    `times[j] <= times[i] + max_delay_ns` (found with `np.searchsorted`).
-    The pairs are walked lag by lag (j = i + k for k = 1, 2, ...), the
-    direct time-tag correlation of Laurence, Fore & Huser, Opt. Lett. 31,
-    829 (2006), so no array of all pairs is built and memory is
-    O(photons + bins).  Pairs are binned at +delay and mirrored to -delay,
-    so the histogram is exactly symmetric.  The zero-peak ratio is the area
-    within half a period of zero delay divided by the mean side-peak area; a
-    ratio below 0.5 certifies single-photon emission, and a homogeneous
-    (Poisson) stream gives 1.  Fewer than two photons yield an empty
-    histogram, not an error.  Takes photon times; pass `photons["time_ns"]`
-    (masked to one transition if wanted) for a photon stream.
-    `perfbench/spans.py` reads the first argument by its name.
+    `times[j] <= times[i] + max_delay_ns`.  The pairs are walked lag by lag
+    (j = i + k for k = 1, 2, ...), the direct time-tag correlation of
+    Laurence, Fore & Huser, Opt. Lett. 31, 829 (2006), so no array of all
+    pairs is built and memory is O(photons + bins).  The walk stops at the
+    first lag with no pair: on a sorted stream no longer lag has one.
+    Pairs are binned at +delay and mirrored to -delay, so the histogram is
+    exactly symmetric.  The zero-peak ratio is the area within half a period
+    of zero delay divided by the mean side-peak area; a ratio below 0.5
+    certifies single-photon emission, and a homogeneous (Poisson) stream
+    gives 1.  Fewer than two photons yield an empty histogram, not an error.
+    Takes photon times; pass `photons["time_ns"]` (masked to one transition
+    if wanted) for a photon stream.  Raises ValueError for a non-finite
+    time.  `perfbench/spans.py` reads the first argument by its name.
     """
     if bin_ns <= 0 or max_delay_ns <= 0 or pulse_period_ns <= 0:
         raise ValueError("bin, max delay and period must be > 0")
     times = np.sort(np.asarray(times_or_records, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError("photon times must be finite")
 
     nbins = max(int(round(max_delay_ns / bin_ns)), 1)
     edges = np.arange(-nbins, nbins + 1) * bin_ns
@@ -260,9 +263,7 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     if times.size < 2:
         return G2Histogram(centers, np.zeros(centers.size), None, {})
 
-    # photon i pairs with the reach[i] photons after it
-    hi = np.searchsorted(times, times + max_delay_ns, side="right")
-    reach = hi - np.arange(times.size) - 1
+    reach = times + max_delay_ns  # latest partner time of each photon
     pos_edges = np.arange(0, nbins + 1) * bin_ns
     half = pulse_period_ns / 2.0
     # peak 0 holds delays below T/2, peak m >= 1 those in [mT - T/2, mT + T/2)
@@ -274,8 +275,11 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     # lag k pairs photon i with photon i + k, if i reaches that far
     pos_counts = np.zeros(nbins, dtype=np.int64)
     peak_pairs = [0] * len(peaks)
-    for k in range(1, int(reach.max()) + 1):
-        deltas = (times[k:] - times[:-k])[reach[:-k] >= k]
+    for k in range(1, times.size):
+        paired = times[k:] <= reach[:-k]
+        if not paired.any():
+            break
+        deltas = (times[k:] - times[:-k])[paired]
         pos_counts += np.histogram(deltas, bins=pos_edges)[0]
         for m, (lo_edge, hi_edge) in enumerate(peaks):
             peak_pairs[m] += int(np.count_nonzero((deltas >= lo_edge)

@@ -18,6 +18,11 @@ from .cascade import Transient
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # = 2.3548...
 HC_MEV_NM = 1.23984198e6  # h*c in meV * nm
 
+# render_pl_image splats positions in blocks of about SPLAT_BLOCK pixel
+# values (512 KB), which bounds its temporaries; the block size does not
+# show in the image.
+SPLAT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Irf:
@@ -197,32 +202,57 @@ def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
 
     Pixel values are exact Gaussian integrals (products of erf differences),
     so the total intensity equals the photon count for emitters away from the
-    image edges.  Photons are grouped by position: frames with many photons
-    from few emitters render in one pass per emitter.
+    image edges.  Photons are grouped by float equality of (x, y), with a
+    stable sort of the two columns; each group takes its first photon's
+    coordinates and is weighted by its photon count.  The groups are splatted
+    in order of first appearance, SPLAT_BLOCK pixel values at a time: one erf
+    call per axis gives every edge of a block's positions, and each
+    position's weighted outer product is added to the image in turn, so the
+    sums round as they would one position at a time.  Temporaries stay
+    within a block, however many positions there are.  Raises ValueError
+    for a non-increasing extent axis or a non-finite photon position.
     """
     if psf_sigma_um <= 0:
         raise ValueError("PSF sigma must be > 0")
     if pixel_um <= 0:
         raise ValueError("pixel pitch must be > 0")
     (x0, x1), (y0, y1) = extent_um
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError("each extent axis must be an increasing pair")
+    x = np.asarray(records["x_um"], dtype=float)
+    y = np.asarray(records["y_um"], dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("photon positions must be finite")
     nx = max(int(round((x1 - x0) / pixel_um)), 1)
     ny = max(int(round((y1 - y0) / pixel_um)), 1)
     x_edges = x0 + np.arange(nx + 1) * pixel_um
     y_edges = y0 + np.arange(ny + 1) * pixel_um
     img = np.zeros((ny, nx))
 
-    # one splat per distinct position, summed in order of first appearance
-    xy = np.stack([records["x_um"], records["y_um"]], axis=1)
-    positions, first, weights = np.unique(xy, axis=0, return_index=True,
-                                          return_counts=True)
-    order = np.argsort(first)
+    # groups of equal (x, y) in sorted order; a stable sort puts each
+    # group's first photon at its head
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    head = np.ones(x.size, dtype=bool)
+    head[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    starts = np.flatnonzero(head)
+    weights = np.diff(starts, append=x.size).astype(float)
+    first = order[starts]
+    by_appearance = np.argsort(first)
+    first, weights = first[by_appearance], weights[by_appearance]
+
     root2s = math.sqrt(2.0) * psf_sigma_um
-    for (px, py), w in zip(positions[order], weights[order]):
-        gx = 0.5 * (erf((x_edges - px) / root2s)[1:]
-                    - erf((x_edges - px) / root2s)[:-1])
-        gy = 0.5 * (erf((y_edges - py) / root2s)[1:]
-                    - erf((y_edges - py) / root2s)[:-1])
-        img += w * np.outer(gy, gx)
+    step = max(SPLAT_BLOCK // img.size, 1)
+    for a in range(0, first.size, step):
+        block = first[a:a + step]
+        ex = erf((x_edges - x[block, None]) / root2s)
+        ey = erf((y_edges - y[block, None]) / root2s)
+        gx = 0.5 * (ex[:, 1:] - ex[:, :-1])
+        gy = 0.5 * (ey[:, 1:] - ey[:, :-1])
+        terms = gy[:, :, None] * gx[:, None, :]
+        terms *= weights[a:a + step, None, None]
+        for term in terms:
+            img += term
     return PlImage(x_edges, y_edges, img)
 
 

@@ -310,3 +310,8 @@ class TestG2:
         # no pair in range, and a two-photon stream
         assert_matches_oracle(np.arange(10) * 30.0, 26.0, 0.5, 5.0)
         assert_matches_oracle([4.0, 6.0], 26.0, 0.5, 5.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            g2_histogram([1.0, 2.0, bad], 26.0, 0.5, 5.0)

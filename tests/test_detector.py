@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
+from scipy.special import erf, erfc
 
+from sawsps import detector
 from sawsps.cascade import Transient
 from sawsps.detector import (CcdFrame, Irf, SpectralLine, TransitionSpectrum,
                              convolve_irf, render_pl_image,
@@ -22,6 +24,37 @@ def photons(*rows):
     return np.array([(float(i), label, 0, x, y)
                      for i, (label, x, y) in enumerate(rows)],
                     dtype=PHOTON_DTYPE)
+
+
+def reference_pl_image(records, psf_sigma_um, pixel_um, extent_um):
+    """One splat per distinct position, found with `np.unique`, summed in
+    order of first appearance: the oracle for `render_pl_image`."""
+    (x0, x1), (y0, y1) = extent_um
+    nx = max(int(round((x1 - x0) / pixel_um)), 1)
+    ny = max(int(round((y1 - y0) / pixel_um)), 1)
+    x_edges = x0 + np.arange(nx + 1) * pixel_um
+    y_edges = y0 + np.arange(ny + 1) * pixel_um
+    img = np.zeros((ny, nx))
+    xy = np.stack([records["x_um"], records["y_um"]], axis=1)
+    positions, first, weights = np.unique(xy, axis=0, return_index=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    root2s = math.sqrt(2.0) * psf_sigma_um
+    for (px, py), w in zip(positions[order], weights[order]):
+        gx = 0.5 * (erf((x_edges - px) / root2s)[1:]
+                    - erf((x_edges - px) / root2s)[:-1])
+        gy = 0.5 * (erf((y_edges - py) / root2s)[1:]
+                    - erf((y_edges - py) / root2s)[:-1])
+        img += w * np.outer(gy, gx)
+    return img
+
+
+def positions(xy):
+    """A photon stream at the given (x, y) rows."""
+    recs = np.zeros(len(xy), dtype=PHOTON_DTYPE)
+    if len(xy):
+        recs["x_um"], recs["y_um"] = np.asarray(xy, dtype=float).T
+    return recs
 
 
 def emg_reference(t, tau, sigma):
@@ -206,6 +239,72 @@ class TestPlImage:
         recs = photons(*[("1X", 0.5, 1.0)] * 7, *[("1X", -1.0, 0.0)] * 5)
         img = render_pl_image(recs, 0.4, 0.2, ((-6, 6), (-6, 6)))
         assert img.intensity.sum() == pytest.approx(12.0, abs=1e-6)
+
+    def test_matches_per_position_oracle_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for case in range(200):
+            x0, y0 = rng.uniform(-5.0, 5.0, 2)
+            pixel = float(rng.choice([0.1, 0.25, 0.4]))
+            nx, ny = rng.integers(1, 25, 2)  # mostly non-square
+            extent = ((x0, x0 + nx * pixel), (y0, y0 + ny * pixel))
+            # zero and one photon, then repeated positions from a pool that
+            # shares x or y values and reaches outside the image
+            n = case if case < 2 else int(rng.integers(2, 400))
+            pool = rng.uniform(-8.0, 8.0, (int(rng.integers(1, 150)), 2))
+            if case % 2:
+                pool = np.round(pool, 0)
+            xy = pool[rng.integers(0, len(pool), n)]
+            if case % 5 == 2:
+                xy[::3] = 0.0
+                xy[1::3] = -0.0
+            # blocks of one position, of seven (the last one short) and of
+            # the default size
+            block = [1, 7 * nx * ny + 3, detector.SPLAT_BLOCK][case % 3]
+            monkeypatch.setattr(detector, "SPLAT_BLOCK", block)
+            psf = float(rng.uniform(0.1, 1.0))
+            recs = positions(xy)
+            got = render_pl_image(recs, psf, pixel, extent)
+            want = reference_pl_image(recs, psf, pixel, extent)
+            assert got.intensity.tobytes() == want.tobytes(), case
+
+    def test_more_positions_than_one_block(self):
+        # fig5's 40 x 40 image: SPLAT_BLOCK holds 40 positions, so the
+        # default block splits 300 distinct positions four ways
+        rng = np.random.default_rng(14)
+        recs = positions(rng.uniform(0.0, 10.0, (300, 2))[
+            rng.integers(0, 300, 2000)])
+        extent = ((0.0, 10.0), (0.0, 10.0))
+        assert detector.SPLAT_BLOCK // 1600 < 300
+        got = render_pl_image(recs, 0.4, 0.25, extent)
+        want = reference_pl_image(recs, 0.4, 0.25, extent)
+        assert got.intensity.tobytes() == want.tobytes()
+
+    def test_temporaries_bounded(self):
+        # a stack of 5,000 positions' 40 x 40 splats would be 64 MB
+        rng = np.random.default_rng(15)
+        recs = positions(rng.uniform(0.0, 10.0, (5000, 2)))
+        tracemalloc.start()
+        try:
+            render_pl_image(recs, 0.4, 0.25, ((0.0, 10.0), (0.0, 10.0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("extent", [((10.0, 0.0), (-5.0, 5.0)),
+                                        ((0.0, 10.0), (5.0, -5.0)),
+                                        ((0.0, 0.0), (-5.0, 5.0)),
+                                        ((0.0, math.nan), (-5.0, 5.0))])
+    def test_extent_must_increase(self, extent):
+        with pytest.raises(ValueError, match="increasing"):
+            render_pl_image(positions([(1.0, 0.0)]), 0.4, 0.25, extent)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf),
+                                     (-math.inf, 0.0)])
+    def test_non_finite_position_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            render_pl_image(positions([(1.0, 0.0), bad]), 0.4, 0.25,
+                            ((0.0, 10.0), (-5.0, 5.0)))
 
 
 class TestExports:
