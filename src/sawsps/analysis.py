@@ -16,6 +16,12 @@ from scipy.optimize import least_squares
 from .cascade import (CascadeModel, NoSignalError, Transient, initial_loading,
                       onset_time, solve_cascade_analytic)
 
+# g2_histogram walks the pairs G2_CHUNK photons at a time and bins at most
+# about G2_CHUNK * G2_LAGS delays at once, which bounds its temporaries; the
+# block size does not show in the histogram.
+G2_CHUNK = 1 << 14
+G2_LAGS = 8
+
 
 class FitConvergenceError(RuntimeError):
     """Raised when no fit start converges within the iteration budget."""
@@ -236,11 +242,19 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     """All-pairs coincidence histogram and the pulsed zero-peak ratio.
 
     Photon i of the sorted stream pairs with every later photon j for which
-    `times[j] <= times[i] + max_delay_ns`.  The pairs are walked lag by lag
-    (j = i + k for k = 1, 2, ...), the direct time-tag correlation of
-    Laurence, Fore & Huser, Opt. Lett. 31, 829 (2006), so no array of all
-    pairs is built and memory is O(photons + bins).  The walk stops at the
-    first lag with no pair: on a sorted stream no longer lag has one.
+    `times[j] <= times[i] + max_delay_ns`, at delay `times[j] - times[i]`:
+    the direct time-tag correlation of Laurence, Fore & Huser, Opt. Lett.
+    31, 829 (2006).  The fine bins and the peaks share one set of cells, the
+    sorted union of the bin edges, the finite peak edges, the value just
+    above the last bin edge (so the last bin's closed right end is a cell of
+    its own) and +inf.  Each pair is counted once, into its cell; the fine
+    counts and the peak areas are differences of one cumulative sum over the
+    cells.  The pairs are walked G2_CHUNK photons at a time: lag k pairs
+    photon i of the block with photon i + k, and the block stops at its
+    first lag with no pair, since on a sorted stream no longer lag has one.
+    A block's delays are binned once it ends, or sooner once they number
+    G2_CHUNK * G2_LAGS, so the temporaries stay bounded however dense the
+    stream, memory is O(photons + cells) and no array of all pairs is built.
     Pairs are binned at +delay and mirrored to -delay, so the histogram is
     exactly symmetric.  The zero-peak ratio is the area within half a period
     of zero delay divided by the mean side-peak area; a ratio below 0.5
@@ -263,7 +277,6 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     if times.size < 2:
         return G2Histogram(centers, np.zeros(centers.size), None, {})
 
-    reach = times + max_delay_ns  # latest partner time of each photon
     pos_edges = np.arange(0, nbins + 1) * bin_ns
     half = pulse_period_ns / 2.0
     # peak 0 holds delays below T/2, peak m >= 1 those in [mT - T/2, mT + T/2)
@@ -271,23 +284,43 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     while len(peaks) * pulse_period_ns + half <= max_delay_ns:
         m = len(peaks)
         peaks.append((m * pulse_period_ns - half, m * pulse_period_ns + half))
+    # every peak edge but peak 0's -inf: delays are >= 0, so the first cell
+    # starts at the first bin edge, 0
+    last_end = np.nextafter(pos_edges[-1], np.inf)
+    cells = np.unique(np.concatenate(
+        (pos_edges, np.ravel(peaks)[1:], [last_end, np.inf])))
 
-    # lag k pairs photon i with photon i + k, if i reaches that far
-    pos_counts = np.zeros(nbins, dtype=np.int64)
-    peak_pairs = [0] * len(peaks)
-    for k in range(1, times.size):
-        paired = times[k:] <= reach[:-k]
-        if not paired.any():
-            break
-        deltas = (times[k:] - times[:-k])[paired]
-        pos_counts += np.histogram(deltas, bins=pos_edges)[0]
-        for m, (lo_edge, hi_edge) in enumerate(peaks):
-            peak_pairs[m] += int(np.count_nonzero((deltas >= lo_edge)
-                                                  & (deltas < hi_edge)))
+    cell_counts = np.zeros(cells.size - 1, dtype=np.int64)
+    n = times.size
+    for a in range(0, n - 1, G2_CHUNK):
+        b = min(a + G2_CHUNK, n - 1)  # the last photon has no later partner
+        reach = times[a:b] + max_delay_ns  # latest partner time of each photon
+        pending, size = [], 0
+        for k in range(1, n - a):
+            stop = min(b, n - k)
+            paired = times[a + k:stop + k] <= reach[:stop - a]
+            if not paired.any():
+                break
+            pending.append((times[a + k:stop + k] - times[a:stop])[paired])
+            size += pending[-1].size
+            if size >= G2_CHUNK * G2_LAGS:
+                cell_counts += np.histogram(np.concatenate(pending), cells)[0]
+                pending, size = [], 0
+        if pending:
+            cell_counts += np.histogram(np.concatenate(pending), cells)[0]
+
+    # pairs below each cell edge
+    below = np.concatenate(([0], np.cumsum(cell_counts)))
+    lo = np.searchsorted(cells, pos_edges[:-1])
+    hi = np.searchsorted(cells, np.append(pos_edges[1:-1], last_end))
+    pos_counts = below[hi] - below[lo]
     counts = np.concatenate((pos_counts[::-1], pos_counts)).astype(float)
 
+    # peak 0's lower edge, -inf, sorts before every cell
+    below_peak = below[np.searchsorted(cells, peaks)]
+    peak_pairs = below_peak[:, 1] - below_peak[:, 0]
     zero_area = 2.0 * float(peak_pairs[0])  # both signs of delay
-    side = [float(n) for n in peak_pairs[1:]]
+    side = [float(count) for count in peak_pairs[1:]]
     peak_areas = dict(enumerate([zero_area] + side))
     ratio = None
     if side and np.mean(side) > 0:

@@ -186,6 +186,13 @@ def render_spatial_spectral(records, row_edges_um, col_edges_nm,
     return CcdFrame(row_edges, col_edges, counts, overflow=overflow)
 
 
+def whole_bins(extent: tuple, width: float) -> bool:
+    """Whether bins of `width` tile the (low, high) `extent` in a whole
+    number (at least one) of bins, to a relative 1e-9."""
+    n = (extent[1] - extent[0]) / width
+    return round(n) >= 1 and abs(n - round(n)) <= 1e-9 * n
+
+
 @dataclass(frozen=True)
 class PlImage:
     """Diffraction-blurred 2-d photoluminescence image."""
@@ -210,7 +217,9 @@ def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
     position's weighted outer product is added to the image in turn, so the
     sums round as they would one position at a time.  Temporaries stay
     within a block, however many positions there are.  Raises ValueError
-    for a non-increasing extent axis or a non-finite photon position.
+    for a non-increasing extent axis, a `pixel_um` that does not divide
+    each axis into whole pixels (the last pixel would stop short of the
+    extent) or a non-finite photon position.
     """
     if psf_sigma_um <= 0:
         raise ValueError("PSF sigma must be > 0")
@@ -219,12 +228,15 @@ def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
     (x0, x1), (y0, y1) = extent_um
     if not (x0 < x1 and y0 < y1):
         raise ValueError("each extent axis must be an increasing pair")
+    if not all(whole_bins(axis, pixel_um) for axis in extent_um):
+        raise ValueError("pixel_um must divide each extent axis into whole "
+                         "pixels")
     x = np.asarray(records["x_um"], dtype=float)
     y = np.asarray(records["y_um"], dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("photon positions must be finite")
-    nx = max(int(round((x1 - x0) / pixel_um)), 1)
-    ny = max(int(round((y1 - y0) / pixel_um)), 1)
+    nx = round((x1 - x0) / pixel_um)
+    ny = round((y1 - y0) / pixel_um)
     x_edges = x0 + np.arange(nx + 1) * pixel_um
     y_edges = y0 + np.arange(ny + 1) * pixel_um
     img = np.zeros((ny, nx))

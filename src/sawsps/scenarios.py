@@ -26,8 +26,8 @@ from .analysis import (g2_histogram, onset_delay_curve, powerlaw_exponent,
                        pumped_traces)
 from .cascade import CascadeModel, PumpSpec, time_integrated_intensity
 from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
-                       render_spatial_spectral, write_axes_csv, write_pgm,
-                       write_transient_csv)
+                       render_spatial_spectral, whole_bins, write_axes_csv,
+                       write_pgm, write_transient_csv)
 from .emitter import sample_start_levels, write_photon_csv
 from .rng import substream
 from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
@@ -135,11 +135,6 @@ _G2_BLOCKS = 64
 _MC_BLOCKS = 16
 
 
-def _whole_bins(extent: tuple, width: float) -> bool:
-    n = (extent[1] - extent[0]) / width
-    return round(n) >= 1 and abs(n - round(n)) <= 1e-9 * n
-
-
 # What each key may hold beyond its type: (what is needed, test of the typed
 # value).  A bound is keyed by the parameter name and applies wherever that
 # name occurs; a key qualified with its preset adds a condition for that
@@ -181,8 +176,8 @@ _BOUNDS: dict[str, tuple] = {
     # fall outside the frame
     "frame": ("row_bin_um and col_bin_nm each dividing its extent into "
               "whole bins",
-              lambda f: _whole_bins(f["row_extent_um"], f["row_bin_um"])
-              and _whole_bins(f["col_extent_nm"], f["col_bin_nm"])),
+              lambda f: whole_bins(f["row_extent_um"], f["row_bin_um"])
+              and whole_bins(f["col_extent_nm"], f["col_bin_nm"])),
     "fig4c_delays.g_values": ("strictly ascending values",
                               lambda v: all(a < b for a, b in zip(v, v[1:]))),
     "fig4_transients.g_values": ("values distinct in format 'g' (file names)",
@@ -198,7 +193,7 @@ _BOUNDS: dict[str, tuple] = {
                       <= p["field"]["extent_um"][0][0]
                       < p["field"]["extent_um"][0][1]
                       <= p["channel_extent_um"][1]
-                      and all(_whole_bins(axis, p["image"]["pixel_um"])
+                      and all(whole_bins(axis, p["image"]["pixel_um"])
                               for axis in p["field"]["extent_um"])),
     "fig7_remote": ("every sites.positions_um inside channel_extent_um",
                     lambda p: all(p["channel_extent_um"][0] <= x

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawsps import analysis
 from sawsps.analysis import (InsufficientSignalError, expected_emission_trace,
                              fit_rise_fall, g2_histogram, onset_delay_curve,
                              powerlaw_exponent, pumped_traces)
@@ -10,6 +13,7 @@ from sawsps.cascade import (CascadeModel, Transient, initial_loading,
                            onset_time, poisson_tail, solve_cascade_analytic)
 from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
+from sawsps.transport import SawWave, per_cycle_emission_times
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
 
@@ -241,6 +245,46 @@ def all_pairs_g2(times, max_delay_ns, bin_ns, pulse_period_ns):
     return counts, peak_areas, ratio, deltas
 
 
+def reference_g2(times, max_delay_ns, bin_ns, pulse_period_ns):
+    """The lag walk: every lag k pairs photon i with photon i + k across the
+    whole sorted stream, up to the first lag with no pair, with one
+    histogram and one count per peak per lag.  The oracle for `g2_histogram`
+    on streams too long for `all_pairs_g2`; returns counts, peak areas and
+    the zero-peak ratio."""
+    times = np.sort(np.asarray(times, dtype=float))
+    nbins = max(int(round(max_delay_ns / bin_ns)), 1)
+    reach = times + max_delay_ns  # latest partner time of each photon
+    pos_edges = np.arange(0, nbins + 1) * bin_ns
+    half = pulse_period_ns / 2.0
+    # peak 0 holds delays below T/2, peak m >= 1 those in [mT - T/2, mT + T/2)
+    peaks = [(-np.inf, half)]
+    while len(peaks) * pulse_period_ns + half <= max_delay_ns:
+        m = len(peaks)
+        peaks.append((m * pulse_period_ns - half, m * pulse_period_ns + half))
+
+    # lag k pairs photon i with photon i + k, if i reaches that far
+    pos_counts = np.zeros(nbins, dtype=np.int64)
+    peak_pairs = [0] * len(peaks)
+    for k in range(1, times.size):
+        paired = times[k:] <= reach[:-k]
+        if not paired.any():
+            break
+        deltas = (times[k:] - times[:-k])[paired]
+        pos_counts += np.histogram(deltas, bins=pos_edges)[0]
+        for m, (lo_edge, hi_edge) in enumerate(peaks):
+            peak_pairs[m] += int(np.count_nonzero((deltas >= lo_edge)
+                                                  & (deltas < hi_edge)))
+    counts = np.concatenate((pos_counts[::-1], pos_counts)).astype(float)
+
+    zero_area = 2.0 * float(peak_pairs[0])  # both signs of delay
+    side = [float(n) for n in peak_pairs[1:]]
+    peak_areas = dict(enumerate([zero_area] + side))
+    ratio = None
+    if side and np.mean(side) > 0:
+        ratio = zero_area / float(np.mean(side))
+    return counts, peak_areas, ratio
+
+
 def assert_matches_oracle(times, max_delay_ns, bin_ns, pulse_period_ns):
     hist = g2_histogram(times, max_delay_ns, bin_ns, pulse_period_ns)
     counts, peak_areas, ratio, deltas = all_pairs_g2(
@@ -282,7 +326,11 @@ class TestG2:
                             26.0, 0.5, 5.0)
         assert hist.zero_peak_ratio == 0.0
 
-    def test_matches_all_pairs_oracle_on_random_streams(self):
+    # one photon per block, two, seven (so blocks end mid-burst) and the
+    # default block of G2_CHUNK photons
+    CHUNKS = (1, 2, 7, analysis.G2_CHUNK)
+
+    def test_matches_all_pairs_oracle_on_random_streams(self, monkeypatch):
         rng = np.random.default_rng(105)
         for stream in range(200):
             n = int(rng.integers(2, 301))
@@ -292,24 +340,71 @@ class TestG2:
             period = float(rng.choice([5.0, 5.18, 2.5]))
             max_delay = float(rng.choice([10.5 * period, 26.0, 7.3]))
             bin_ns = float(rng.choice([0.1, 0.25, 0.5]))
+            # each block size takes streams with ties and without
+            monkeypatch.setattr(analysis, "G2_CHUNK",
+                                self.CHUNKS[stream // 2 % len(self.CHUNKS)])
             assert_matches_oracle(times, max_delay, bin_ns, period)
 
-    def test_matches_all_pairs_oracle_on_edge_cases(self):
-        # a pair exactly at the maximum delay lands in the last bin
-        deltas = assert_matches_oracle([0.5, 3.0, 26.5], 26.0, 0.5, 5.0)
-        assert 26.0 in deltas
-        # delays exactly on the side peaks' lower edges mT - T/2, and a tie
-        deltas = assert_matches_oracle([1.0, 3.5, 8.5, 9.0, 9.0, 9.1],
-                                       26.0, 0.5, 5.0)
-        assert 2.5 in deltas and 7.5 in deltas and 0.0 in deltas
-        # a dense burst inside a sparse stream: many lags, few photons each
+    def test_matches_all_pairs_oracle_on_edge_cases(self, monkeypatch):
         rng = np.random.default_rng(106)
-        assert_matches_oracle(np.concatenate(
-            (np.arange(80) * 37.0, 500.0 + np.round(rng.uniform(0, 1, 150), 1))),
-            26.0, 0.5, 5.0)
-        # no pair in range, and a two-photon stream
-        assert_matches_oracle(np.arange(10) * 30.0, 26.0, 0.5, 5.0)
-        assert_matches_oracle([4.0, 6.0], 26.0, 0.5, 5.0)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(analysis, "G2_CHUNK", chunk)
+            # a pair exactly at the maximum delay lands in the last bin
+            deltas = assert_matches_oracle([0.5, 3.0, 26.5], 26.0, 0.5, 5.0)
+            assert 26.0 in deltas
+            # delays exactly on the side peaks' lower edges mT - T/2, and a
+            # tie
+            deltas = assert_matches_oracle([1.0, 3.5, 8.5, 9.0, 9.0, 9.1],
+                                           26.0, 0.5, 5.0)
+            assert 2.5 in deltas and 7.5 in deltas and 0.0 in deltas
+            # a dense burst inside a sparse stream: many lags, few photons
+            # each
+            assert_matches_oracle(np.concatenate(
+                (np.arange(80) * 37.0,
+                 500.0 + np.round(rng.uniform(0, 1, 150), 1))),
+                26.0, 0.5, 5.0)
+            # no pair in range, and a two-photon stream
+            assert_matches_oracle(np.arange(10) * 30.0, 26.0, 0.5, 5.0)
+            assert_matches_oracle([4.0, 6.0], 26.0, 0.5, 5.0)
+
+    def test_matches_lag_walk_across_blocks(self):
+        # about 40k photons, three default blocks and a part.  Most sit on a
+        # 0.5 ns lattice with ties, so delays land exactly on bin edges, on
+        # the peak edges mT +- T/2 and on the last edge, 26 ns.  A burst of
+        # 1,000 photons within 26 ns straddles the first block boundary; its
+        # half a million pairs are binned in several goes.
+        rng = np.random.default_rng(107)
+        lattice = np.round(rng.uniform(0.0, 1.6e5, 30000) * 2.0) / 2.0
+        assert np.unique(lattice).size < lattice.size
+        for delta in (2.5, 7.5, 26.0):
+            assert np.isin(lattice + delta, lattice).any()
+        base = np.sort(np.concatenate((lattice,
+                                       rng.uniform(0.0, 1.6e5, 9000))))
+        burst = (base[analysis.G2_CHUNK - 300]
+                 + np.round(rng.uniform(0.0, 26.0, 1000) * 2.0) / 2.0)
+        times = rng.permutation(np.concatenate((base, burst)))
+        assert times.size > 2 * analysis.G2_CHUNK
+        for args in ((26.0, 0.5, 5.0), (10.5 * 5.18, 0.1, 5.18)):
+            hist = g2_histogram(times, *args)
+            counts, peak_areas, ratio = reference_g2(times, *args)
+            assert hist.counts.tobytes() == counts.tobytes()
+            assert hist.peak_areas == peak_areas
+            assert hist.zero_peak_ratio == ratio
+
+    def test_temporaries_bounded(self):
+        # about 500k photons of the g2 preset: one SAW cycle in two loads the
+        # site.  A histogram pass over every lag's delays would take about
+        # five times the input.
+        period = SawWave(193.0, 15.0).period_ns
+        times = per_cycle_emission_times(1_000_000, period, 0.5, 0.5,
+                                         rng=substream(108, 0))
+        tracemalloc.start()
+        try:
+            g2_histogram(times, 10.5 * period, 0.1, period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * times.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, bad):

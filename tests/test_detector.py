@@ -291,6 +291,15 @@ class TestPlImage:
             tracemalloc.stop()
         assert peak < 4e6
 
+    @pytest.mark.parametrize("extent", [((0.0, 10.0), (-1.5, 1.5)),
+                                        ((0.0, 9.0), (-1.0, 1.5))])
+    def test_pixel_must_tile_extent(self, extent):
+        # 3 um pixels from x = 0 end at 9 um: a photon at 9.5 um, inside a
+        # 10 um extent, would fall off the image with no error.  The second
+        # extent fails on its y axis.
+        with pytest.raises(ValueError, match="whole pixels"):
+            render_pl_image(positions([(9.5, 0.0)]), 0.4, 3.0, extent)
+
     @pytest.mark.parametrize("extent", [((10.0, 0.0), (-5.0, 5.0)),
                                         ((0.0, 10.0), (5.0, -5.0)),
                                         ((0.0, 0.0), (-5.0, 5.0)),
