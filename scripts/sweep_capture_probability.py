@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from sawsps.cascade import CascadeModel, PumpSpec
+from sawsps.cascade import CascadeModel
 from sawsps.transport import ChannelLayout, LaserSpot, QdSite, SawWave, run_device
 
 
@@ -25,7 +25,6 @@ def main() -> int:
 
     model = CascadeModel((1.5, 1.4, 0.9))
     saw = SawWave(193.0, 15.0, direction=-1)
-    pump = PumpSpec(1.0, saw.period_ns, num_pulses=args.pulses)
     duration = args.pulses * saw.period_ns + 40.0
 
     rows = []
@@ -33,7 +32,8 @@ def main() -> int:
         sites = tuple(QdSite(i, x, 0.5, prob, model)
                       for i, x in enumerate((0.0, -7.0, -14.0)))
         layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
-        result = run_device(layout, saw, pump, duration, args.seed)
+        result = run_device(layout, saw, saw.period_ns, args.pulses, duration,
+                            args.seed)
         counts = np.bincount(result.photons["emitter_id"],
                              minlength=len(sites)).tolist()
         ratio = counts[2] / counts[1] if counts[1] else float("nan")

@@ -9,7 +9,7 @@ resolved measurements.
 
 __version__ = "0.1.0"
 
-from .cascade import (CascadeModel, OccupancyTrace, PumpSpec, Transient,
+from .cascade import (CascadeModel, OccupancyTrace, Transient,
                       initial_loading, onset_time, poisson_pmf, poisson_tail,
                       solve_cascade_analytic, solve_cascade_numeric,
                       time_integrated_intensity)

@@ -207,16 +207,16 @@ def _mean_emission_time(model: CascadeModel, g: float, level: int,
 
 
 def onset_delay_curve(model: CascadeModel, g_values,
-                      threshold_fraction: float = 0.1,
-                      time_ns=None) -> DelayCurve:
-    """Onset time and mean emission time of every transition versus pump."""
+                      threshold_fraction: float = 0.1) -> DelayCurve:
+    """Onset time and mean emission time of every transition versus pump.
+
+    Onsets are read off traces sampled every min(lifetime) / 50 over
+    8 * sum(lifetimes)."""
     g_arr = np.asarray(list(g_values), dtype=float)
     if g_arr.size == 0 or np.any(g_arr <= 0) or np.any(np.diff(g_arr) <= 0):
         raise ValueError("g values must be positive and strictly ascending")
-    if time_ns is None:
-        span = 8.0 * sum(model.lifetimes_ns)
-        step = min(model.lifetimes_ns) / 50.0
-        time_ns = np.arange(0.0, span, step)
+    time_ns = np.arange(0.0, 8.0 * sum(model.lifetimes_ns),
+                        min(model.lifetimes_ns) / 50.0)
     delays = np.array([(onset_time(trace, threshold_fraction),
                         _mean_emission_time(model, g, level, weights))
                        for g, weights, level, trace in pumped_traces(

@@ -68,26 +68,6 @@ class CascadeModel:
 
 
 @dataclass(frozen=True)
-class PumpSpec:
-    """Pulsed Poisson loading: mean excitons per pulse plus the pulse train."""
-
-    mean_excitons_per_pulse: float
-    pulse_period_ns: float
-    num_pulses: int = 1
-
-    def __post_init__(self):
-        if self.mean_excitons_per_pulse < 0:
-            raise ValueError("mean excitons per pulse must be >= 0")
-        if self.pulse_period_ns <= 0:
-            raise ValueError("pulse period must be > 0")
-        if self.num_pulses < 1:
-            raise ValueError("need at least one pulse")
-
-    def pulse_times(self) -> np.ndarray:
-        return np.arange(self.num_pulses) * self.pulse_period_ns
-
-
-@dataclass(frozen=True)
 class Transient:
     """A binned or sampled time trace: intensity versus time."""
 
@@ -339,20 +319,18 @@ def _rk4_step_map(a: np.ndarray, dt: float) -> np.ndarray:
     return eye + ha @ (eye + ha @ (eye / 2 + ha @ (eye / 6 + ha / 24)))
 
 
-def solve_cascade_numeric(model: CascadeModel, pump: PumpSpec, horizon_ns: float,
-                          dt_ns: float,
-                          start_level: int | None = None) -> OccupancyTrace:
-    """Fixed-step fourth-order integration of the expected-occupancy equations.
+def solve_cascade_numeric(model: CascadeModel, start_level: int,
+                          horizon_ns: float, dt_ns: float) -> OccupancyTrace:
+    """Fixed-step fourth-order integration of the expected-occupancy
+    equations from `start_level` excitons at t = 0.
 
     The chain is linear, so the classic RK4 step collapses to a precomputed
     one-step matrix (`_rk4_step_map`), identical to stage-form RK4 up to
-    rounding.  Pulsed loading is applied as instantaneous occupation jumps at
-    the grid node nearest each pulse time (the recorded value at a pulse node
-    is the post-jump state).
-
-    `start_level` forces a deterministic single-pulse start at that level
-    instead of Poisson loading.
+    rounding.
     """
+    if not 1 <= start_level <= model.num_levels:
+        raise ValueError(
+            f"start level {start_level} out of range 1..{model.num_levels}")
     min_tau = min(model.lifetimes_ns)
     if dt_ns <= 0:
         raise ValueError("dt must be > 0")
@@ -362,33 +340,15 @@ def solve_cascade_numeric(model: CascadeModel, pump: PumpSpec, horizon_ns: float
     if horizon_ns < dt_ns:
         raise ValueError("horizon must be at least one step")
 
-    nlev = model.num_levels
     num_steps = int(math.ceil(horizon_ns / dt_ns))
     times = np.arange(num_steps + 1) * dt_ns
-
-    if start_level is not None:
-        weights = np.zeros(nlev + 1)
-        weights[start_level] = 1.0
-        pulse_times = [0.0]
-    else:
-        weights = initial_loading(pump.mean_excitons_per_pulse, nlev)
-        pulse_times = [t for t in pump.pulse_times() if t <= horizon_ns]
-    jump = weights[1:]  # loading into levels 1..N
-
     step_m = _rk4_step_map(_chain_matrix(model.rates), dt_ns)
-    pulse_nodes = sorted({int(round(t / dt_ns)) for t in pulse_times})
-    next_pulse = 0
-    n = np.zeros(nlev)
-    if next_pulse < len(pulse_nodes) and pulse_nodes[next_pulse] == 0:
-        n = n + jump
-        next_pulse += 1
-    occ = np.empty((num_steps + 1, nlev))
+    n = np.zeros(model.num_levels)
+    n[start_level - 1] = 1.0
+    occ = np.empty((num_steps + 1, model.num_levels))
     occ[0] = n
     for s in range(num_steps):
         n = step_m @ n
-        if next_pulse < len(pulse_nodes) and pulse_nodes[next_pulse] == s + 1:
-            n = n + jump
-            next_pulse += 1
         occ[s + 1] = n
     return OccupancyTrace(times, occ.T)
 

@@ -24,7 +24,7 @@ from . import __version__
 from ._csvfile import write_csv
 from .analysis import (g2_histogram, onset_delay_curve, powerlaw_exponent,
                        pumped_traces)
-from .cascade import CascadeModel, PumpSpec, time_integrated_intensity
+from .cascade import CascadeModel, time_integrated_intensity
 from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
                        render_spatial_spectral, whole_bins, write_axes_csv,
                        write_pgm, write_transient_csv)
@@ -415,11 +415,11 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     layout = ChannelLayout(p["channel_extent_um"], spot, tuple(sites))
     period = saw.period_ns / p["pulses_per_saw_cycle"]
     num_pulses = p["num_pulses"]
-    pump = PumpSpec(1.0, period, num_pulses)
     travel = (max(fx1, layout.extent_um[1]) - spot.center_um) \
         / saw.velocity_um_per_ns
     duration = num_pulses * period + travel + 20.0 * max(model.lifetimes_ns)
-    result = run_device(layout, saw, pump, duration, cfg.master_seed)
+    result = run_device(layout, saw, period, num_pulses, duration,
+                        cfg.master_seed)
 
     # site ids are 0..len(sites) - 1, in list order
     per_site = np.bincount(result.photons["emitter_id"], minlength=len(sites))
@@ -482,11 +482,10 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     num_pulses = p["num_pulses"]
     files = []
     for vi, (tag, saw) in enumerate(variants):
-        pump = PumpSpec(1.0, saw.period_ns, num_pulses)
         duration = num_pulses * saw.period_ns \
             + arrival_span(layout, saw) + 20.0 * max(model.lifetimes_ns)
-        result = run_device(layout, saw, pump, duration, cfg.master_seed,
-                            variant=vi)
+        result = run_device(layout, saw, saw.period_ns, num_pulses, duration,
+                            cfg.master_seed, variant=vi)
         frame = render_spatial_spectral(result.photons, row_edges, col_edges,
                                         spectrum,
                                         substream(cfg.master_seed, 7, vi))

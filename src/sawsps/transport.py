@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import CascadeModel, PumpSpec
+from .cascade import CascadeModel
 from .emitter import sample_cascade_from_loads
 from .rng import substream, substreams
 
@@ -527,30 +527,34 @@ def _zero() -> dict:
     return {ELECTRON: 0, HOLE: 0}
 
 
-def run_device(layout: ChannelLayout, saw: SawWave, pump: PumpSpec,
-               duration_ns: float, master_seed: int,
+def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
+               num_pulses: int, duration_ns: float, master_seed: int,
                variant: int = 0) -> DeviceResult:
     """Full device run: pulses -> pockets -> conveyance -> capture ->
     exciton formation -> cascade photons.
 
-    Laser pulses follow the pump's period for its pulse count (clipped to the
-    run duration); pair yield per pulse comes from the layout's spot.  A
-    pass captures with probability capture_prob * amplitude and moves
-    min(pocket count, room for that species) carriers; passes at one instant
-    go in order of pocket birth, then of site.  With amplitude 0 each pair
-    is captured whole, with that site's capture probability, by the nearest
-    site whose window covers its generation point, or else recombines there.
-    Each photon carries its emitting site's position.  The run is a pure
-    function of (layout, saw, pump, duration, master_seed, variant); runs
-    that differ only in `variant` draw from disjoint streams (see `rng`).
+    `num_pulses` laser pulses fire every `pulse_period_ns` from t = 0
+    (clipped to the run duration); pair yield per pulse comes from the
+    layout's spot.  A pass captures with probability capture_prob * amplitude
+    and moves min(pocket count, room for that species) carriers; passes at
+    one instant go in order of pocket birth, then of site.  With amplitude 0
+    each pair is captured whole, with that site's capture probability, by the
+    nearest site whose window covers its generation point, or else recombines
+    there.  Each photon carries its emitting site's position.  The run is a
+    pure function of its arguments; runs that differ only in `variant` draw
+    from disjoint streams (see `rng`).
     """
-    if duration_ns <= 0:
+    if not duration_ns > 0:
         raise ValueError("duration must be > 0")
+    if not 0 < pulse_period_ns < math.inf:
+        raise ValueError("pulse period must be finite and > 0")
+    if not num_pulses >= 1:
+        raise ValueError("need at least one pulse")
     d, v = saw.direction, saw.velocity_um_per_ns
     sites = sorted(layout.sites, key=lambda s: d * s.position_um)  # encounter order
     site_ids = np.array([s.site_id for s in sites], np.int64)
 
-    pulse_times = pump.pulse_times()
+    pulse_times = np.arange(num_pulses) * pulse_period_ns
     pulse_times = pulse_times[pulse_times <= duration_ns]
     pair_t, pair_x = draw_pairs(layout.spot, saw, pulse_times,
                                 substream(master_seed, 0, variant))

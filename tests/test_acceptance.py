@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sawsps.analysis import fit_rise_fall, g2_histogram
-from sawsps.cascade import (CascadeModel, PumpSpec, Transient,
+from sawsps.cascade import (CascadeModel, Transient,
                             solve_cascade_analytic, solve_cascade_numeric)
 from sawsps.detector import Irf, convolve_irf
 from sawsps.emitter import (ensemble_histogram, sample_cascade_from_loads,
@@ -39,11 +39,10 @@ def test_criterion_1_bateman_ode_oracle():
     # plant near-degenerate pairs (within the confluent-switch tolerance)
     for i, eps in zip(range(20), [0.0, 1e-12, 1e-10, 1e-9] * 5):
         sets[i, 1] = sets[i, 0] * (1.0 + eps)
-    pump = PumpSpec(0.0, 1e6)
     worst = 0.0
     for lifetimes in sets:
         model = CascadeModel(tuple(lifetimes))
-        trace = solve_cascade_numeric(model, pump, 5.0, 1e-3, start_level=3)
+        trace = solve_cascade_numeric(model, 3, 5.0, 1e-3)
         sol = solve_cascade_analytic(model, 3)
         for level in (1, 2, 3):
             exact = sol.occupancy(level, trace.time_ns)
@@ -163,10 +162,10 @@ def test_criterion_6_remote_pumping_geometry():
     sites = tuple(QdSite(i, x, 0.5, 0.5, THREE_LEVEL)
                   for i, x in enumerate((0.0, -7.0, -14.0)))
     layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
-    pump = PumpSpec(1.0, saw_fwd.period_ns, num_pulses=cycles)
-    duration = cycles * saw_fwd.period_ns + 40.0
+    period = saw_fwd.period_ns
+    duration = cycles * period + 40.0
 
-    res = run_device(layout, saw_fwd, pump, duration, 606)
+    res = run_device(layout, saw_fwd, period, cycles, duration, 606)
     emitted = set(res.photons["emitter_id"].tolist())
     assert emitted == {0, 1, 2}
     pos = np.array([s.position_um for s in sites])  # by site id
@@ -178,13 +177,13 @@ def test_criterion_6_remote_pumping_geometry():
                   >= caps["pocket_birth_ns"][far] + dist[far] / v - 1e-9)
     assert res.log.conservation_ok()
 
-    res_rev = run_device(layout, SawWave(193.0, 15.0, direction=+1), pump,
-                         duration, 606)
+    res_rev = run_device(layout, SawWave(193.0, 15.0, direction=+1), period,
+                         cycles, duration, 606)
     wrong_side = np.isin(res_rev.photons["emitter_id"], (1, 2))
     assert not np.any(wrong_side)
 
-    res_off = run_device(layout, SawWave(193.0, 15.0, amplitude=0.0), pump,
-                         duration, 606)
+    res_off = run_device(layout, SawWave(193.0, 15.0, amplitude=0.0), period,
+                         cycles, duration, 606)
     assert set(res_off.photons["emitter_id"].tolist()) == {0}
     report(6, f"delays exact, {len(res.log.captures)} captures causal, "
               f"reversed side dark over {cycles} cycles, amplitude 0 local only")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawsps.cascade import (CascadeModel, NoSignalError, OccupancyTrace,
-                            PumpSpec, Transient, initial_loading, onset_time,
+                            Transient, initial_loading, onset_time,
                             poisson_pmf, poisson_tail, solve_cascade_analytic,
                             solve_cascade_numeric, time_integrated_intensity)
 
@@ -162,50 +162,31 @@ def test_photon_conservation_adversarial_degeneracies():
 
 
 class TestNumericSolution:
-    def test_no_generation_stays_zero(self):
-        trace = solve_cascade_numeric(THREE_LEVEL, PumpSpec(0.0, 10.0), 5.0, 1e-3)
-        assert np.all(trace.occupancies == 0.0)
-
     def test_matches_analytic_single_pulse(self):
-        trace = solve_cascade_numeric(THREE_LEVEL, PumpSpec(0.0, 10.0), 5.0,
-                                      1e-3, start_level=3)
+        trace = solve_cascade_numeric(THREE_LEVEL, 3, 5.0, 1e-3)
         sol = solve_cascade_analytic(THREE_LEVEL, 3)
         for level in (1, 2, 3):
             exact = sol.occupancy(level, trace.time_ns)
             err = np.max(np.abs(trace.level(level) - exact)) / exact.max()
             assert err < 1e-6
 
-    def test_poisson_pulse_superposition(self):
-        g = 0.7
-        trace = solve_cascade_numeric(THREE_LEVEL, PumpSpec(g, 100.0), 4.0, 1e-3)
-        weights = initial_loading(g, 3)
-        t = trace.time_ns
-        expected = np.zeros_like(t)
-        for k in range(1, 4):
-            expected += weights[k] * solve_cascade_analytic(THREE_LEVEL, k).occupancy(1, t)
-        assert np.max(np.abs(trace.level(1) - expected)) < 1e-6
-
-    def test_second_pulse_is_shifted_copy(self):
-        period = 30.0
-        trace = solve_cascade_numeric(THREE_LEVEL, PumpSpec(1.0, period, 2),
-                                      60.0, 1e-3)
-        nodes = int(round(period / 1e-3))
-        first = trace.occupancies[:, :nodes]
-        second = trace.occupancies[:, nodes:2 * nodes]
-        assert np.max(np.abs(first - second)) < 1e-6
-
     def test_step_size_preconditions(self):
         with pytest.raises(ValueError):
-            solve_cascade_numeric(THREE_LEVEL, PumpSpec(1.0, 10.0), 5.0, 0.1)
+            solve_cascade_numeric(THREE_LEVEL, 3, 5.0, 0.1)
         with pytest.raises(ValueError):
-            solve_cascade_numeric(THREE_LEVEL, PumpSpec(1.0, 10.0), 1e-4, 1e-3)
+            solve_cascade_numeric(THREE_LEVEL, 3, 1e-4, 1e-3)
+
+    def test_bad_start_level(self):
+        # unchecked, -1 would index the top level and 0 would load nothing
+        for level in (-1, 0, 4):
+            with pytest.raises(ValueError):
+                solve_cascade_numeric(THREE_LEVEL, level, 5.0, 1e-3)
 
 
 class TestEmissionTrace:
     def test_single_exponential(self):
         model = CascadeModel((1.0,))
-        trace = solve_cascade_numeric(model, PumpSpec(0.0, 10.0), 5.0, 1e-3,
-                                      start_level=1)
+        trace = solve_cascade_numeric(model, 1, 5.0, 1e-3)
         em = trace.level(1) / model.lifetimes_ns[0]
         assert np.allclose(em, np.exp(-trace.time_ns), atol=1e-6)
 
@@ -218,7 +199,7 @@ class TestEmissionTrace:
             assert integral == pytest.approx(1.0, abs=1e-6)
 
     def test_out_of_range_level(self):
-        trace = solve_cascade_numeric(THREE_LEVEL, PumpSpec(1.0, 10.0), 2.0, 1e-3)
+        trace = solve_cascade_numeric(THREE_LEVEL, 3, 2.0, 1e-3)
         with pytest.raises(ValueError):
             trace.level(4)
 
@@ -286,12 +267,6 @@ class TestTypes:
             CascadeModel((1.0, -0.5))
         with pytest.raises(ValueError):
             CascadeModel((1.0, 2.0), labels=("a", "a"))
-
-    def test_pump_validation(self):
-        with pytest.raises(ValueError):
-            PumpSpec(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            PumpSpec(1.0, 0.0)
 
     def test_occupancy_trace_validation(self):
         t = np.linspace(0.0, 1.0, 11)

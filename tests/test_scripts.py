@@ -1,4 +1,4 @@
-"""The sweep scripts run end to end against the package in `src/`."""
+"""The scripts run end to end against the package in `src/`."""
 
 import csv
 import os
@@ -8,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
+from sawsps.scenarios import list_scenarios
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("name,args,header", [
@@ -23,14 +34,16 @@ ROOT = Path(__file__).resolve().parent.parent
 ])
 def test_script_writes_csv(tmp_path, name, args, header):
     out = tmp_path / "sweep.csv"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args, "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = run_script(name, *args, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == header
     assert len(rows) > 1
+
+
+def test_run_all_scenarios_writes_every_manifest(tmp_path):
+    proc = run_script("run_all_scenarios.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for name, _ in list_scenarios():
+        assert (tmp_path / name / "manifest.json").is_file(), name

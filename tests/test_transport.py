@@ -1,4 +1,5 @@
 import heapq
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawsps import transport
-from sawsps.cascade import CascadeModel, PumpSpec
+from sawsps.cascade import CascadeModel
 from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
 from sawsps.scenarios import ScenarioConfig, run_scenario
@@ -165,9 +166,9 @@ class TestRunDevice:
     def run(self, direction=-1, amplitude=1.0, pulses=2000, seed=11, **kw):
         saw = SawWave(193.0, 15.0, amplitude=amplitude, direction=direction)
         layout = simple_layout(**kw)
-        pump = PumpSpec(1.0, saw.period_ns, num_pulses=pulses)
         duration = pulses * saw.period_ns + 30.0
-        return layout, saw, run_device(layout, saw, pump, duration, seed)
+        return layout, saw, run_device(layout, saw, saw.period_ns, pulses,
+                                       duration, seed)
 
     def test_forward_feeds_all_sites(self):
         layout, saw, res = self.run()
@@ -217,10 +218,9 @@ class TestRunDevice:
         sites_p = tuple(QdSite(i, -s.position_um, 0.5, 0.5, MODEL)
                         for i, s in enumerate(lay_m.sites))
         lay_p = ChannelLayout((-6.0, 20.0), lay_m.spot, sites_p)
-        pump = PumpSpec(1.0, saw_m.period_ns, num_pulses=1000)
         dur = 1000 * saw_m.period_ns + 30.0
-        res_m = run_device(lay_m, saw_m, pump, dur, 21)
-        res_p = run_device(lay_p, saw_p, pump, dur, 21)
+        res_m = run_device(lay_m, saw_m, saw_m.period_ns, 1000, dur, 21)
+        res_p = run_device(lay_p, saw_p, saw_m.period_ns, 1000, dur, 21)
         assert len(res_m.photons) == len(res_p.photons)
         a, b = res_m.photons, res_p.photons
         assert np.allclose(a["time_ns"], b["time_ns"], rtol=0, atol=1e-9)
@@ -234,8 +234,8 @@ class TestRunDevice:
                       for i, x in enumerate((-12.0, -17.0)))
         layout = ChannelLayout((-25.0, 6.0), LaserSpot(0.0, 1.0, 2.0), sites)
         saw = SawWave(193.0, 15.0, direction=-1)
-        pump = PumpSpec(1.0, saw.period_ns, num_pulses=10000)
-        res = run_device(layout, saw, pump, 10000 * saw.period_ns + 40.0, 31)
+        res = run_device(layout, saw, saw.period_ns, 10000,
+                         10000 * saw.period_ns + 40.0, 31)
         captures = np.bincount(res.log.captures["site_id"],
                                weights=res.log.captures["count"], minlength=2)
         photons = np.bincount(res.photons["emitter_id"], minlength=2)
@@ -248,8 +248,8 @@ class TestRunDevice:
         sites = (QdSite(0, -7.0, 0.5, 1.0, CascadeModel((0.5,))),)
         layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 0.3, 1.0), sites)
         saw = SawWave(193.0, 15.0, direction=-1)
-        pump = PumpSpec(1.0, saw.period_ns, num_pulses=20000)
-        res = run_device(layout, saw, pump, 20000 * saw.period_ns + 30.0, 41)
+        res = run_device(layout, saw, saw.period_ns, 20000,
+                         20000 * saw.period_ns + 30.0, 41)
         loads = res.log.loads[res.log.loads["site_id"] == 0]
         assert loads.size and np.all(loads["excitons"] == 1)
         cycles = (loads["time_ns"] // saw.period_ns).astype(int)
@@ -259,6 +259,20 @@ class TestRunDevice:
         sites = (QdSite(0, 50.0, 0.5, 0.5, MODEL),)
         with pytest.raises(ValueError):
             ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
+
+    def test_pulse_train_and_duration_validation(self):
+        # a NaN duration or period must fail too: it would otherwise give an
+        # empty run whose log balances
+        saw = SawWave(193.0, 15.0, direction=-1)
+        layout = simple_layout()
+        nan, inf = math.nan, math.inf
+        for period, pulses, duration in [(saw.period_ns, 10, nan),
+                                         (saw.period_ns, 10, 0.0),
+                                         (nan, 10, 100.0), (inf, 10, 100.0),
+                                         (0.0, 10, 100.0), (-1.0, 10, 100.0),
+                                         (saw.period_ns, 0, 100.0)]:
+            with pytest.raises(ValueError):
+                run_device(layout, saw, period, pulses, duration, 1)
 
     def test_duplicate_site_ids_rejected(self):
         sites = (QdSite(0, 0.0, 0.5, 0.5, MODEL),
@@ -272,8 +286,8 @@ class TestRunDevice:
         sites = (QdSite(0, 0.1, 0.5, 1.0, MODEL), QdSite(1, 0.4, 0.5, 1.0, MODEL))
         layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 0.01, 2.0), sites)
         saw = SawWave(193.0, 15.0, amplitude=0.0)
-        pump = PumpSpec(1.0, saw.period_ns, num_pulses=200)
-        res = run_device(layout, saw, pump, 200 * saw.period_ns + 30.0, 71)
+        res = run_device(layout, saw, saw.period_ns, 200,
+                         200 * saw.period_ns + 30.0, 71)
         captures = res.log.captures
         assert captures.size and captures.size % 2 == 0
         assert np.all(captures["site_id"] == 0) and np.all(captures["count"] == 1)
@@ -351,7 +365,8 @@ def reference_passes(pockets, sites, saw, duration):
     return passes
 
 
-def reference_device(layout, saw, pump, duration, seed, variant=0):
+def reference_device(layout, saw, period, num_pulses, duration, seed,
+                     variant=0):
     """The device run crossing by crossing: one heap event and one
     `capture_pass` per pocket-site pass, pulses interleaved in time.  Ties
     between passes at one instant go by pocket birth index, then rank.
@@ -363,10 +378,10 @@ def reference_device(layout, saw, pump, duration, seed, variant=0):
              for s in sorted(layout.sites, key=lambda s: d * s.position_um)]
     s_pos = [d * s.position_um for s in sites]
     pulse_times = []
-    for p in range(pump.num_pulses):
-        if p * pump.pulse_period_ns > duration:
+    for p in range(num_pulses):
+        if p * period > duration:
             break
-        pulse_times.append(p * pump.pulse_period_ns)
+        pulse_times.append(p * period)
     pair_t, pair_x = draw_pairs(layout.spot, saw, pulse_times,
                                 substream(seed, 0, variant))
     draws = substream(seed, 3, variant)
@@ -485,20 +500,19 @@ def random_device(seed):
     layout = ChannelLayout((-15.0, 15.0), spot, sites)
     pulses = int(g.integers(5, 40))
     period = saw.period_ns * float(g.choice([1.0, 0.5, g.uniform(0.2, 3.0)]))
-    pump = PumpSpec(1.0, period, num_pulses=pulses)
     full = pulses * period + 30.0 / saw.velocity_um_per_ns
     duration = full * float(g.uniform(0.3, 1.2))
-    return layout, saw, pump, duration
+    return layout, saw, period, pulses, duration
 
 
 def test_kernel_matches_event_loop_oracle():
     seen = {"amplitude": set(), "direction": set(), "capacity": set(),
             "in_transit": 0, "inside_before": 0, "inside_past": 0, "ties": 0}
     for seed in range(100):
-        layout, saw, pump, duration = random_device(seed)
-        got = device_outputs(run_device(layout, saw, pump, duration, seed))
-        tallies, captures, loads, photons = reference_device(
-            layout, saw, pump, duration, seed)
+        run = random_device(seed)
+        layout, saw = run[:2]
+        got = device_outputs(run_device(*run, seed))
+        tallies, captures, loads, photons = reference_device(*run, seed)
         assert got[0] == tallies, seed
         assert got[1] == captures, seed
         assert got[2] == loads, seed
@@ -574,10 +588,10 @@ def layouts(pockets, sites, saw, duration):
 def test_pass_layout_matches_oracle_enumeration():
     seen = {"behind": 0, "cut_short": 0}
     for seed in range(100):
-        layout, saw, pump, duration = random_device(seed)
+        layout, saw, period, pulses, duration = random_device(seed)
         d = saw.direction
         sites = sorted(layout.sites, key=lambda s: d * s.position_um)
-        pulse_times = pump.pulse_times()
+        pulse_times = np.arange(pulses) * period
         pockets = [CarrierPocket(SPECIES[p["species"]], int(p["count"]),
                                  float(p["position_um"]), float(p["birth_time_ns"]))
                    for p in launch_pockets(*draw_pairs(
