@@ -560,7 +560,9 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
     Refuses a non-empty output directory unless `force`.  The outputs are
     written into a new sibling directory that replaces the output directory
     only once the manifest is written, so a run that fails leaves the
-    output directory as it was.  Returns the manifest dictionary.
+    output directory as it was.  The previous outputs are renamed aside
+    and deleted only once the new ones are in place.  Returns the manifest
+    dictionary.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
@@ -574,6 +576,7 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = out.with_name(f".{out.name}.partial-{secrets.token_hex(4)}")
     stage.mkdir()
+    old = None
     try:
         files = _RUNNERS[config.name](config, stage, threads)
         canonical = json.dumps(config.to_dict(), sort_keys=True,
@@ -591,9 +594,14 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
         if out.exists():
-            shutil.rmtree(out)
+            old = stage.with_name(f"{stage.name}-old")
+            out.rename(old)
         stage.rename(out)
     except BaseException:
+        if old is not None and not out.exists():
+            old.rename(out)
         shutil.rmtree(stage, ignore_errors=True)
         raise
+    if old is not None:
+        shutil.rmtree(old)
     return manifest

@@ -9,17 +9,15 @@ runs its cascade through the stochastic emitter.
 Pocket motion is ballistic and dispersionless, so geometry alone fixes which
 sites a pocket passes and when, and so the draw of the capture stream each
 pass reads (pocket by pocket in birth order).  Only the passes whose uniform
-succeeds (hits) can change a pocket or a site; the device loop visits just
-those, in chronological order.  The draws are read by offset, a window of a
-pocket's passes at a time, and a later window only once the pocket has
-visited its hits so far and still holds carriers.  With the wave off
-(amplitude 0) nothing is conveyed: each pair stays at its generation point
-and is captured there or recombines.
+succeeds (hits) can change a pocket or a site; the device kernel visits just
+those, site by site in encounter order, each site's in order of crossing
+time and pocket.  The draws are read by offset, a window of a pocket's
+passes at a time, and a later window only while the pocket still holds
+carriers.  With the wave off (amplitude 0) nothing is conveyed: each pair
+stays at its generation point and is captured there or recombines.
 """
 
-import heapq
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +77,9 @@ class LaserSpot:
 
 @dataclass
 class QdSite:
-    """A dot site: fixed position and capture parameters, mutable carrier
-    state owned by the device loop."""
+    """A dot site: fixed position and capture parameters, and the mutable
+    carrier state that `capture_pass` and `exciton_formation` act on
+    (`run_device` keeps its own)."""
 
     site_id: int
     position_um: float
@@ -162,10 +161,11 @@ CAPTURE_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("species", "i1"
                           ("pocket_birth_um", "f8")])
 LOAD_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("excitons", "i8")])
 
-# Capture draws are taken DRAW_WINDOW passes of a pocket at a time: before
-# the run in blocks of pockets that hold about DRAW_BLOCK passes, which
-# bounds memory.  Each pass reads its own draw of the stream by offset, so
-# neither size shows in the outputs.
+# The device kernel sweeps the sites DRAW_WINDOW ranks at a time, and capture
+# draws are taken DRAW_WINDOW passes of a pocket at a time, in calls over
+# pockets that hold about DRAW_BLOCK passes, which bounds memory.  Each pass
+# reads its own draw of the stream by offset, so neither size shows in the
+# outputs.
 DRAW_BLOCK = 1 << 16
 DRAW_WINDOW = 256
 
@@ -267,8 +267,9 @@ def arrival_delay(distance_um: float, saw: SawWave) -> float:
 @dataclass
 class DeviceLog:
     """Bookkeeping of one device run: carrier tallies by species, every
-    capture (CAPTURE_DTYPE, in the order the run made them) and every
-    exciton load (LOAD_DTYPE, in formation order)."""
+    capture (CAPTURE_DTYPE) and every exciton load (LOAD_DTYPE), both in
+    order of (time, pocket, site rank).  Pockets go by birth; with the wave
+    off each pair is one, its electron capture before its hole capture."""
 
     pulse_times: np.ndarray
     generated: dict
@@ -340,176 +341,110 @@ def _pass_layout(s0, born, sp, radius, v, duration_ns):
     return n_back + end - m, rank
 
 
-def _hits(pockets, s0, sp, radius, p_eff, v, duration_ns, rng):
-    """The hits (passes whose capture draw succeeds) known before the run,
-    as site ranks grouped by pocket in birth order and ascending within a
-    pocket; the number of each pocket's known hits; whether each pocket has
-    passes left to draw; and `more(i)`, the ranks of pocket i's next hits
-    ([] once it has none), or None when no pocket has passes left.
-
-    Pass k of pocket i reads draw O_i + k of `rng`'s stream, where O_i
-    counts the passes of the pockets born before it.  A pocket's hits are
-    known up to its first window with a hit; `more` draws on from there to
-    the next window with one.
-    """
-    n = len(pockets)
-    if n == 0 or sp.size == 0:
-        return np.zeros(0, np.int64), np.zeros(n, np.int64), [False] * n, None
-    passes, rank_at = _pass_layout(s0, pockets["birth_time_ns"], sp, radius,
-                                   v, duration_ns)
-    offset, drawn = np.cumsum(passes) - passes, np.zeros(n, np.int64)
-    read = _stream_reader(rng)
-
-    def window(pks):
-        """Draw the next window of each pocket of `pks`: (pocket, rank) of
-        its hits."""
-        take = np.minimum(passes[pks] - drawn[pks], DRAW_WINDOW)
-        at = offset[pks] + drawn[pks]  # where each window starts
-        pk = np.repeat(pks, take)
-        rank = rank_at(pk, np.arange(pk.size)
-                       + np.repeat(drawn[pks] - np.cumsum(take) + take, take))
-        # windows that follow on in the stream share one read
-        calls = np.flatnonzero(np.append(True, at[1:] != at[:-1] + take[:-1]))
-        u = np.concatenate([read(j, c) for j, c in zip(
-            at[calls].tolist(), np.add.reduceat(take, calls).tolist())])
-        drawn[pks] += take
-        hit = u < p_eff[rank]
-        return pk[hit], rank[hit]
-
-    ends = np.cumsum(np.minimum(passes, DRAW_WINDOW))
-    got, found = [], np.zeros(n, bool)
-    for pks in np.split(np.arange(n), np.flatnonzero(np.diff(ends // DRAW_BLOCK)) + 1):
-        while pks.size:  # windows until each pocket has a hit or no passes
-            got.append(window(pks))
-            found[got[-1][0]] = True
-            pks = pks[~found[pks] & (drawn[pks] < passes[pks])]
-    pk, rank = map(np.concatenate, zip(*got))
-    pending = (drawn < passes).tolist()
-
-    def more(i):  # `window` for one pocket, without its fixed costs
-        hits, k, last = [], int(drawn[i]), int(passes[i])
-        while not hits and k < last:
-            count = min(last - k, DRAW_WINDOW)
-            rank = rank_at(i, np.arange(k, k + count))
-            hits = rank[read(offset[i] + k, count) < p_eff[rank]].tolist()
-            k += count
-        drawn[i], pending[i] = k, k < last
-        return hits
-    # with nothing left to draw, the layout `more` holds is freed
-    return (rank[np.argsort(pk, kind="stable")], np.bincount(pk, minlength=n),
-            pending, more if any(pending) else None)
-
-
 def _crossing(born, s0, sp, v):
     """When a pocket born at signed position s0 passes the site at sp: at
     the site center, or at birth if born inside the window past it."""
     return born + np.maximum(sp - s0, 0.0) / v
 
 
-def _convey(pockets, sites, saw, duration_ns, rng):
-    """Conveyed pockets through the sites (in encounter order): at each hit,
-    in order of (time, pocket, rank), capture then exciton formation.  A
-    pocket that has visited its known hits and still holds carriers draws
-    its next ones (`_hits`).
+def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, duration_ns,
+            rng):
+    """Conveyed pockets through the sites (columns in encounter order), a
+    block of DRAW_WINDOW ranks at a time.  In a block, site by site, each
+    hit (a pass whose capture draw succeeds) in order of crossing time and
+    pocket makes a capture, then exciton formation.  A pocket's count
+    changes only at its own hits, which come in rank order, and a site's
+    held carriers only at that site's hits, in (time, pocket) order; so
+    the run is the one a global clock would make.
+
+    Pass k of pocket i reads draw O_i + k of `rng`'s stream, where O_i
+    counts the passes of the pockets born before it.  Before each block,
+    each pocket that still holds carriers and has undrawn passes in the
+    block draws its next window of DRAW_WINDOW passes, which covers at
+    least DRAW_WINDOW ranks and so reaches past the block.
 
     Returns the pocket counts left, the captures (CAPTURE_DTYPE) and the
-    loads as (time, rank, excitons) columns.
+    loads as (time, rank, excitons) columns, both in order of (time,
+    pocket, rank).
     """
     d, v = saw.direction, saw.velocity_um_per_ns
-    sp = np.array([d * s.position_um for s in sites])
-    radius = np.array([s.capture_radius_um for s in sites])
-    p_eff = np.array([s.capture_prob * saw.amplitude for s in sites])
-    s0 = d * pockets["position_um"]
-    born = pockets["birth_time_ns"]
-    hit_rank, per_pocket, pending, more = _hits(pockets, s0, sp, radius, p_eff,
-                                                v, duration_ns, rng)
-    ends = np.cumsum(per_pocket)
-    live = np.flatnonzero(per_pocket)
-    first = ends[live] - per_pocket[live]
-    t0 = _crossing(born[live], s0[live], sp[hit_rank[first]], v)
-    order = np.lexsort((live, t0))
-    # each live pocket's first hit, in order, then a sentinel; the heap holds
-    # the next hit of each pocket in flight, so it stays small and the hit
-    # index, which grows with rank, never decides
-    firsts = list(zip(t0[order].tolist(), live[order].tolist(),
-                      first[order].tolist()))
-    firsts.append((math.inf, -1, -1))
-    heap = [firsts[-1]]
-    rank_of, end = array("q", hit_rank.tobytes()), ends.tolist()
-    owner = []  # the pocket of each hit that `more` adds
-    born_l, s0_l, sp_l = born.tolist(), s0.tolist(), sp.tolist()
+    sp, s0 = d * pos, d * pockets["position_um"]
+    born, n = pockets["birth_time_ns"], len(pockets)
     counts = pockets["count"].tolist()
     codes = pockets["species"].tolist()
-    capacity = [s.capacity for s in sites]
-    held = ([0] * len(sites), [0] * len(sites))
+    held = ([0] * sp.size, [0] * sp.size)
     electrons, holes = held
-    captures, moves, loads, excitons = [], [], [], []  # hits and amounts
-    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    q = 0
-    while True:
-        from_heap = heap[0] < firsts[q]
-        _, i, h = heap[0] if from_heap else firsts[q]
-        if i < 0:
-            break
-        q += not from_heap
-        r = rank_of[h]
-        mine = held[codes[i]]
-        moved = capacity[r] - mine[r]
-        if counts[i] < moved:
-            moved = counts[i]
-        if moved:
-            counts[i] -= moved
-            mine[r] += moved
-            captures.append(h)
-            moves.append(moved)
-            formed = electrons[r] if electrons[r] < holes[r] else holes[r]
-            if formed:
-                electrons[r] -= formed
-                holes[r] -= formed
-                loads.append(h)
-                excitons.append(formed)
-        h += 1
-        if counts[i] and h == end[i] and pending[i]:
-            h, new = len(rank_of), more(i)  # the pocket's next hits
-            rank_of.extend(new)
-            owner += [i] * len(new)
-            end[i] = len(rank_of)
-        if counts[i] and h < end[i]:
-            wait = sp_l[rank_of[h]] - s0_l[i]  # _crossing, on floats
-            nxt = (born_l[i] + (wait if wait > 0.0 else 0.0) / v, i, h)
-            if from_heap:
-                replace(heap, nxt)
-            else:
-                push(heap, nxt)
-        elif from_heap:
-            pop(heap)
+    # (pocket, rank, carriers moved, excitons formed) of each capture, by block
+    caps = [np.zeros((0, 4), np.int64)]
+    if n and sp.size:  # else no pocket passes a site
+        passes, rank_at = _pass_layout(s0, born, sp, radius, v, duration_ns)
+        offset, drawn = np.cumsum(passes) - passes, np.zeros(n, np.int64)
+        read = _stream_reader(rng)
+        p_eff = prob * saw.amplitude
 
-    owner = np.append(np.repeat(np.arange(len(pockets)), per_pocket),
-                      np.array(owner, np.int64))
-    rank_of = np.frombuffer(rank_of, np.int64)
+        def window(pks):
+            """Draw the next window of each pocket of `pks`: (pocket, rank) of
+            its hits."""
+            take = np.minimum(passes[pks] - drawn[pks], DRAW_WINDOW)
+            at = offset[pks] + drawn[pks]  # where each window starts
+            pk = np.repeat(pks, take)
+            rank = rank_at(pk, np.arange(pk.size)
+                           + np.repeat(drawn[pks] - np.cumsum(take) + take, take))
+            # windows that follow on in the stream share one read
+            calls = np.flatnonzero(np.append(True, at[1:] != at[:-1] + take[:-1]))
+            u = np.concatenate([read(j, c) for j, c in zip(
+                at[calls].tolist(), np.add.reduceat(take, calls).tolist())])
+            drawn[pks] += take
+            hit = u < p_eff[rank]
+            return pk[hit], rank[hit]
 
-    def locate(hits):
-        hits = np.array(hits, np.int64)
-        pk, rank = owner[hits], rank_of[hits]
-        return pk, rank, _crossing(born[pk], s0[pk], sp[rank], v)
+        pool = np.zeros((2, 0), np.int64)  # (pocket, rank) of hits not visited
+        for lo in range(0, sp.size, DRAW_WINDOW):
+            hi = lo + DRAW_WINDOW
+            live = np.array(counts) > 0
+            need = np.flatnonzero(live & (drawn < passes))
+            need = need[rank_at(need, drawn[need]) < hi]
+            ends = np.cumsum(np.minimum(passes[need] - drawn[need], DRAW_WINDOW))
+            hits = np.concatenate([pool] + [window(pks) for pks in np.split(
+                need, np.flatnonzero(np.diff(ends // DRAW_BLOCK)) + 1) if pks.size],
+                axis=1)
+            hits = hits[:, live[hits[0]]]  # a pocket run dry captures no more
+            now = hits[1] < hi
+            pool, (pk, rank) = hits[:, ~now], hits[:, now]
+            order = np.lexsort((pk, _crossing(born[pk], s0[pk], sp[rank], v), rank))
+            block = []
+            for i, r in zip(pk[order].tolist(), rank[order].tolist()):
+                mine = held[codes[i]]
+                moved = capacity[r] - mine[r]
+                if counts[i] < moved:
+                    moved = counts[i]
+                if moved:
+                    counts[i] -= moved
+                    mine[r] += moved
+                    formed = electrons[r] if electrons[r] < holes[r] else holes[r]
+                    electrons[r] -= formed
+                    holes[r] -= formed
+                    block.append((i, r, moved, formed))
+            caps.append(np.array(block, np.int64).reshape(-1, 4))
+    pk, rank, moved, formed = np.concatenate(caps).T
+    t = _crossing(born[pk], s0[pk], sp[rank], v)
+    order = np.lexsort((rank, pk, t))
+    t, pk, rank, moved, formed = (c[order] for c in (t, pk, rank, moved, formed))
+    captures = np.zeros(pk.size, CAPTURE_DTYPE)
+    captures["time_ns"] = t
+    captures["site_id"] = site_ids[rank]
+    captures["species"] = pockets["species"][pk]
+    captures["count"] = moved
+    captures["pocket_birth_ns"] = born[pk]
+    captures["pocket_birth_um"] = pockets["position_um"][pk]
+    load = formed > 0
+    return np.array(counts, np.int64), captures, (t[load], rank[load], formed[load])
 
-    pk, rank, t = locate(captures)
-    caps = np.zeros(pk.size, CAPTURE_DTYPE)
-    caps["time_ns"] = t
-    caps["site_id"] = np.array([s.site_id for s in sites], np.int64)[rank]
-    caps["species"] = pockets["species"][pk]
-    caps["count"] = moves
-    caps["pocket_birth_ns"] = born[pk]
-    caps["pocket_birth_um"] = pockets["position_um"][pk]
-    _, rank, t = locate(loads)
-    return np.array(counts, np.int64), caps, (t, rank, np.array(excitons, np.int64))
 
-
-def _nearest_covering(xs, sites):
-    """Encounter rank of the nearest site whose capture window covers each
-    position (the first of equally near ones), or -1."""
-    pos = np.array([s.position_um for s in sites])
-    radius = np.array([s.capture_radius_um for s in sites])
+def _nearest_covering(xs, pos, radius):
+    """Encounter rank of the nearest site (columns in encounter order) whose
+    capture window covers each position (the first of equally near ones),
+    or -1."""
     nearest = np.full(len(xs), -1, np.intp)
     if pos.size == 0:
         return nearest
@@ -552,6 +487,9 @@ def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
         raise ValueError("need at least one pulse")
     d, v = saw.direction, saw.velocity_um_per_ns
     sites = sorted(layout.sites, key=lambda s: d * s.position_um)  # encounter order
+    pos = np.array([s.position_um for s in sites])
+    radius = np.array([s.capture_radius_um for s in sites])
+    prob = np.array([s.capture_prob for s in sites])
     site_ids = np.array([s.site_id for s in sites], np.int64)
 
     pulse_times = np.arange(num_pulses) * pulse_period_ns
@@ -564,10 +502,9 @@ def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
 
     if saw.amplitude == 0:
         uniform = rng.random(pair_t.size)
-        rank = _nearest_covering(pair_x, sites)
+        rank = _nearest_covering(pair_x, pos, radius)
         # rank -1 (no covering site) reads the trailing 0: never captured
-        prob = np.array([s.capture_prob for s in sites] + [0.0])
-        pair = np.flatnonzero(uniform < prob[rank])
+        pair = np.flatnonzero(uniform < np.append(prob, 0.0)[rank])
         rank = rank[pair]
         for sp in SPECIES:
             log.generated[sp] = int(pair_t.size)
@@ -586,7 +523,8 @@ def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
     else:
         pockets = launch_pockets(pair_t, pair_x, saw)
         counts, log.captures, (load_time, load_rank, load_n) = _convey(
-            pockets, sites, saw, duration_ns, rng)
+            pockets, pos, radius, prob, [s.capacity for s in sites], site_ids,
+            saw, duration_ns, rng)
 
         # classify carriers still in a pocket at the end of the run
         s_exit = d * (layout.extent_um[1] if d > 0 else layout.extent_um[0])

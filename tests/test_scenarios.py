@@ -152,6 +152,28 @@ class TestRunScenario:
         (tmp_path / "plain").mkdir()
         assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
+    def test_interrupted_removal_keeps_complete_outputs(self, tmp_path,
+                                                        monkeypatch):
+        # an interrupt while the previous outputs are deleted, after one of
+        # their files is gone, leaves the new outputs whole at `out`: the
+        # files and manifest of a complete run
+        out = tmp_path / "out"
+        run_scenario(ScenarioConfig.preset("fig4c_delays"), out)
+        expected = dir_digest(out)
+        (out / "stale.txt").write_text("old")
+        rmtree = scenarios.shutil.rmtree
+
+        def interrupted(path, *args, **kwargs):
+            if (path / "stale.txt").exists():
+                (path / "delays.csv").unlink()
+                raise KeyboardInterrupt
+            rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios.shutil, "rmtree", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(ScenarioConfig.preset("fig4c_delays"), out, force=True)
+        assert dir_digest(out) == expected
+
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         def broken(cfg, out, threads):
             (out / "partial.csv").write_text("half-written")
