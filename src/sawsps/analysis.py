@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .cascade import (CascadeModel, NoSignalError, Transient, initial_loading,
                       onset_time, solve_cascade_analytic)
@@ -53,6 +52,8 @@ def fit_rise_fall(transient: Transient) -> RiseFallFit:
     broad rise); converged when the relative parameter change drops below
     1e-8.  Time constants are returned with t_fall >= t_rise.
     """
+    from scipy.optimize import least_squares
+
     t = transient.time_ns
     y = transient.intensity
     peak = float(np.max(y)) if y.size else 0.0

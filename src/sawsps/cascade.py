@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 # Lifetimes closer than this (relative) are treated as equal and the analytic
 # solution switches to the confluent t^m * exp(-t/tau) limit form.
@@ -149,6 +148,8 @@ def poisson_pmf(g: float, i: int) -> float:
 
 def poisson_tail(g: float, i: int) -> float:
     """P(count >= i) for a Poisson distribution with mean g."""
+    from scipy.special import gammainc
+
     if g < 0:
         raise ValueError("mean must be >= 0")
     if i != int(i) or i < 0:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from ._csvfile import write_csv
 from .cascade import Transient
@@ -221,6 +220,8 @@ def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
     each axis into whole pixels (the last pixel would stop short of the
     extent) or a non-finite photon position.
     """
+    from scipy.special import erf
+
     if psf_sigma_um <= 0:
         raise ValueError("PSF sigma must be > 0")
     if pixel_um <= 0:

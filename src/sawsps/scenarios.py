@@ -561,8 +561,9 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
     written into a new sibling directory that replaces the output directory
     only once the manifest is written, so a run that fails leaves the
     output directory as it was.  The previous outputs are renamed aside
-    and deleted only once the new ones are in place.  Returns the manifest
-    dictionary.
+    and deleted only once the new ones are in place, together with any
+    set renamed aside by an earlier run whose delete was interrupted.
+    Returns the manifest dictionary.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
@@ -602,6 +603,12 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
             old.rename(out)
         shutil.rmtree(stage, ignore_errors=True)
         raise
-    if old is not None:
-        shutil.rmtree(old)
+    # `out` is complete now, so every `-old` sibling of a stage name (8 hex
+    # digits of token), this run's or one left by an interrupted delete,
+    # holds superseded outputs
+    superseded = re.compile(re.escape(f".{out.name}.partial-")
+                            + "[0-9a-f]{8}-old")
+    for path in out.parent.iterdir():
+        if superseded.fullmatch(path.name):
+            shutil.rmtree(path)
     return manifest

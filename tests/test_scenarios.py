@@ -173,6 +173,11 @@ class TestRunScenario:
         with pytest.raises(KeyboardInterrupt):
             run_scenario(ScenarioConfig.preset("fig4c_delays"), out, force=True)
         assert dir_digest(out) == expected
+        # the next complete run removes the set the interrupt left aside
+        monkeypatch.setattr(scenarios.shutil, "rmtree", rmtree)
+        run_scenario(ScenarioConfig.preset("fig4c_delays"), out, force=True)
+        assert dir_digest(out) == expected
+        assert not list(tmp_path.glob(".out.partial-*"))
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
         def broken(cfg, out, threads):

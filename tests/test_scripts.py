@@ -1,6 +1,7 @@
 """The scripts run end to end against the package in `src/`."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -13,13 +14,56 @@ from sawsps.scenarios import list_scenarios
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+# In one fresh interpreter: the scipy modules loaded after each step of a
+# start-up that runs nothing, then after small runs of three presets.  The
+# steps share the process, so each sees what the earlier ones loaded.
+STARTUP_PROBE = """
+import json, sys
+from pathlib import Path
+
+def scipy_loaded():
+    return [m for m in ("scipy.special", "scipy.optimize") if m in sys.modules]
+
+out = Path(sys.argv[1])
+import sawsps
+from sawsps import cli
+from sawsps.scenarios import ScenarioConfig, list_scenarios, run_scenario
+for name, _ in list_scenarios():
+    ScenarioConfig.preset(name)
+assert cli.main(["list"]) == 0
+bad = out / "bad.json"
+bad.write_text(json.dumps({"scenario": "fig7_remote", "params": {"nope": 1}}))
+assert cli.main(["run", "--config", str(bad), "--out", str(out / "bad")]) == 2
+seen = {"start": scipy_loaded()}
+for name, over in (("fig7_remote", {"num_pulses": 50}),
+                   ("g2_antibunching", {"num_cycles": 5000}),
+                   ("fig5_ensemble", {"num_pulses": 10})):
+    run_scenario(ScenarioConfig.preset(name, over), out / name)
+    seen[name] = scipy_loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_start_up_loads_scipy_only_where_called(tmp_path):
+    # scipy is imported only inside the functions that call it, so listing,
+    # config errors, fig7 and g2 start in numpy's import time
+    proc = run_python("-c", STARTUP_PROBE, str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "start": [], "fig7_remote": [], "g2_antibunching": [],
+        "fig5_ensemble": ["scipy.special"]}
 
 
 @pytest.mark.parametrize("name,args,header", [

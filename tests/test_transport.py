@@ -521,7 +521,12 @@ def random_device(seed):
     return layout, saw, period, pulses, duration
 
 
-def test_kernel_matches_event_loop_oracle():
+# at the default window a random layout's sites fit in one block; at 2 a
+# layout of more than two sites spans several blocks
+@pytest.mark.parametrize("window", [transport.DRAW_WINDOW, 2],
+                         ids=["default", "2"])
+def test_kernel_matches_event_loop_oracle(window, monkeypatch):
+    monkeypatch.setattr(transport, "DRAW_WINDOW", window)
     seen = {"amplitude": set(), "direction": set(), "capacity": set(),
             "in_transit": 0, "inside_before": 0, "inside_past": 0, "ties": 0}
     for seed in range(100):
