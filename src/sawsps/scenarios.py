@@ -31,7 +31,7 @@ from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
 from .emitter import sample_start_levels, write_photon_csv
 from .rng import substream
 from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
-                        arrival_delay, per_cycle_emission_times, run_device,
+                        per_cycle_emission_times, run_device,
                         uniform_site_field)
 
 
@@ -411,15 +411,10 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     (fx0, fx1), _ = extent = p["field"]["extent_um"]
     sites = uniform_site_field(model=model, rng=substream(cfg.master_seed, 99),
                                **p["field"])
-    spot = LaserSpot(**p["spot"])
-    layout = ChannelLayout(p["channel_extent_um"], spot, tuple(sites))
+    layout = ChannelLayout(p["channel_extent_um"], LaserSpot(**p["spot"]),
+                           tuple(sites))
     period = saw.period_ns / p["pulses_per_saw_cycle"]
-    num_pulses = p["num_pulses"]
-    travel = (max(fx1, layout.extent_um[1]) - spot.center_um) \
-        / saw.velocity_um_per_ns
-    duration = num_pulses * period + travel + 20.0 * max(model.lifetimes_ns)
-    result = run_device(layout, saw, period, num_pulses, duration,
-                        cfg.master_seed)
+    result = run_device(layout, saw, period, p["num_pulses"], cfg.master_seed)
 
     # site ids are 0..len(sites) - 1, in list order
     per_site = np.bincount(result.photons["emitter_id"], minlength=len(sites))
@@ -479,12 +474,9 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     variants = [("saw_off", replace(base, amplitude=0.0, direction=1)),
                 ("idt1", replace(base, direction=-1)),
                 ("idt2", replace(base, direction=1))]
-    num_pulses = p["num_pulses"]
     files = []
     for vi, (tag, saw) in enumerate(variants):
-        duration = num_pulses * saw.period_ns \
-            + arrival_span(layout, saw) + 20.0 * max(model.lifetimes_ns)
-        result = run_device(layout, saw, saw.period_ns, num_pulses, duration,
+        result = run_device(layout, saw, saw.period_ns, p["num_pulses"],
                             cfg.master_seed, variant=vi)
         frame = render_spatial_spectral(result.photons, row_edges, col_edges,
                                         spectrum,
@@ -503,15 +495,6 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
             write_photon_csv(out / f"photons_{tag}.csv", result.photons)
             files.append(f"photons_{tag}.csv")
     return files
-
-
-def arrival_span(layout: ChannelLayout, saw: SawWave) -> float:
-    """Longest conveyance time from the spot to any site."""
-    if not layout.sites:
-        return 0.0
-    far = max(abs(s.position_um - layout.spot.center_um)
-              for s in layout.sites)
-    return arrival_delay(far, saw)
 
 
 def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:

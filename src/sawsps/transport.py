@@ -44,8 +44,9 @@ class SawWave:
     direction: int = 1
 
     def __post_init__(self):
-        if self.frequency_mhz <= 0 or self.wavelength_um <= 0:
-            raise ValueError("frequency and wavelength must be > 0")
+        if not (0 < self.frequency_mhz < math.inf
+                and 0 < self.wavelength_um < math.inf):
+            raise ValueError("frequency and wavelength must be finite and > 0")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be in [0, 1]")
         if self.direction not in (-1, 1):
@@ -69,10 +70,10 @@ class LaserSpot:
     pairs_per_pulse: float
 
     def __post_init__(self):
-        if self.radius_um <= 0:
-            raise ValueError("spot radius must be > 0")
-        if self.pairs_per_pulse < 0:
-            raise ValueError("pairs per pulse must be >= 0")
+        if not (math.isfinite(self.center_um) and 0 < self.radius_um < math.inf):
+            raise ValueError("spot center and radius must be finite, radius > 0")
+        if not 0 <= self.pairs_per_pulse < math.inf:
+            raise ValueError("pairs per pulse must be finite and >= 0")
 
 
 @dataclass
@@ -92,8 +93,10 @@ class QdSite:
     loads: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.capture_radius_um <= 0:
-            raise ValueError("capture radius must be > 0")
+        if not 0 < self.capture_radius_um < math.inf:
+            raise ValueError("capture radius must be finite and > 0")
+        if not math.isfinite(self.y_um):
+            raise ValueError("site y must be finite")
         if not 0.0 <= self.capture_prob <= 1.0:
             raise ValueError("capture probability must be in [0, 1]")
         if self.n_electrons < 0 or self.n_holes < 0:
@@ -266,24 +269,23 @@ def arrival_delay(distance_um: float, saw: SawWave) -> float:
 
 @dataclass
 class DeviceLog:
-    """Bookkeeping of one device run: carrier tallies by species, every
-    capture (CAPTURE_DTYPE) and every exciton load (LOAD_DTYPE), both in
-    order of (time, pocket, site rank).  Pockets go by birth; with the wave
-    off each pair is one, its electron capture before its hole capture."""
+    """Bookkeeping of one device run: carrier tallies by species (exited:
+    left in a pocket past the last site), every capture (CAPTURE_DTYPE) and
+    every exciton load (LOAD_DTYPE), both in order of (time, pocket, site
+    rank).  Pockets go by birth; with the wave off each pair is one, its
+    electron capture before its hole capture."""
 
     pulse_times: np.ndarray
     generated: dict
     captured: dict
     exited: dict
-    in_transit: dict
     recombined: dict
     captures: np.ndarray
     loads: np.ndarray
 
     def conservation_ok(self) -> bool:
         return all(self.generated[sp] == self.captured[sp] + self.exited[sp]
-                   + self.in_transit[sp] + self.recombined[sp]
-                   for sp in SPECIES)
+                   + self.recombined[sp] for sp in SPECIES)
 
 
 @dataclass
@@ -306,13 +308,13 @@ def _stream_reader(rng):
     return read
 
 
-def _pass_layout(s0, born, sp, radius, v, duration_ns):
+def _pass_layout(s0, sp, radius):
     """The number of passes of each pocket and `rank(pk, k)`, the site rank
     of pass k of pocket pk, elementwise.
 
     A pocket passes, in rank order, the sites behind its birth point whose
-    window still covers it (s0 <= sp + radius), then the sites from its
-    birth point on up to the first whose crossing comes after the run.
+    window still covers it (s0 <= sp + radius), then every site from its
+    birth point on.
     """
     m = np.searchsorted(sp, s0)
     # behind s0 only ranks past s0 - radius can cover it, each checked; the
@@ -321,24 +323,16 @@ def _pass_layout(s0, born, sp, radius, v, duration_ns):
     size = m - np.searchsorted(sp, s0 - radius.max() - slack)
     pk = np.repeat(np.arange(s0.size), size)
     back = np.arange(pk.size) + np.repeat(m - np.cumsum(size), size)
-    ok = (s0[pk] <= sp[back] + radius[back]) & (born[pk] <= duration_ns)
+    ok = s0[pk] <= sp[back] + radius[back]
     n_back = np.bincount(pk[ok], minlength=s0.size)
     # a pocket's band ends at stop in back; a pass past the band reads
     # back[stop - 1] (a rank, or the trailing 0) and discards it
     back, stop = np.append(back[ok], 0), np.cumsum(n_back)
 
-    def late(r):  # from rank m on, the crossing grows with rank
-        return (r == sp.size) | (_crossing(
-            born, s0, sp[np.minimum(r, sp.size - 1)], v) > duration_ns)
-    end = np.maximum(m, np.searchsorted(sp, s0 + v * (duration_ns - born),
-                                        side="right"))
-    while ((up := ~late(end)) | (down := (end > m) & late(end - 1))).any():
-        end += up.astype(np.int64) - down
-
     def rank(pk, k):
         k = k - n_back[pk]  # < 0 in the band behind s0
         return np.where(k < 0, back[stop[pk] + np.minimum(k, -1)], m[pk] + k)
-    return n_back + end - m, rank
+    return n_back + sp.size - m, rank
 
 
 def _crossing(born, s0, sp, v):
@@ -347,8 +341,7 @@ def _crossing(born, s0, sp, v):
     return born + np.maximum(sp - s0, 0.0) / v
 
 
-def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, duration_ns,
-            rng):
+def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
     """Conveyed pockets through the sites (columns in encounter order), a
     block of DRAW_WINDOW ranks at a time.  In a block, site by site, each
     hit (a pass whose capture draw succeeds) in order of crossing time and
@@ -377,7 +370,7 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, duration_ns,
     # (pocket, rank, carriers moved, excitons formed) of each capture, by block
     caps = [np.zeros((0, 4), np.int64)]
     if n and sp.size:  # else no pocket passes a site
-        passes, rank_at = _pass_layout(s0, born, sp, radius, v, duration_ns)
+        passes, rank_at = _pass_layout(s0, sp, radius)
         offset, drawn = np.cumsum(passes) - passes, np.zeros(n, np.int64)
         read = _stream_reader(rng)
         p_eff = prob * saw.amplitude
@@ -463,41 +456,39 @@ def _zero() -> dict:
 
 
 def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
-               num_pulses: int, duration_ns: float, master_seed: int,
+               num_pulses: int, master_seed: int,
                variant: int = 0) -> DeviceResult:
     """Full device run: pulses -> pockets -> conveyance -> capture ->
     exciton formation -> cascade photons.
 
-    `num_pulses` laser pulses fire every `pulse_period_ns` from t = 0
-    (clipped to the run duration); pair yield per pulse comes from the
-    layout's spot.  A pass captures with probability capture_prob * amplitude
-    and moves min(pocket count, room for that species) carriers; passes at
-    one instant go in order of pocket birth, then of site.  With amplitude 0
-    each pair is captured whole, with that site's capture probability, by the
-    nearest site whose window covers its generation point, or else recombines
-    there.  Each photon carries its emitting site's position.  The run is a
-    pure function of its arguments; runs that differ only in `variant` draw
-    from disjoint streams (see `rng`).
+    `num_pulses` laser pulses fire every `pulse_period_ns` from t = 0; pair
+    yield per pulse comes from the layout's spot.  The run ends once every
+    pocket has passed the last site.  A pass captures with probability
+    capture_prob * amplitude and moves min(pocket count, room for that
+    species) carriers; passes at one instant go in order of pocket birth,
+    then of site.  With amplitude 0 each pair is captured whole, with that
+    site's capture probability, by the nearest site whose window covers its
+    generation point, or else recombines there.  Each photon carries its
+    emitting site's position.  The run is a pure function of its arguments;
+    runs that differ only in `variant` draw from disjoint streams (see
+    `rng`).
     """
-    if not duration_ns > 0:
-        raise ValueError("duration must be > 0")
     if not 0 < pulse_period_ns < math.inf:
         raise ValueError("pulse period must be finite and > 0")
     if not num_pulses >= 1:
         raise ValueError("need at least one pulse")
-    d, v = saw.direction, saw.velocity_um_per_ns
-    sites = sorted(layout.sites, key=lambda s: d * s.position_um)  # encounter order
+    # encounter order
+    sites = sorted(layout.sites, key=lambda s: saw.direction * s.position_um)
     pos = np.array([s.position_um for s in sites])
     radius = np.array([s.capture_radius_um for s in sites])
     prob = np.array([s.capture_prob for s in sites])
     site_ids = np.array([s.site_id for s in sites], np.int64)
 
     pulse_times = np.arange(num_pulses) * pulse_period_ns
-    pulse_times = pulse_times[pulse_times <= duration_ns]
     pair_t, pair_x = draw_pairs(layout.spot, saw, pulse_times,
                                 substream(master_seed, 0, variant))
     rng = substream(master_seed, 3, variant)
-    log = DeviceLog(pulse_times, _zero(), _zero(), _zero(), _zero(), _zero(),
+    log = DeviceLog(pulse_times, _zero(), _zero(), _zero(), _zero(),
                     np.zeros(0, CAPTURE_DTYPE), np.zeros(0, LOAD_DTYPE))
 
     if saw.amplitude == 0:
@@ -524,20 +515,13 @@ def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
         pockets = launch_pockets(pair_t, pair_x, saw)
         counts, log.captures, (load_time, load_rank, load_n) = _convey(
             pockets, pos, radius, prob, [s.capacity for s in sites], site_ids,
-            saw, duration_ns, rng)
-
-        # classify carriers still in a pocket at the end of the run
-        s_exit = d * (layout.extent_um[1] if d > 0 else layout.extent_um[0])
-        s_end = d * pockets["position_um"] \
-            + v * (duration_ns - pockets["birth_time_ns"])
-        out = s_end > s_exit
+            saw, rng)
         for code, sp in enumerate(SPECIES):
             mine = pockets["species"] == code
             log.generated[sp] = int(pockets["count"][mine].sum())
             log.captured[sp] = int(
                 log.captures["count"][log.captures["species"] == code].sum())
-            log.exited[sp] = int(counts[mine & out].sum())
-            log.in_transit[sp] = int(counts[mine & ~out].sum())
+            log.exited[sp] = int(counts[mine].sum())
 
     loads = np.zeros(load_rank.size, LOAD_DTYPE)
     loads["time_ns"] = load_time
@@ -581,11 +565,12 @@ def uniform_site_field(density_per_um2: float,
 def per_cycle_emission_times(num_cycles: int, period_ns: float,
                              capture_prob: float, lifetime_ns: float,
                              rng: np.random.Generator) -> np.ndarray:
-    """Photon times of a capacity-1 site injected once per SAW cycle.
+    """Sorted photon times of a site injected once per SAW cycle.
 
-    Each cycle loads at most one exciton (with the capture probability); the
-    photon follows after an exponential radiative wait.  This is the
-    antibunching regime of the device: never two excitons in one cycle.
+    Each cycle loads one exciton with the capture probability, and each load
+    emits one photon after its own exponential wait, whatever the other
+    loads do: a wait longer than the gap to the next load still emits, where
+    a capacity-1 dot would have restarted its clock (ROADMAP item 5).
     """
     if num_cycles < 1:
         raise ValueError("need at least one cycle")

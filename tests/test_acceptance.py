@@ -163,9 +163,8 @@ def test_criterion_6_remote_pumping_geometry():
                   for i, x in enumerate((0.0, -7.0, -14.0)))
     layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
     period = saw_fwd.period_ns
-    duration = cycles * period + 40.0
 
-    res = run_device(layout, saw_fwd, period, cycles, duration, 606)
+    res = run_device(layout, saw_fwd, period, cycles, 606)
     emitted = set(res.photons["emitter_id"].tolist())
     assert emitted == {0, 1, 2}
     pos = np.array([s.position_um for s in sites])  # by site id
@@ -178,12 +177,12 @@ def test_criterion_6_remote_pumping_geometry():
     assert res.log.conservation_ok()
 
     res_rev = run_device(layout, SawWave(193.0, 15.0, direction=+1), period,
-                         cycles, duration, 606)
+                         cycles, 606)
     wrong_side = np.isin(res_rev.photons["emitter_id"], (1, 2))
     assert not np.any(wrong_side)
 
     res_off = run_device(layout, SawWave(193.0, 15.0, amplitude=0.0), period,
-                         cycles, duration, 606)
+                         cycles, 606)
     assert set(res_off.photons["emitter_id"].tolist()) == {0}
     report(6, f"delays exact, {len(res.log.captures)} captures causal, "
               f"reversed side dark over {cycles} cycles, amplitude 0 local only")

@@ -1,11 +1,14 @@
-"""The README's library example runs against the package as it stands."""
+"""The README's library example and quoted signatures match the package as
+it stands."""
 
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from sawsps import PHOTON_DTYPE
+from sawsps import PHOTON_DTYPE, run_device, sample_cascade_from_loads
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,15 @@ def test_library_example_runs():
     assert stream.dtype == PHOTON_DTYPE and stream.size > 0
     assert np.all(np.diff(stream["time_ns"]) >= 0.0)
     assert scope["hist"].counts.sum() > 0
+
+
+@pytest.mark.parametrize("func", [run_device, sample_cascade_from_loads],
+                         ids=lambda f: f.__name__)
+def test_quoted_signature_matches(func):
+    # the module table quotes these signatures; a renamed, added or dropped
+    # parameter must show there too
+    text = README.read_text(encoding="utf-8")
+    quoted = re.findall(rf"`{func.__name__}\(([^`]*)\)`", text)
+    assert len(quoted) == 1
+    names = [p.split("=")[0].strip() for p in quoted[0].split(",")]
+    assert names == list(inspect.signature(func).parameters)
