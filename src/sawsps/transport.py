@@ -9,15 +9,18 @@ runs its cascade through the stochastic emitter.
 Pocket motion is ballistic and dispersionless, so geometry alone fixes which
 sites a pocket passes and when, and so the draw of the capture stream each
 pass reads (pocket by pocket in birth order).  Only the passes whose uniform
-succeeds (hits) can change a pocket or a site; the device kernel visits just
-those, site by site in encounter order, each site's in order of crossing
-time and pocket.  The draws are read by offset, a window of a pocket's
-passes at a time, and a later window only while the pocket still holds
-carriers.  With the wave off (amplitude 0) nothing is conveyed: each pair
-stays at its generation point and is captured there or recombines.
+succeeds (hits) can change a pocket or a site.  The device kernel takes the
+sites in encounter order; a site's hits, in order of crossing time and
+pocket, walk its held carriers, and one clamp-add prefix scan resolves all
+of them, or all of a run of sites whose pocket counts are known at its
+start.  The draws are read by offset, a window of a pocket's passes at a
+time, and a later window only while the pocket still holds carriers.  With
+the wave off (amplitude 0) nothing is conveyed: each pair stays at its
+generation point and is captured there or recombines.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,6 +174,10 @@ LOAD_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("excitons", "i8")]
 # outputs.
 DRAW_BLOCK = 1 << 16
 DRAW_WINDOW = 256
+# The kernel resolves a run of sites in one scan, and looks for the run's end
+# at most SCAN_HITS hits past its first site, which bounds that search.  Any
+# run gives the same outputs.
+SCAN_HITS = 2048
 
 
 def pocket_lattice_position(x_um, t_ns, saw: SawWave, species: str):
@@ -258,8 +265,8 @@ def exciton_formation(site: QdSite, t_ns: float) -> int:
 
 def arrival_delay(distance_um: float, saw: SawWave) -> float:
     """Conveyance time over a distance: d / (f * lambda)."""
-    if distance_um < 0:
-        raise ValueError("distance must be >= 0")
+    if not 0 <= distance_um < math.inf:
+        raise ValueError("distance must be finite and >= 0")
     return distance_um / saw.velocity_um_per_ns
 
 
@@ -341,14 +348,45 @@ def _crossing(born, s0, sp, v):
     return born + np.maximum(sp - s0, 0.0) / v
 
 
+def _clamp_add_scan(d, lo, hi):
+    """Every state x_k = min(hi_k, max(lo_k, x_{k-1} + d_k)) of a walk from
+    x_0 = 0, where lo_k <= hi_k.
+
+    Measured from the running sum D_k of the d, the state x - D_k takes step
+    k as a clamp to [lo_k - D_k, hi_k - D_k], and a clamp to [a1, b1], then
+    to [a2, b2], is the clamp to [a1, b1] clamped to [a2, b2].  So
+    ceil(log2(len)) rounds of doubling (Hillis & Steele, CACM 1986) compose
+    every prefix.
+    """
+    total = np.cumsum(d)
+    ends = np.stack([lo - total, hi - total])
+    s = 1
+    while s < total.size:
+        ends[:, s:] = np.minimum(np.maximum(ends[:, :-s], ends[0, s:]), ends[1, s:])
+        s *= 2
+    return total + np.minimum(np.maximum(ends[0], 0), ends[1])
+
+
 def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
     """Conveyed pockets through the sites (columns in encounter order), a
-    block of DRAW_WINDOW ranks at a time.  In a block, site by site, each
-    hit (a pass whose capture draw succeeds) in order of crossing time and
-    pocket makes a capture, then exciton formation.  A pocket's count
-    changes only at its own hits, which come in rank order, and a site's
-    held carriers only at that site's hits, in (time, pocket) order; so
-    the run is the one a global clock would make.
+    block of DRAW_WINDOW ranks at a time, and in a block site by site.  A
+    pocket's count changes only at its own hits (passes whose capture draw
+    succeeds), which come in rank order, and a site's held carriers only at
+    that site's hits, in (time, pocket) order; so the run is the one a
+    global clock would make.
+
+    A site's held carriers are its excess x = electrons - holes in [-c, c]
+    (excitons form at once, so one species is held at a time), 0 before its
+    first hit.  A hit of a pocket holding n carriers moves x to
+    clip(x + min(n, c), -c, c) for electrons and clip(x - min(n, c), -c, c)
+    for holes; a pocket run dry leaves x as it is.  So once the sites before
+    it are done, a site's hits in (time, pocket) order are one
+    `_clamp_add_scan`.  One scan resolves a run of sites, each site's first
+    hit a constant map, as long as the counts at the run's start give every
+    hit's min(n, c): the run ends before the first site where a pocket's
+    earlier captures in the run could change it.  A hit captures |x' - x|
+    carriers, and as many of them form excitons as the other species held
+    before it.
 
     Pass k of pocket i reads draw O_i + k of `rng`'s stream, where O_i
     counts the passes of the pockets born before it.  Before each block,
@@ -363,12 +401,11 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
     d, v = saw.direction, saw.velocity_um_per_ns
     sp, s0 = d * pos, d * pockets["position_um"]
     born, n = pockets["birth_time_ns"], len(pockets)
-    counts = pockets["count"].tolist()
-    codes = pockets["species"].tolist()
-    held = ([0] * sp.size, [0] * sp.size)
-    electrons, holes = held
+    counts = pockets["count"].copy()
+    sign = 1 - 2 * pockets["species"].astype(np.int64)  # +1 electron, -1 hole
+    c_max = capacity.max(initial=0)
     # (pocket, rank, carriers moved, excitons formed) of each capture, by block
-    caps = [np.zeros((0, 4), np.int64)]
+    caps = [np.zeros((4, 0), np.int64)]
     if n and sp.size:  # else no pocket passes a site
         passes, rank_at = _pass_layout(s0, sp, radius)
         offset, drawn = np.cumsum(passes) - passes, np.zeros(n, np.int64)
@@ -394,7 +431,7 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
         pool = np.zeros((2, 0), np.int64)  # (pocket, rank) of hits not visited
         for lo in range(0, sp.size, DRAW_WINDOW):
             hi = lo + DRAW_WINDOW
-            live = np.array(counts) > 0
+            live = counts > 0
             need = np.flatnonzero(live & (drawn < passes))
             need = need[rank_at(need, drawn[need]) < hi]
             ends = np.cumsum(np.minimum(passes[need] - drawn[need], DRAW_WINDOW))
@@ -404,22 +441,43 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
             hits = hits[:, live[hits[0]]]  # a pocket run dry captures no more
             now = hits[1] < hi
             pool, (pk, rank) = hits[:, ~now], hits[:, now]
+            # each hit's place among its pocket's hits in the block (drawn
+            # pocket by pocket, each in rank order, they need little sorting)
+            by_pocket = np.argsort(pk, kind="stable")
+            place = np.empty(pk.size, np.int64)
+            place[by_pocket] = np.arange(pk.size) - np.maximum.accumulate(
+                np.where(np.diff(pk[by_pocket], prepend=-1) != 0, np.arange(pk.size), 0))
             order = np.lexsort((pk, _crossing(born[pk], s0[pk], sp[rank], v), rank))
-            block = []
-            for i, r in zip(pk[order].tolist(), rank[order].tolist()):
-                mine = held[codes[i]]
-                moved = capacity[r] - mine[r]
-                if counts[i] < moved:
-                    moved = counts[i]
-                if moved:
-                    counts[i] -= moved
-                    mine[r] += moved
-                    formed = electrons[r] if electrons[r] < holes[r] else holes[r]
-                    electrons[r] -= formed
-                    holes[r] -= formed
-                    block.append((i, r, moved, formed))
-            caps.append(np.array(block, np.int64).reshape(-1, 4))
-    pk, rank, moved, formed = np.concatenate(caps).T
+            pk, rank, place = pk[order], rank[order], place[order]
+            step, cap = sign[pk], capacity[rank]
+            first = np.diff(rank, prepend=-1) != 0  # a site's first hit
+            cuts = np.flatnonzero(first).tolist() + [pk.size]
+            resolved = np.zeros(n, np.int64)  # of each pocket's hits in the block
+            # the excess before and after each hit
+            before, after = np.zeros((2, pk.size), np.int64)
+            a = 0
+            while a < pk.size:
+                # the run: whole sites, up to the first with a hit whose
+                # min(n, c) the counts now do not give; they give it for a
+                # pocket's first hit in the run, for a pocket run dry, and for
+                # one holding c_max for this hit and each before it in the run
+                i = pk[a:max(a + SCAN_HITS, cuts[bisect_right(cuts, a)])]
+                earlier, held = place[a:a + i.size] - resolved[i], counts[i]
+                known = (earlier == 0) | (held == 0) | (held >= c_max * (earlier + 1))
+                e = cuts[bisect_right(cuts, a + np.append(known, False).argmin()) - 1]
+                i, c, f = pk[a:e], cap[a:e], first[a:e]
+                d = step[a:e] * np.minimum(counts[i], c)
+                # a site's first hit starts its walk from 0: a constant map
+                after[a:e] = _clamp_add_scan(np.where(f, 0, d), np.where(f, d, -c),
+                                             np.where(f, d, c))
+                before[a + 1:e] = np.where(f[1:], 0, after[a:e - 1])
+                np.subtract.at(counts, i, np.abs(after[a:e] - before[a:e]))
+                np.add.at(resolved, i, 1)
+                a = e
+            moved = np.abs(after - before)
+            formed = np.minimum(moved, np.maximum(-step * before, 0))
+            caps.append(np.stack([pk, rank, moved, formed])[:, moved > 0])
+    pk, rank, moved, formed = np.concatenate(caps, axis=1)
     t = _crossing(born[pk], s0[pk], sp[rank], v)
     order = np.lexsort((rank, pk, t))
     t, pk, rank, moved, formed = (c[order] for c in (t, pk, rank, moved, formed))
@@ -431,7 +489,7 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
     captures["pocket_birth_ns"] = born[pk]
     captures["pocket_birth_um"] = pockets["position_um"][pk]
     load = formed > 0
-    return np.array(counts, np.int64), captures, (t[load], rank[load], formed[load])
+    return counts, captures, (t[load], rank[load], formed[load])
 
 
 def _nearest_covering(xs, pos, radius):
@@ -482,6 +540,7 @@ def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
     pos = np.array([s.position_um for s in sites])
     radius = np.array([s.capture_radius_um for s in sites])
     prob = np.array([s.capture_prob for s in sites])
+    capacity = np.array([s.capacity for s in sites], np.int64)
     site_ids = np.array([s.site_id for s in sites], np.int64)
 
     pulse_times = np.arange(num_pulses) * pulse_period_ns
@@ -514,8 +573,7 @@ def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
     else:
         pockets = launch_pockets(pair_t, pair_x, saw)
         counts, log.captures, (load_time, load_rank, load_n) = _convey(
-            pockets, pos, radius, prob, [s.capacity for s in sites], site_ids,
-            saw, rng)
+            pockets, pos, radius, prob, capacity, site_ids, saw, rng)
         for code, sp in enumerate(SPECIES):
             mine = pockets["species"] == code
             log.generated[sp] = int(pockets["count"][mine].sum())
@@ -574,8 +632,8 @@ def per_cycle_emission_times(num_cycles: int, period_ns: float,
     """
     if num_cycles < 1:
         raise ValueError("need at least one cycle")
-    if period_ns <= 0 or lifetime_ns <= 0:
-        raise ValueError("period and lifetime must be > 0")
+    if not (0 < period_ns < math.inf and 0 < lifetime_ns < math.inf):
+        raise ValueError("period and lifetime must be finite and > 0")
     if not 0.0 <= capture_prob <= 1.0:
         raise ValueError("capture probability must be in [0, 1]")
     loaded = np.nonzero(rng.random(num_cycles) < capture_prob)[0]

@@ -163,8 +163,11 @@ class TestArrivalDelay:
         assert arrival_delay(0.0, SAW) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            arrival_delay(-1.0, SAW)
+        # and non-finite: a NaN distance passes a `< 0` check, and a NaN or
+        # infinite one would otherwise give a NaN or infinite delay
+        for distance in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                arrival_delay(distance, SAW)
 
 
 class TestRunDevice:
@@ -353,10 +356,16 @@ class TestFieldAndPerCycle:
         assert abs(times.size - 50000) < 3 * np.sqrt(25000)
 
     def test_per_cycle_validation(self):
-        with pytest.raises(ValueError):
-            per_cycle_emission_times(0, 5.0, 0.5, 0.5, substream(0, 0))
-        with pytest.raises(ValueError):
-            per_cycle_emission_times(10, 5.0, 1.5, 0.5, substream(0, 0))
+        # NaN slips through a `<= 0` check; a NaN or infinite period or
+        # lifetime would otherwise give NaN or infinite photon times
+        nan, inf = math.nan, math.inf
+        for cycles, period, prob, lifetime in [
+                (0, 5.0, 0.5, 0.5), (10, 5.0, 1.5, 0.5), (10, nan, 0.5, 0.5),
+                (10, inf, 0.5, 0.5), (10, 5.0, 0.5, nan), (10, 5.0, 0.5, inf),
+                (10, 0.0, 0.5, 0.5), (10, 5.0, 0.5, -1.0)]:
+            with pytest.raises(ValueError):
+                per_cycle_emission_times(cycles, period, prob, lifetime,
+                                         substream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -553,19 +562,58 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
     assert seen["ties"] >= 10
 
 
+@pytest.mark.parametrize("direction", [-1, 1])
+def test_kernel_matches_event_loop_oracle_on_fig7_device(direction):
+    # the fig7 preset's device at its 2,000 pulses: each capacity-3 site it
+    # feeds resolves over a thousand hits in one scan, so the deep doubling
+    # rounds are checked too; the random devices give short scans only
+    p = ScenarioConfig.from_dict({"scenario": "fig7_remote"}).params
+    model = CascadeModel(**p["cascade"])
+    sites = tuple(QdSite(i, x, p["sites"]["capture_radius_um"],
+                         p["sites"]["capture_prob"], model)
+                  for i, x in enumerate(p["sites"]["positions_um"]))
+    layout = ChannelLayout(p["channel_extent_um"], LaserSpot(**p["spot"]), sites)
+    saw = SawWave(**p["saw"], direction=direction)
+    run = (layout, saw, saw.period_ns, p["num_pulses"], 12345)
+    got = device_outputs(run_device(*run))
+    tallies, captures, loads, photons = reference_device(*run)
+    assert model.num_levels == 3
+    assert got[0] == tallies
+    assert got[1] == captures
+    assert got[2] == loads
+    assert_same_photons(got[3], photons)
+    per_site = np.bincount([c[1] for c in captures], minlength=len(sites))
+    assert per_site.max() > 1024
+
+
 def test_draw_block_never_shows(monkeypatch):
     # blocks of 2 ranks visit hits drawn in earlier blocks alongside new
-    # ones, so a tie at a site that the pocket index does not break shows
+    # ones, so a tie at a site that the pocket index does not break shows;
+    # SCAN_HITS 1 resolves one site per scan
     runs = [random_device(seed) for seed in range(40)]
     default = [device_outputs(run_device(*run, 5)) for run in runs]
     for name, size in (("DRAW_BLOCK", 7), ("DRAW_WINDOW", 1),
-                       ("DRAW_WINDOW", 2), ("DRAW_WINDOW", 7)):
+                       ("DRAW_WINDOW", 2), ("DRAW_WINDOW", 7),
+                       ("SCAN_HITS", 1), ("SCAN_HITS", 5)):
         with monkeypatch.context() as patch:
             patch.setattr(transport, name, size)
             for run, expected in zip(runs, default):
                 got = device_outputs(run_device(*run, 5))
                 assert got[:3] == expected[:3], (name, size)
                 assert_same_photons(got[3], expected[3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+def test_clamp_add_scan_matches_sequential_clamp(length, scale, seed):
+    g = np.random.default_rng(seed)
+    d, lo, width = g.integers([[-scale], [-scale], [0]], scale + 1, (3, length))
+    hi = lo + width
+    x, expected = 0, []
+    for dk, lk, hk in zip(d.tolist(), lo.tolist(), hi.tolist()):
+        x = min(hk, max(lk, x + dk))
+        expected.append(x)
+    assert transport._clamp_add_scan(d, lo, hi).tolist() == expected
 
 
 def test_stream_reader_reads_any_offset():
