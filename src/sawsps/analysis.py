@@ -263,10 +263,12 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     gives 1.  Fewer than two photons yield an empty histogram, not an error.
     Takes photon times; pass `photons["time_ns"]` (masked to one transition
     if wanted) for a photon stream.  Raises ValueError for a non-finite
-    time.  `perfbench/spans.py` reads the first argument by its name.
+    time, or a bin, max delay or period that is not finite and > 0.
+    `perfbench/spans.py` reads the first argument by its name.
     """
-    if bin_ns <= 0 or max_delay_ns <= 0 or pulse_period_ns <= 0:
-        raise ValueError("bin, max delay and period must be > 0")
+    if not all(0 < v < math.inf
+               for v in (bin_ns, max_delay_ns, pulse_period_ns)):
+        raise ValueError("bin, max delay and period must be finite and > 0")
     times = np.sort(np.asarray(times_or_records, dtype=float))
     if not np.isfinite(times).all():
         raise ValueError("photon times must be finite")

@@ -119,10 +119,10 @@ def ensemble_histogram(photons, transition: str, bin_ns: float,
                        period_ns: float):
     """Photon counts of one transition in a photon array, times folded
     modulo the pulse period, as a `Transient` of (bin_centers_ns, counts)."""
-    if bin_ns <= 0:
-        raise ValueError("bin width must be > 0")
-    if period_ns <= 0:
-        raise ValueError("period must be > 0")
+    if not 0 < bin_ns < math.inf:
+        raise ValueError("bin width must be finite and > 0")
+    if not 0 < period_ns < math.inf:
+        raise ValueError("period must be finite and > 0")
     nbins = max(int(round(period_ns / bin_ns)), 1)
     edges = np.linspace(0.0, period_ns, nbins + 1)
     times = photons["time_ns"][photons["transition"] == transition]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -410,3 +411,14 @@ class TestG2:
     def test_non_finite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             g2_histogram([1.0, 2.0, bad], 26.0, 0.5, 5.0)
+
+    @pytest.mark.parametrize("args", [
+        (26.0, 0.5, math.nan), (26.0, 0.5, math.inf), (26.0, 0.5, 0.0),
+        (26.0, math.nan, 5.0), (26.0, -0.5, 5.0), (math.nan, 0.5, 5.0),
+        (math.inf, 0.5, 5.0)])
+    def test_bin_delay_and_period_must_be_finite(self, args):
+        # a NaN period gave a ratio of None, a NaN bin or max delay "cannot
+        # convert float NaN to integer" and an infinite max delay an
+        # OverflowError
+        with pytest.raises(ValueError, match="finite and > 0"):
+            g2_histogram([1.0, 2.0, 7.0], *args)

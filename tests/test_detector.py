@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, erfc
+from scipy.special import erfc
 
 from sawsps import detector
 from sawsps.cascade import Transient
@@ -28,7 +28,9 @@ def photons(*rows):
 
 def reference_pl_image(records, psf_sigma_um, pixel_um, extent_um):
     """One splat per distinct position, found with `np.unique`, summed in
-    order of first appearance: the oracle for `render_pl_image`."""
+    order of first appearance: the oracle for `render_pl_image`'s splat
+    order and rounding.  It takes the same elementwise `_erf`, which
+    `TestErf` checks on its own, in one call per axis."""
     (x0, x1), (y0, y1) = extent_um
     nx = max(int(round((x1 - x0) / pixel_um)), 1)
     ny = max(int(round((y1 - y0) / pixel_um)), 1)
@@ -40,11 +42,11 @@ def reference_pl_image(records, psf_sigma_um, pixel_um, extent_um):
                                           return_counts=True)
     order = np.argsort(first)
     root2s = math.sqrt(2.0) * psf_sigma_um
-    for (px, py), w in zip(positions[order], weights[order]):
-        gx = 0.5 * (erf((x_edges - px) / root2s)[1:]
-                    - erf((x_edges - px) / root2s)[:-1])
-        gy = 0.5 * (erf((y_edges - py) / root2s)[1:]
-                    - erf((y_edges - py) / root2s)[:-1])
+    ex = detector._erf((x_edges - positions[order, :1]) / root2s)
+    ey = detector._erf((y_edges - positions[order, 1:]) / root2s)
+    for ex_row, ey_row, w in zip(ex, ey, weights[order]):
+        gx = 0.5 * (ex_row[1:] - ex_row[:-1])
+        gy = 0.5 * (ey_row[1:] - ey_row[:-1])
         img += w * np.outer(gy, gx)
     return img
 
@@ -105,6 +107,11 @@ class TestConvolveIrf:
         with pytest.raises(ValueError):
             convolve_irf(Transient(t, np.exp(-t)), IRF)
 
+    @pytest.mark.parametrize("fwhm", [0.0, -0.35, math.nan, math.inf])
+    def test_fwhm_must_be_finite_and_positive(self, fwhm):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            Irf(fwhm)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(0.0, 100.0), min_size=20, max_size=200))
@@ -159,6 +166,16 @@ class TestSpectrum:
     def test_unknown_transition(self):
         with pytest.raises(KeyError):
             TransitionSpectrum.default().line_for(0, "4X")
+
+    @pytest.mark.parametrize("center,width,match", [
+        (0.0, 0.8, "wavelength"), (math.nan, 0.8, "wavelength"),
+        (math.inf, 0.8, "wavelength"), (878.0, -0.1, "linewidth"),
+        (878.0, math.nan, "linewidth"), (878.0, math.inf, "linewidth")])
+    def test_line_must_be_finite(self, center, width, match):
+        # a NaN linewidth would draw NaN wavelengths, which every frame
+        # counts as overflow
+        with pytest.raises(ValueError, match=f"{match} must be finite"):
+            SpectralLine(center, width)
 
     def test_wavelengths_match_per_photon_draws(self):
         # one draw per broadened photon in photon order, none for a delta line
@@ -314,6 +331,57 @@ class TestPlImage:
         with pytest.raises(ValueError, match="finite"):
             render_pl_image(positions([(1.0, 0.0), bad]), 0.4, 0.25,
                             ((0.0, 10.0), (-5.0, 5.0)))
+
+    @pytest.mark.parametrize("psf,pixel,match", [
+        (0.0, 0.25, "PSF"), (math.nan, 0.25, "PSF"), (math.inf, 0.25, "PSF"),
+        (0.4, -0.25, "pixel"), (0.4, math.nan, "pixel"),
+        (0.4, math.inf, "pixel")])
+    def test_psf_and_pixel_must_be_finite(self, psf, pixel, match):
+        # a NaN PSF would give an all-NaN image and an infinite one an
+        # all-zero image
+        with pytest.raises(ValueError, match=f"{match}.*finite and > 0"):
+            render_pl_image(positions([(1.0, 0.0)]), psf, pixel,
+                            ((0.0, 10.0), (-5.0, 5.0)))
+
+
+class TestErf:
+    @staticmethod
+    def grid():
+        """|x| on a dense grid over every region of `_erf`, the 20 doubles
+        on each side of each region bound, tiny, subnormal and large
+        values."""
+        rng = np.random.default_rng(16)
+        bits = detector._ERF_BOUNDS.view(np.int64)
+        near = (bits[:, None] + np.arange(-20, 20)).view(np.float64)
+        return np.concatenate((
+            np.linspace(0.0, 7.0, 2801), rng.uniform(0.0, 7.0, 1000),
+            near.ravel(), np.geomspace(5e-324, 1e-7, 120),
+            [2.0 ** -28, 1e10, 1e300, np.finfo(float).max, math.inf]))
+
+    def test_erf_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = self.grid()
+        got = detector._erf(x)
+        with mpmath.workprec(120):
+            for xi, gi in zip(x.tolist(), got.tolist()):
+                exact = mpmath.erf(xi)
+                ulp = math.ulp(float(exact))
+                assert abs(mpmath.mpf(gi) - exact) <= ulp, xi
+
+    def test_erf_is_odd_and_keeps_the_sign_of_zero(self):
+        x = self.grid()
+        assert detector._erf(-x).tobytes() == (-detector._erf(x)).tobytes()
+        zeros = detector._erf(np.array([0.0, -0.0]))
+        assert zeros.tolist() == [0.0, 0.0]
+        assert np.signbit(zeros).tolist() == [False, True]
+        assert detector._erf(np.array([-6.0, -1e300, 6.0])).tolist() == [
+            -1.0, -1.0, 1.0]
+
+    def test_erf_keeps_shape(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        got = detector._erf(x)
+        assert got.shape == (3, 4)
+        assert got.ravel().tobytes() == detector._erf(x.ravel()).tobytes()
 
 
 class TestExports:

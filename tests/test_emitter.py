@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,14 @@ class TestEnsembleHistogram:
     def test_empty_input_zero_trace(self):
         h = ensemble_histogram(one_x_stream(), "1X", 1.0, 10.0)
         assert np.all(h.intensity == 0.0)
+
+    @pytest.mark.parametrize("bin_ns,period_ns,match", [
+        (math.nan, 10.0, "bin"), (math.inf, 10.0, "bin"), (0.0, 10.0, "bin"),
+        (1.0, math.nan, "period"), (1.0, math.inf, "period"),
+        (1.0, -10.0, "period")])
+    def test_bin_and_period_must_be_finite(self, bin_ns, period_ns, match):
+        with pytest.raises(ValueError, match=f"{match}.*finite and > 0"):
+            ensemble_histogram(one_x_stream(0.5), "1X", bin_ns, period_ns)
 
 
 class TestCsv:
