@@ -40,20 +40,74 @@ class RiseFallFit:
     covariance: np.ndarray  # order (amplitude, t0, t_rise, t_fall)
 
 
-def _rise_fall_model(t, amplitude, t0, t_rise, t_fall):
+def _rise_fall_basis(t, t0, t_rise, t_fall):
+    """The unit-amplitude model exp(-dt/t_fall) - exp(-dt/t_rise) on t and
+    its derivatives in (t0, t_rise, t_fall), one column each."""
     dt = np.maximum(t - t0, 0.0)
-    return amplitude * (np.exp(-dt / t_fall) - np.exp(-dt / t_rise))
+    e_fall = np.exp(-dt / t_fall)
+    e_rise = np.exp(-dt / t_rise)
+    d_t0 = np.where(t > t0, e_fall / t_fall - e_rise / t_rise, 0.0)
+    return e_fall - e_rise, np.stack(
+        (d_t0, -e_rise * dt / t_rise ** 2, e_fall * dt / t_fall ** 2), axis=1)
+
+
+def _projected_residual(t, y, theta):
+    """Variable projection (Golub & Pereyra 1973): the best amplitude >= 0
+    for theta = (t0, t_rise, t_fall), the residual it leaves, and Kaufman's
+    Jacobian of that residual in theta."""
+    phi, d_phi = _rise_fall_basis(t, *theta)
+    norm = phi @ phi
+    if not norm > 0:
+        return 0.0, y, np.zeros((t.size, 3))
+    amplitude = max(float(phi @ y) / norm, 0.0)
+    jac = -amplitude * (d_phi - np.outer(phi, phi @ d_phi) / norm)
+    return amplitude, y - amplitude * phi, jac
+
+
+def _fit_projected(t, y, theta, lo, hi, xtol=1e-8, max_steps=2000):
+    """Bounded Levenberg-Marquardt (Marquardt's diagonal scaling) on the
+    projected residual from theta.  A parameter at a bound that the gradient
+    pushes outward is held there for the step.  Returns (theta, amplitude,
+    sum of squared residuals), or None when no step of relative size below
+    xtol is reached within max_steps trials."""
+    amplitude, r, jac = _projected_residual(t, y, theta)
+    ssr = float(r @ r)
+    damping = 1e-3
+    for _ in range(max_steps):
+        grad = jac.T @ r
+        free = ~(((theta <= lo) & (grad > 0)) | ((theta >= hi) & (grad < 0)))
+        jtj = (jac.T @ jac)[np.ix_(free, free)]
+        scale = np.maximum(np.diag(jtj), 1e-300)
+        step = np.zeros(3)
+        try:
+            step[free] = np.linalg.solve(jtj + damping * np.diag(scale),
+                                         -grad[free])
+        except np.linalg.LinAlgError:
+            return None
+        trial = np.clip(theta + step, lo, hi)
+        if np.linalg.norm(trial - theta) <= xtol * (xtol + np.linalg.norm(theta)):
+            return theta, amplitude, ssr
+        trial_fit = _projected_residual(t, y, trial)
+        trial_ssr = float(trial_fit[1] @ trial_fit[1])
+        if trial_ssr < ssr:
+            theta, ssr = trial, trial_ssr
+            amplitude, r, jac = trial_fit
+            damping *= 0.3
+        else:
+            damping *= 4.0
+    return None
 
 
 def fit_rise_fall(transient: Transient) -> RiseFallFit:
     """Least-squares fit of a rising/falling difference of exponentials.
 
-    Multistart from three heuristic initializations (tail slope, narrow rise,
-    broad rise); converged when the relative parameter change drops below
-    1e-8.  Time constants are returned with t_fall >= t_rise.
+    The amplitude enters linearly, so it is projected out and (t0, t_rise,
+    t_fall) are fitted by bounded Levenberg-Marquardt, multistart from three
+    heuristic initializations (tail slope, narrow rise, broad rise);
+    converged when the relative parameter change drops below 1e-8.  The
+    covariance comes from the Jacobian in all four parameters.  Time
+    constants are returned with t_fall >= t_rise.
     """
-    from scipy.optimize import least_squares
-
     t = transient.time_ns
     y = transient.intensity
     peak = float(np.max(y)) if y.size else 0.0
@@ -77,40 +131,32 @@ def fit_rise_fall(transient: Transient) -> RiseFallFit:
     t_on = t[rising[0]] if rising.size else t[0]
     t_rise0 = max(t_peak - t_on, (t[1] - t[0]) if t.size > 1 else 1e-3, 1e-3)
 
+    # (t0, t_rise, t_fall); the amplitude is projected out
     starts = [
-        (peak, t_on, t_rise0, t_fall0),
-        (peak, t_on, max(t_rise0 / 5.0, 1e-4), t_fall0),
-        (peak, t_on, 0.5 * t_fall0, 1.5 * t_fall0),
+        (t_on, t_rise0, t_fall0),
+        (t_on, max(t_rise0 / 5.0, 1e-4), t_fall0),
+        (t_on, 0.5 * t_fall0, 1.5 * t_fall0),
     ]
-    lo = [0.0, t[0] - (t[-1] - t[0]), 1e-6, 1e-6]
-    hi = [np.inf, t[-1], np.inf, np.inf]
+    lo = np.array([t[0] - (t[-1] - t[0]), 1e-6, 1e-6])
+    hi = np.array([t[-1], np.inf, np.inf])
 
     best = None
     for x0 in starts:
-        x0 = np.clip(x0, lo, hi)
-        try:
-            res = least_squares(
-                lambda p: _rise_fall_model(t, *p) - y, x0,
-                bounds=(lo, hi), xtol=1e-8, ftol=1e-12, gtol=1e-12,
-                max_nfev=2000)
-        except Exception:
-            continue
-        if not res.success:
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
+        fit = _fit_projected(t, y, np.clip(x0, lo, hi), lo, hi)
+        if fit is not None and (best is None or fit[2] < best[2]):
+            best = fit
     if best is None:
         raise FitConvergenceError("rise/fall fit did not converge from any start")
 
-    amplitude, t0, t_rise, t_fall = best.x
+    (t0, t_rise, t_fall), amplitude, ssr = best
     if t_rise > t_fall:
         t_rise, t_fall = t_fall, t_rise
         amplitude = -amplitude
+    phi, d_phi = _rise_fall_basis(t, t0, t_rise, t_fall)
+    jac = np.column_stack((phi, amplitude * d_phi))
     dof = max(t.size - 4, 1)
-    ssr = float(2.0 * best.cost)
-    jtj = best.jac.T @ best.jac
     try:
-        cov = np.linalg.inv(jtj) * (ssr / dof)
+        cov = np.linalg.inv(jac.T @ jac) * (ssr / dof)
     except np.linalg.LinAlgError:
         cov = np.full((4, 4), np.nan)
     return RiseFallFit(float(t_rise), float(t_fall), float(amplitude),

@@ -321,7 +321,7 @@ def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
     Pixel values are exact Gaussian integrals (products of erf differences),
     so the total intensity equals the photon count for emitters away from the
     image edges.  The erf is `_erf`, a numpy port of fdlibm's (within 1 ulp),
-    so rendering needs no scipy.  Photons are grouped by float equality of
+    so rendering needs numpy alone.  Photons are grouped by float equality of
     (x, y), with a stable sort of the two columns; each group takes its first
     photon's coordinates and is weighted by its photon count.  The groups
     are splatted in order of first appearance: one erf call per axis gives

@@ -25,8 +25,8 @@ PHOTON_DTYPE = np.dtype([("time_ns", "f8"), ("transition", "O"),
 def sample_start_levels(g: float, num: int, num_levels: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Poisson loading levels folded to the top level."""
-    if g < 0:
-        raise ValueError("mean must be >= 0")
+    if not 0 <= g < math.inf:
+        raise ValueError("mean must be finite and >= 0")
     return np.minimum(rng.poisson(g, size=num), num_levels)
 
 

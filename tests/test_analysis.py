@@ -56,6 +56,31 @@ class TestRiseFallFit:
         assert abs(fit.t_rise_ns - 0.9) < 4 * sd_rise
         assert abs(fit.t_fall_ns - 1.4) < 4 * sd_fall
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_least_squares_oracle(self, seed):
+        # scipy is a test-only dependency: its bounded least_squares on all
+        # four parameters finds the same minimum as the projected fit
+        from scipy.optimize import least_squares
+        rng = substream(500 + seed, 0)
+        t_rise, t_fall = sorted(rng.uniform(0.2, 3.0, 2))
+        t = np.arange(0.0, 15.0, 0.05)
+        clean = np.exp(-t / t_fall) - np.exp(-t / t_rise)
+        noisy = rng.poisson(3000.0 * clean / clean.max()).astype(float)
+        fit = fit_rise_fall(Transient(t, noisy))
+
+        def residual(p):
+            return difference_trace(p[2], p[3], t, p[0], p[1]).intensity - noisy
+
+        # started from the generator, not from the projected fit
+        lo, hi = [0, -15, 1e-6, 1e-6], [np.inf, t[-1], np.inf, np.inf]
+        ref = least_squares(residual, (3000.0 / clean.max(), 0.0, t_rise, t_fall),
+                            bounds=(lo, hi), xtol=1e-12, ftol=1e-15, gtol=1e-15)
+        assert fit.residual == pytest.approx(2 * ref.cost, rel=1e-9)
+        assert np.allclose((fit.amplitude, fit.t0_ns, fit.t_rise_ns, fit.t_fall_ns),
+                           ref.x, rtol=1e-5, atol=1e-7)
+        cov = np.linalg.inv(ref.jac.T @ ref.jac) * 2 * ref.cost / (t.size - 4)
+        assert np.allclose(fit.covariance, cov, rtol=1e-3)
+
     def test_all_zero_rejected(self):
         t = np.arange(0.0, 5.0, 0.05)
         with pytest.raises(InsufficientSignalError):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sawsps import cascade
 from sawsps.cascade import (CascadeModel, NoSignalError, OccupancyTrace,
                             Transient, initial_loading, onset_time,
                             poisson_pmf, poisson_tail, solve_cascade_analytic,
                             solve_cascade_numeric, time_integrated_intensity)
+from sawsps.emitter import sample_start_levels
+from sawsps.scenarios import ScenarioConfig, list_scenarios
 
 THREE_LEVEL = CascadeModel((1.5, 1.4, 0.9))
 
@@ -62,10 +65,104 @@ class TestPoisson:
         with pytest.raises(ValueError):
             poisson_pmf(1.0, 1.5)
 
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_rejected(self, g):
+        for call in (lambda: poisson_pmf(g, 1), lambda: poisson_pmf(g, 2),
+                     lambda: poisson_tail(g, 2), lambda: initial_loading(g, 3),
+                     lambda: initial_loading(g, 3, overflow="drop"),
+                     lambda: sample_start_levels(g, 4, 3, np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
+    @pytest.mark.parametrize("count", [True, False, np.True_])
+    def test_bool_count_rejected(self, count):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            poisson_pmf(2.0, count)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            poisson_tail(2.0, count)
+
+    def test_integral_counts_accepted(self):
+        assert poisson_tail(2.0, 3.0) == poisson_tail(2.0, np.int64(3))
+        assert poisson_pmf(2.0, 3.0) == poisson_pmf(2.0, np.int64(3))
+
     def test_tail_matches_pmf_sum(self):
         g = 1.7
         tail = sum(poisson_pmf(g, i) for i in range(3, 200))
         assert poisson_tail(g, 3) == pytest.approx(tail, rel=1e-12)
+
+
+# The benchmark's pump grid (perfbench/workloads.py DENSE_G), recomputed here.
+DENSE_G = [round(float(g), 6) for g in np.geomspace(0.05, 20.0, 400)]
+
+
+def ulps(x, reference):
+    return np.abs(x - reference) / np.spacing(np.abs(reference))
+
+
+class TestIgamOracle:
+    """cascade._igam against the compiled Cephes igam it ports, which scipy
+    ships as gammainc (scipy is a test-only dependency)."""
+
+    @staticmethod
+    def grid():
+        preset_g = [g for name, _ in list_scenarios()
+                    for g in ScenarioConfig.preset(name).params.get("g_values", [])]
+        assert preset_g
+        return np.array(preset_g + DENSE_G
+                        + np.geomspace(1e-4, 60.0, 20_000).tolist()
+                        + [0.0, 5e-324, 1e3, math.inf])
+
+    @staticmethod
+    def igam(a, xs):
+        return np.array([cascade._igam(a, float(x)) for x in xs])
+
+    def test_bit_exact_for_a_up_to_20(self):
+        from scipy.special import gammainc
+        xs = self.grid()
+        for a in range(1, 21):
+            got, want = self.igam(a, xs), gammainc(a, xs)
+            # the one declared class: a = 1 on the DLMF 8.7.3 series branch
+            exact = ~((a == 1) & (xs > 1.0) & (xs <= 1.1))
+            assert np.array_equal(got[exact], want[exact]), a
+            assert np.all(ulps(got[~exact], want[~exact]) <= 1), a
+
+    def test_declared_class_within_one_ulp(self):
+        from scipy.special import gammainc
+        xs = np.linspace(1.0, 1.1, 20_001)[1:]
+        got, want = self.igam(1, xs), gammainc(1, xs)
+        assert np.all(ulps(got, want) <= 1)
+
+    def test_lgam_matches_cephes(self):
+        from scipy.special import gammaln
+        a = np.concatenate((np.arange(1.0, 3001.0), np.geomspace(3e3, 1e12, 200).round()))
+        assert np.array_equal([cascade._lgam(float(v)) for v in a], gammaln(a))
+
+    def test_poisson_tail_is_the_port(self):
+        for g in (0.05, 1.0, 1.07, 7.3, 40.0):
+            for i in (1, 3, 25):
+                assert poisson_tail(g, i) == cascade._igam(i, g)
+
+    @pytest.mark.parametrize("a", [21, 30, 60, 150, 199, 201, 300, 1000])
+    def test_above_20_exact_outside_temme_region(self, a):
+        # Cephes sums Temme's asymptotic expansion inside this region; the
+        # port keeps the series and continued fraction there, within 2a ulp
+        from scipy.special import gammainc
+        xs = np.concatenate((np.geomspace(1e-2, 3.0 * a, 1500),
+                             np.linspace(0.55 * a, 1.45 * a, 1500)))
+        got, want = self.igam(a, xs), gammainc(a, xs)
+        reach = 0.3 * a if a < 200 else 4.5 * math.sqrt(a)
+        temme = np.abs(xs - a) < reach
+        assert np.array_equal(got[~temme], want[~temme])
+        assert np.all(ulps(got[temme], want[temme]) <= 2 * a)
+
+    @pytest.mark.parametrize("a", [21, 60, 199])
+    def test_temme_region_near_exact(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(120):
+            for x in np.linspace(0.71 * a, 1.29 * a, 25):
+                exact = mpmath.gammainc(a, 0, float(x), regularized=True)
+                err = abs(mpmath.mpf(cascade._igam(a, float(x))) - exact)
+                assert err <= a * np.spacing(float(exact))
 
 
 class TestInitialLoading:

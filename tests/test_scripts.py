@@ -26,18 +26,23 @@ def run_script(name, *args):
     return run_python(str(ROOT / "scripts" / name), *args)
 
 
-# In one fresh interpreter: the scipy modules (any named scipy*) loaded
-# after each step of a start-up that runs nothing, then after small runs of
-# three presets.  The steps share the process, so each sees what the earlier
-# ones loaded.
+# In one fresh interpreter with scipy blocked (an import of it raises
+# ImportError): the scipy modules (any named scipy*) loaded after each step
+# of a start-up that runs nothing, then after every preset at its golden
+# config, whose output hashes must match the golden ones, then after
+# criterion 3's rise/fall fit of a noisy IRF-blurred trace.  The steps share
+# the process, so each sees what the earlier ones loaded.
 STARTUP_PROBE = """
-import json, sys
+import hashlib, json, sys
 from pathlib import Path
+sys.modules["scipy"] = None
 
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+    return sorted(m for m, module in sys.modules.items()
+                  if m.startswith("scipy") and module is not None)
 
-out = Path(sys.argv[1])
+out, golden_dir = Path(sys.argv[1]), Path(sys.argv[2])
+import numpy as np
 import sawsps
 from sawsps import cli
 from sawsps.scenarios import ScenarioConfig, list_scenarios, run_scenario
@@ -48,23 +53,38 @@ bad = out / "bad.json"
 bad.write_text(json.dumps({"scenario": "fig7_remote", "params": {"nope": 1}}))
 assert cli.main(["run", "--config", str(bad), "--out", str(out / "bad")]) == 2
 seen = {"start": scipy_loaded()}
-for name, over in (("fig7_remote", {"num_pulses": 50}),
-                   ("g2_antibunching", {"num_cycles": 5000}),
-                   ("fig5_ensemble", {"num_pulses": 10})):
-    run_scenario(ScenarioConfig.preset(name, over), out / name)
+for name, _ in list_scenarios():
+    golden = json.loads((golden_dir / f"{name}.json").read_text())
+    run_scenario(ScenarioConfig.from_dict(golden["config"]), out / name)
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted((out / name).iterdir())}
+    assert hashes == golden["sha256"], name
     seen[name] = scipy_loaded()
+
+from sawsps.analysis import fit_rise_fall
+from sawsps.cascade import CascadeModel, Transient, solve_cascade_analytic
+from sawsps.detector import Irf, convolve_irf
+from sawsps.rng import substream
+sol = solve_cascade_analytic(CascadeModel((1.5, 1.4, 0.9)), 3)
+t = np.arange(0.0, 12.0, 0.02)
+blurred = convolve_irf(Transient(t, sol.emission_rate(2, t)), Irf(0.35))
+scale = 4000.0 / blurred.intensity.max()
+noisy = substream(333, 0).poisson(blurred.intensity * scale).astype(float)
+fit = fit_rise_fall(Transient(blurred.time_ns, noisy))
+assert abs(fit.t_rise_ns - 0.9) <= 0.35
+seen["fit_rise_fall"] = scipy_loaded()
 print(json.dumps(seen))
 """
 
 
 def test_start_up_loads_scipy_only_where_called(tmp_path):
-    # scipy is imported only inside poisson_tail and fit_rise_fall, so
-    # listing, config errors, fig7, g2 and fig5 load no scipy module
-    proc = run_python("-c", STARTUP_PROBE, str(tmp_path), cwd=tmp_path)
+    # sawsps imports no scipy: every preset and fit_rise_fall run with it
+    # blocked, reproduce the goldens, and load no scipy module
+    proc = run_python("-c", STARTUP_PROBE, str(tmp_path),
+                      str(ROOT / "tests" / "golden"), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "start": [], "fig7_remote": [], "g2_antibunching": [],
-        "fig5_ensemble": []}
+    steps = ["start", *(name for name, _ in list_scenarios()), "fit_rise_fall"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == dict.fromkeys(steps, [])
 
 
 @pytest.mark.parametrize("name,args,header", [
