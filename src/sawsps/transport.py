@@ -14,7 +14,9 @@ sites in encounter order; a site's hits, in order of crossing time and
 pocket, walk its held carriers, and one clamp-add prefix scan resolves all
 of them, or all of a run of sites whose pocket counts are known at its
 start.  The draws are read by offset, a window of a pocket's passes at a
-time, and a later window only while the pocket still holds carriers.  With
+time, and a later window only while the pocket still holds carriers.  Only
+a draw below the largest capture probability can hit, so only those draws
+are given their site rank and compared with that site's probability.  With
 the wave off (amplitude 0) nothing is conveyed: each pair stays at its
 generation point and is captured there or recombines.
 """
@@ -392,7 +394,10 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
     counts the passes of the pockets born before it.  Before each block,
     each pocket that still holds carriers and has undrawn passes in the
     block draws its next window of DRAW_WINDOW passes, which covers at
-    least DRAW_WINDOW ranks and so reaches past the block.
+    least DRAW_WINDOW ranks and so reaches past the block.  A window's
+    draws are first compared with the largest capture probability; only
+    those below it are ranked and compared with their site's, which gives
+    the same hits.
 
     Returns the pocket counts left, the captures (CAPTURE_DTYPE) and the
     loads as (time, rank, excitons) columns, both in order of (time,
@@ -411,43 +416,46 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
         offset, drawn = np.cumsum(passes) - passes, np.zeros(n, np.int64)
         read = _stream_reader(rng)
         p_eff = prob * saw.amplitude
+        p_max = p_eff.max()
 
         def window(pks):
             """Draw the next window of each pocket of `pks`: (pocket, rank) of
             its hits."""
             take = np.minimum(passes[pks] - drawn[pks], DRAW_WINDOW)
             at = offset[pks] + drawn[pks]  # where each window starts
-            pk = np.repeat(pks, take)
-            rank = rank_at(pk, np.arange(pk.size)
-                           + np.repeat(drawn[pks] - np.cumsum(take) + take, take))
             # windows that follow on in the stream share one read
             calls = np.flatnonzero(np.append(True, at[1:] != at[:-1] + take[:-1]))
             u = np.concatenate([read(j, c) for j, c in zip(
                 at[calls].tolist(), np.add.reduceat(take, calls).tolist())])
+            # only a draw below the largest probability can hit: rank those
+            # (draw i of the read, in window w, is pass i + base[w])
+            ends = np.cumsum(take)
+            cand = np.flatnonzero(u < p_max)
+            w = np.searchsorted(ends, cand, side="right")
+            base = drawn[pks] - ends + take
             drawn[pks] += take
-            hit = u < p_eff[rank]
+            pk = pks[w]
+            rank = rank_at(pk, cand + base[w])
+            hit = u[cand] < p_eff[rank]
             return pk[hit], rank[hit]
 
-        pool = np.zeros((2, 0), np.int64)  # (pocket, rank) of hits not visited
-        for lo in range(0, sp.size, DRAW_WINDOW):
-            hi = lo + DRAW_WINDOW
-            live = counts > 0
-            need = np.flatnonzero(live & (drawn < passes))
-            need = need[rank_at(need, drawn[need]) < hi]
-            ends = np.cumsum(np.minimum(passes[need] - drawn[need], DRAW_WINDOW))
-            hits = np.concatenate([pool] + [window(pks) for pks in np.split(
-                need, np.flatnonzero(np.diff(ends // DRAW_BLOCK)) + 1) if pks.size],
-                axis=1)
-            hits = hits[:, live[hits[0]]]  # a pocket run dry captures no more
-            now = hits[1] < hi
-            pool, (pk, rank) = hits[:, ~now], hits[:, now]
+        rank_type = np.min_scalar_type(sp.size)
+
+        def resolve(pk, rank):
+            """Resolve the hits (pocket, rank) of a block: (pocket, rank,
+            carriers moved, excitons formed) of each capture.  Its columns
+            are freed before the next block draws."""
             # each hit's place among its pocket's hits in the block (drawn
             # pocket by pocket, each in rank order, they need little sorting)
             by_pocket = np.argsort(pk, kind="stable")
-            place = np.empty(pk.size, np.int64)
-            place[by_pocket] = np.arange(pk.size) - np.maximum.accumulate(
-                np.where(np.diff(pk[by_pocket], prepend=-1) != 0, np.arange(pk.size), 0))
-            order = np.lexsort((pk, _crossing(born[pk], s0[pk], sp[rank], v), rank))
+            pk, rank = pk[by_pocket], rank[by_pocket]
+            place = np.arange(pk.size) - np.maximum.accumulate(
+                np.where(np.diff(pk, prepend=-1) != 0, np.arange(pk.size), 0))
+            # a pocket passes a rank once, so in pocket order a stable sort by
+            # (rank, crossing) is the sort by (rank, crossing, pocket); a
+            # stable sort of ranks in their smallest type is a radix sort
+            order = np.lexsort((_crossing(born[pk], s0[pk], sp[rank], v),
+                                rank.astype(rank_type)))
             pk, rank, place = pk[order], rank[order], place[order]
             step, cap = sign[pk], capacity[rank]
             first = np.diff(rank, prepend=-1) != 0  # a site's first hit
@@ -475,12 +483,34 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
                 np.add.at(resolved, i, 1)
                 a = e
             moved = np.abs(after - before)
+            kept = moved > 0  # the captures
+            pk, rank, moved, before, step = (
+                c[kept] for c in (pk, rank, moved, before, step))
             formed = np.minimum(moved, np.maximum(-step * before, 0))
-            caps.append(np.stack([pk, rank, moved, formed])[:, moved > 0])
-    pk, rank, moved, formed = np.concatenate(caps, axis=1)
+            return np.stack([pk, rank, moved, formed])
+
+        pool = np.zeros((2, 0), np.int64)  # (pocket, rank) of hits not visited
+        for lo in range(0, sp.size, DRAW_WINDOW):
+            hi = lo + DRAW_WINDOW
+            live = counts > 0
+            need = np.flatnonzero(live & (drawn < passes))
+            need = need[rank_at(need, drawn[need]) < hi]
+            ends = np.cumsum(np.minimum(passes[need] - drawn[need], DRAW_WINDOW))
+            hits = np.concatenate([pool] + [window(pks) for pks in np.split(
+                need, np.flatnonzero(np.diff(ends // DRAW_BLOCK)) + 1) if pks.size],
+                axis=1)
+            # a pocket run dry captures no more
+            hits = hits.compress(live[hits[0]], axis=1)
+            now = hits[1] < hi
+            pool, hits = hits.compress(~now, axis=1), hits.compress(now, axis=1)
+            caps.append(resolve(*hits))
+    caps = np.concatenate(caps, axis=1)
+    pk, rank = caps[:2]
     t = _crossing(born[pk], s0[pk], sp[rank], v)
-    order = np.lexsort((rank, pk, t))
-    t, pk, rank, moved, formed = (c[order] for c in (t, pk, rank, moved, formed))
+    # a pocket passes a rank once: (pocket, rank) folds into one unique key
+    order = np.lexsort((pk * sp.size + rank, t))
+    t, caps = t[order], caps.take(order, axis=1)
+    pk, rank, moved, formed = caps
     captures = np.zeros(pk.size, CAPTURE_DTYPE)
     captures["time_ns"] = t
     captures["site_id"] = site_ids[rank]

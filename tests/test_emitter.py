@@ -122,13 +122,16 @@ def sample_sites(models, schedules, rngs, **kw):
 
 
 class CountingStream:
-    """A stream stub that counts its draw calls."""
+    """A stream stub that counts its draw calls and records their sizes;
+    every wait is 1."""
 
     def __init__(self):
         self.calls = 0
+        self.sizes = []
 
     def standard_exponential(self, n):
         self.calls += 1
+        self.sizes.append(n)
         return np.ones(n)
 
 
@@ -192,6 +195,73 @@ class TestEventDrivenLoads:
         assert got.dtype == PHOTON_DTYPE and got.size == expected.size
         for name in PHOTON_DTYPE.names:
             assert np.array_equal(got[name], expected[name]), name
+
+    @staticmethod
+    def assert_matches_oracle(models, schedules, seed):
+        """One call over all sites against `reference_cascade` site by site;
+        site i draws from substreams(seed, i)."""
+        kws = [{"emitter_id": 10 * i, "position_um": (float(i), -0.5 * i)}
+               for i in range(len(models))]
+        got = sample_sites(models, schedules,
+                           substreams(seed, np.arange(len(models))),
+                           emitter_ids=[kw["emitter_id"] for kw in kws],
+                           positions_um=[kw["position_um"] for kw in kws])
+        expected = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
+            reference_cascade(model, loads, substream(seed, i), **kw)
+            for i, (model, loads, kw) in enumerate(zip(models, schedules, kws))])
+        assert got.dtype == PHOTON_DTYPE and got.size == expected.size
+        for name in PHOTON_DTYPE.names:
+            assert np.array_equal(got[name], expected[name]), name
+        return expected
+
+    def test_one_level_batch_matches_scalar_draw_oracle(self):
+        # one-level dots loaded with at least one exciton each time take the
+        # vector path: load j emits on wait j unless the next load is first
+        g = np.random.default_rng(31)
+        models, schedules = [], []
+        seen = {"above_top": 0, "equal_times": 0, "reload": 0}
+        for _ in range(120):
+            model = CascadeModel((float(g.uniform(0.2, 3.0)),),
+                                 (str(g.choice(["1X", "X"])),))
+            loads = [(t, max(n, 1)) for t, n in random_schedule(g)]
+            models.append(model)
+            schedules.append(loads)
+            times = [t for t, _ in loads]
+            seen["above_top"] += any(n > 1 for _, n in loads)
+            seen["equal_times"] += len(set(times)) < len(times)
+            gaps = np.diff(times)
+            seen["reload"] += bool(np.any(gaps < model.lifetimes_ns[0]))
+        stubs = [CountingStream() for _ in models]
+        sample_sites(models, schedules, stubs)
+        # one draw per load, in one call per site
+        assert [stub.sizes for stub in stubs] == [[len(s)] for s in schedules]
+        for case in ("above_top", "equal_times", "reload"):
+            assert seen[case] >= 20, case
+        expected = self.assert_matches_oracle(models, schedules, 41)
+        # some loads are cut short by the next one
+        assert expected.size < sum(map(len, schedules))
+        # a zero count or a three-level site sends the batch through the loop
+        i, j = [k for k, loads in enumerate(schedules) if loads][:2]
+        zero = list(schedules)
+        zero[i] = [(schedules[i][0][0], 0)] + schedules[i][1:]
+        self.assert_matches_oracle(models, zero, 41)
+        mixed = list(models)
+        mixed[j] = MODEL
+        self.assert_matches_oracle(mixed, schedules, 41)
+
+    def test_one_level_emission_at_next_load_is_cut(self):
+        # every stub wait is 1: the load at 0 would emit at 0.5, exactly when
+        # the next load comes, so only the second load's photon at 1.0 leaves
+        model = CascadeModel((0.5,))
+        stub = CountingStream()
+        recs = sample_cascade_from_loads([model], [0.0, 0.5], [1, 2], [stub])
+        assert stub.sizes == [2]
+        assert recs["time_ns"].tolist() == [1.0]
+        assert recs["transition"].tolist() == [model.labels[0]]
+        # just before the next load it still emits
+        recs = sample_cascade_from_loads([model], [0.0, np.nextafter(0.5, 1.0)],
+                                         [1, 1], [CountingStream()])
+        assert recs["time_ns"].tolist() == [0.5, np.nextafter(0.5, 1.0) + 0.5]
 
     def test_single_load_equals_pulse_start(self):
         # the event-driven sampler at one load reproduces the cascade means;

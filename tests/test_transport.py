@@ -528,7 +528,8 @@ def random_device(seed):
 def test_kernel_matches_event_loop_oracle(window, monkeypatch):
     monkeypatch.setattr(transport, "DRAW_WINDOW", window)
     seen = {"amplitude": set(), "direction": set(), "capacity": set(),
-            "exited": 0, "inside_before": 0, "inside_past": 0, "ties": 0}
+            "exited": 0, "inside_before": 0, "inside_past": 0, "ties": 0,
+            "one_level": 0, "mixed_prob": 0}
     for seed in range(100):
         run = random_device(seed)
         layout, saw = run[:2]
@@ -542,6 +543,10 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
         seen["direction"].add(saw.direction)
         seen["capacity"].update(s.capacity for s in layout.sites)
         site = {s.site_id: s for s in layout.sites}
+        # photons of one-level sites only: the sampler's vector path
+        loaded = {load[1] for load in loads}
+        seen["one_level"] += bool(loaded) and all(
+            site[i].capacity == 1 for i in loaded)
         inside = [c[0] > c[4] for c in captures
                   if 0 < abs(site[c[1]].position_um - c[5])
                   <= site[c[1]].capture_radius_um]
@@ -553,6 +558,9 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
             # captures of two pockets at one site and instant
             times = [(c[0], c[1]) for c in captures]
             seen["ties"] += len(times) - len(set(times))
+            # a draw below the largest capture probability can still miss
+            prob = [s.capture_prob for s in layout.sites]
+            seen["mixed_prob"] += 0 < min(prob) < max(prob)
     # the layouts reach every case the kernel must order exactly
     assert seen["amplitude"] == {0.0, 0.3, 1.0}
     assert seen["direction"] == {-1, 1}
@@ -560,6 +568,7 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
     assert seen["exited"] >= 10
     assert seen["inside_before"] >= 10 and seen["inside_past"] >= 10
     assert seen["ties"] >= 10
+    assert seen["one_level"] >= 10 and seen["mixed_prob"] >= 10
 
 
 @pytest.mark.parametrize("direction", [-1, 1])
@@ -668,14 +677,19 @@ def test_pass_layout_matches_oracle_enumeration():
 
 def test_capture_draws_stay_lazy(monkeypatch, tmp_path):
     """fig5 at its defaults draws a small share of its pockets' passes: a
-    pocket that runs dry draws no further window."""
-    count = {"passes": 0, "draws": 0}
+    pocket that runs dry draws no further window.  Of the drawn passes only
+    those whose draw is below the capture probability look up their rank."""
+    count = {"passes": 0, "draws": 0, "lookups": 0}
     layout, reader = transport._pass_layout, transport._stream_reader
 
     def counting_layout(*args):
         passes, rank = layout(*args)
         count["passes"] += int(passes.sum())
-        return passes, rank
+
+        def counting_rank(pk, k):
+            count["lookups"] += np.size(pk)
+            return rank(pk, k)
+        return passes, counting_rank
 
     def counting_reader(rng):
         read = reader(rng)
@@ -692,3 +706,5 @@ def test_capture_draws_stay_lazy(monkeypatch, tmp_path):
     run_scenario(config, tmp_path / "out")
     assert count["passes"] > 10 ** 6
     assert count["draws"] <= 0.25 * count["passes"]
+    # fig5 captures with probability 0.2: about a fifth of the draws
+    assert count["lookups"] <= 0.3 * count["draws"]
