@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from sawsps.cascade import CascadeModel
-from sawsps.transport import ChannelLayout, LaserSpot, QdSite, SawWave, run_device
+from sawsps.transport import LaserSpot, SawWave, SiteField, run_device
 
 
 def main() -> int:
@@ -25,13 +25,14 @@ def main() -> int:
 
     model = CascadeModel((1.5, 1.4, 0.9))
     saw = SawWave(193.0, 15.0, direction=-1)
+    spot = LaserSpot(0.0, 1.0, 1.0)
 
     rows = []
     for prob in (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 1.0):
-        sites = tuple(QdSite(i, x, 0.5, prob, model)
-                      for i, x in enumerate((0.0, -7.0, -14.0)))
-        layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
-        result = run_device(layout, saw, saw.period_ns, args.pulses, args.seed)
+        sites = SiteField([0.0, -7.0, -14.0], [0.0] * 3, [0.5] * 3, [prob] * 3,
+                          (model,) * 3)
+        result = run_device(spot, sites, saw, saw.period_ns, args.pulses,
+                            args.seed)
         counts = np.bincount(result.photons["emitter_id"],
                              minlength=len(sites)).tolist()
         ratio = counts[2] / counts[1] if counts[1] else float("nan")

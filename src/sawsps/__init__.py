@@ -15,8 +15,8 @@ from .cascade import (CascadeModel, OccupancyTrace, Transient,
                       time_integrated_intensity)
 from .emitter import (PHOTON_DTYPE, ensemble_histogram,
                       sample_cascade_from_loads)
-from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
-                        arrival_delay, run_device)
+from .transport import (LaserSpot, SawWave, SiteField, arrival_delay,
+                        run_device)
 from .detector import (CcdFrame, Irf, TransitionSpectrum, convolve_irf,
                        render_pl_image, render_spatial_spectral)
 from .analysis import (G2Histogram, RiseFallFit, fit_rise_fall, g2_histogram,

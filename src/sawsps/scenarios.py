@@ -30,7 +30,7 @@ from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
                        write_pgm, write_transient_csv)
 from .emitter import sample_start_levels, write_photon_csv
 from .rng import substream
-from .transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
+from .transport import (LaserSpot, SawWave, SiteField,
                         per_cycle_emission_times, run_device,
                         uniform_site_field)
 
@@ -91,7 +91,6 @@ _PRESETS: dict[str, dict] = {
                       "capture_radius_um": 0.05, "capture_prob": 0.2},
             "spot": {"center_um": -12.0, "radius_um": 1.5,
                      "pairs_per_pulse": 75.0},
-            "channel_extent_um": (-20.0, 12.0),
             "num_pulses": 200,
             "pulses_per_saw_cycle": 1.0,
             "image": {"psf_sigma_um": 0.4, "pixel_um": 0.25},
@@ -110,7 +109,6 @@ _PRESETS: dict[str, dict] = {
                       "capture_radius_um": 0.5, "capture_prob": 0.5},
             "spot": {"center_um": 0.0, "radius_um": 1.0,
                      "pairs_per_pulse": 2.0},
-            "channel_extent_um": (-20.0, 6.0),
             "num_pulses": 2000,
             "emitter_shifts_nm": {1: 1.6, 2: -2.4},  # by site id
             "frame": {"row_extent_um": (-16.0, 4.0), "row_bin_um": 0.5,
@@ -153,7 +151,7 @@ _BOUNDS: dict[str, tuple] = {
                     ("a value in [0, 1]", lambda x: 0 <= x <= 1)),
     **dict.fromkeys(("num_pulses", "mc_pulses_per_point"),
                     ("an integer >= 1", lambda n: n >= 1)),
-    **dict.fromkeys(("channel_extent_um", "row_extent_um", "col_extent_nm"),
+    **dict.fromkeys(("row_extent_um", "col_extent_nm"),
                     ("an increasing [low, high] pair", lambda v: v[0] < v[1])),
     **dict.fromkeys(("lifetimes_ns", "g_values"),
                     ("a non-empty list of values > 0",
@@ -186,19 +184,10 @@ _BOUNDS: dict[str, tuple] = {
                         lambda p: p["irf_fwhm_ns"] >= p["step_ns"]
                         < p["horizon_ns"]),
     # the PL image spans field.extent_um in whole pixels, as a frame does
-    "fig5_ensemble": ("the x-range of field.extent_um inside "
-                      "channel_extent_um, and image.pixel_um dividing each "
-                      "axis of field.extent_um into whole pixels",
-                      lambda p: p["channel_extent_um"][0]
-                      <= p["field"]["extent_um"][0][0]
-                      < p["field"]["extent_um"][0][1]
-                      <= p["channel_extent_um"][1]
-                      and all(whole_bins(axis, p["image"]["pixel_um"])
-                              for axis in p["field"]["extent_um"])),
-    "fig7_remote": ("every sites.positions_um inside channel_extent_um",
-                    lambda p: all(p["channel_extent_um"][0] <= x
-                                  <= p["channel_extent_um"][1]
-                                  for x in p["sites"]["positions_um"])),
+    "fig5_ensemble": ("image.pixel_um dividing each axis of field.extent_um "
+                      "into whole pixels",
+                      lambda p: all(whole_bins(axis, p["image"]["pixel_um"])
+                                    for axis in p["field"]["extent_um"])),
 }
 
 # What a scalar key accepts, by the type of its default; only a bool key
@@ -411,23 +400,19 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     (fx0, fx1), _ = extent = p["field"]["extent_um"]
     sites = uniform_site_field(model=model, rng=substream(cfg.master_seed, 99),
                                **p["field"])
-    layout = ChannelLayout(p["channel_extent_um"], LaserSpot(**p["spot"]),
-                           tuple(sites))
     period = saw.period_ns / p["pulses_per_saw_cycle"]
-    result = run_device(layout, saw, period, p["num_pulses"], cfg.master_seed)
+    result = run_device(LaserSpot(**p["spot"]), sites, saw, period,
+                        p["num_pulses"], cfg.master_seed)
 
-    # site ids are 0..len(sites) - 1, in list order
     per_site = np.bincount(result.photons["emitter_id"], minlength=len(sites))
     write_csv(out / "site_emission.csv",
               ["site_id", "x_um", "y_um", "photons"],
-              [[s.site_id for s in sites], [s.position_um for s in sites],
-               [s.y_um for s in sites], per_site])
+              [np.arange(len(sites)), sites.x_um, sites.y_um, per_site])
 
     counts = per_site.astype(float)
-    xs = np.array([s.position_um for s in sites])
     total = counts.sum()
     mid = 0.5 * (fx0 + fx1)
-    upstream = xs < mid if saw.direction > 0 else xs > mid
+    upstream = sites.x_um < mid if saw.direction > 0 else sites.x_um > mid
     upstream_fraction = float(counts[upstream].sum() / total) if total else 0.0
     illuminated = float(total ** 2 / (counts.size * np.sum(counts ** 2))) \
         if total else 0.0
@@ -456,10 +441,10 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     model = CascadeModel(**p["cascade"])
     sp = p["sites"]
     spot = LaserSpot(**p["spot"])
-    sites = tuple(QdSite(i, x, sp["capture_radius_um"], sp["capture_prob"],
-                         model)
-                  for i, x in enumerate(sp["positions_um"]))
-    layout = ChannelLayout(p["channel_extent_um"], spot, sites)
+    n = len(sp["positions_um"])
+    sites = SiteField(sp["positions_um"], np.zeros(n),
+                      np.full(n, sp["capture_radius_um"]),
+                      np.full(n, sp["capture_prob"]), (model,) * n)
     spectrum = TransitionSpectrum.default().with_emitter_shifts(
         p["emitter_shifts_nm"])
     fr = p["frame"]
@@ -476,7 +461,7 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
                 ("idt2", replace(base, direction=1))]
     files = []
     for vi, (tag, saw) in enumerate(variants):
-        result = run_device(layout, saw, saw.period_ns, p["num_pulses"],
+        result = run_device(spot, sites, saw, saw.period_ns, p["num_pulses"],
                             cfg.master_seed, variant=vi)
         frame = render_spatial_spectral(result.photons, row_edges, col_edges,
                                         spectrum,
@@ -487,8 +472,7 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
         counts = np.bincount(result.photons["emitter_id"],
                              minlength=len(sites))
         write_csv(out / f"site_counts_{tag}.csv", ["site_id", "x_um", "photons"],
-                  [[s.site_id for s in sites], [s.position_um for s in sites],
-                   counts])
+                  [np.arange(n), sites.x_um, counts])
         files.extend([f"frame_{tag}.pgm", f"frame_{tag}_axes.csv",
                       f"site_counts_{tag}.csv"])
         if p["write_photons"]:

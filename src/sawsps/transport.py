@@ -6,24 +6,27 @@ it at the sound velocity v = f * lambda, and are captured into dot sites as
 they pass.  Excitons form when both species have arrived and each loaded dot
 runs its cascade through the stochastic emitter.
 
-Pocket motion is ballistic and dispersionless, so geometry alone fixes which
-sites a pocket passes and when, and so the draw of the capture stream each
-pass reads (pocket by pocket in birth order).  Only the passes whose uniform
-succeeds (hits) can change a pocket or a site.  The device kernel takes the
-sites in encounter order; a site's hits, in order of crossing time and
-pocket, walk its held carriers, and one clamp-add prefix scan resolves all
-of them, or all of a run of sites whose pocket counts are known at its
-start.  The draws are read by offset, a window of a pocket's passes at a
-time, and a later window only while the pocket still holds carriers.  Only
-a draw below the largest capture probability can hit, so only those draws
-are given their site rank and compared with that site's probability.  With
-the wave off (amplitude 0) nothing is conveyed: each pair stays at its
-generation point and is captured there or recombines.
+The dots are one `SiteField`: a column per site property, a row per site,
+and the row is the site's id.  Pocket motion is ballistic and
+dispersionless, so geometry alone fixes which sites a pocket passes and
+when, and so the draw of the capture stream each pass reads (pocket by
+pocket in birth order).  Only the passes whose uniform succeeds (hits) can
+change a pocket or a site; `capture_pass` states the rule of one pass.  The
+device kernel takes the sites in encounter order (a stable sort of
+direction * x); a site's hits, in order of crossing time and pocket, walk
+its held carriers, and one clamp-add prefix scan resolves all of them, or
+all of a run of sites whose pocket counts are known at its start.  The
+draws are read by offset, a window of a pocket's passes at a time, and a
+later window only while the pocket still holds carriers.  Only a draw below
+the largest capture probability can hit, so only those draws are given
+their site rank and compared with that site's probability.  With the wave
+off (amplitude 0) nothing is conveyed: each pair stays at its generation
+point and is captured there or recombines.
 """
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,85 +84,42 @@ class LaserSpot:
             raise ValueError("pairs per pulse must be finite and >= 0")
 
 
-@dataclass
-class QdSite:
-    """A dot site: fixed position and capture parameters, and the mutable
-    carrier state that `capture_pass` and `exciton_formation` act on
-    (`run_device` keeps its own)."""
+@dataclass(frozen=True, eq=False)
+class SiteField:
+    """Dot sites as columns, one row per site; a site's id is its row.
 
-    site_id: int
-    position_um: float
-    capture_radius_um: float
-    capture_prob: float
-    model: CascadeModel
-    y_um: float = 0.0
-    n_electrons: int = 0
-    n_holes: int = 0
-    loads: list = field(default_factory=list)
+    `x_um` lies along the channel, `y_um` across it.  Each site captures
+    within `capture_radius_um` of its x, with probability `capture_prob` per
+    pass, and runs the cascade of its entry of `models` (its capacity is
+    that model's number of levels).  The columns are stored as read-only
+    float arrays.
+    """
+
+    x_um: np.ndarray
+    y_um: np.ndarray
+    capture_radius_um: np.ndarray
+    capture_prob: np.ndarray
+    models: tuple[CascadeModel, ...]
 
     def __post_init__(self):
-        if not 0 < self.capture_radius_um < math.inf:
+        object.__setattr__(self, "models", tuple(self.models))
+        for name in ("x_um", "y_um", "capture_radius_um", "capture_prob"):
+            column = np.array(getattr(self, name), dtype=float)
+            if column.shape != (len(self.models),):
+                raise ValueError("need one 1-d entry per site in every column "
+                                 "and one model per site")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not (np.isfinite(self.x_um).all() and np.isfinite(self.y_um).all()):
+            raise ValueError("site x and y must be finite")
+        radius, prob = self.capture_radius_um, self.capture_prob
+        if not ((0 < radius) & (radius < math.inf)).all():
             raise ValueError("capture radius must be finite and > 0")
-        if not math.isfinite(self.y_um):
-            raise ValueError("site y must be finite")
-        if not 0.0 <= self.capture_prob <= 1.0:
+        if not ((0 <= prob) & (prob <= 1)).all():
             raise ValueError("capture probability must be in [0, 1]")
-        if self.n_electrons < 0 or self.n_holes < 0:
-            raise ValueError("carrier counts must be >= 0")
 
-    @property
-    def capacity(self) -> int:
-        return self.model.num_levels
-
-    def held(self, species: str) -> int:
-        return self.n_electrons if species == ELECTRON else self.n_holes
-
-    def receive(self, species: str, count: int) -> None:
-        if species == ELECTRON:
-            self.n_electrons += count
-        else:
-            self.n_holes += count
-
-
-@dataclass(slots=True)
-class CarrierPocket:
-    """A packet of one carrier species riding the travelling potential from
-    its birth position and time."""
-
-    species: str
-    count: int
-    position_um: float
-    birth_time_ns: float
-
-    def __post_init__(self):
-        if self.species not in (ELECTRON, HOLE):
-            raise ValueError("species must be electron or hole")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-
-
-@dataclass(frozen=True)
-class ChannelLayout:
-    """The transport world: channel extent, laser spot, dot sites."""
-
-    extent_um: tuple[float, float]
-    spot: LaserSpot
-    sites: tuple[QdSite, ...]
-
-    def __post_init__(self):
-        lo, hi = self.extent_um
-        if not lo < hi:
-            raise ValueError("channel extent must be an increasing interval")
-        sites = tuple(self.sites)
-        ids = [s.site_id for s in sites]
-        if len(set(ids)) != len(ids):
-            raise ValueError("site ids must be unique")
-        for s in sites:
-            if not lo <= s.position_um <= hi:
-                raise ValueError(
-                    f"site {s.site_id} at {s.position_um} um lies outside the "
-                    f"channel extent [{lo}, {hi}] um")
-        object.__setattr__(self, "sites", sites)
+    def __len__(self) -> int:
+        return len(self.models)
 
 
 POCKET_DTYPE = np.dtype([("species", "i1"), ("count", "i8"),
@@ -232,37 +192,15 @@ def launch_pockets(times: np.ndarray, xs: np.ndarray, saw: SawWave) -> np.ndarra
     return pockets
 
 
-def capture_pass(pocket: CarrierPocket, site: QdSite, rng: np.random.Generator,
-                 amplitude: float = 1.0) -> int:
-    """One capture attempt as the pocket passes the site.
-
-    With probability capture_prob * amplitude, transfers
-    min(pocket count, capacity - already held of that species) carriers.
-    Mutates pocket and site; returns the number transferred.
-    """
-    p_eff = site.capture_prob * amplitude
+def capture_pass(count: int, held: int, capacity: int, p_eff: float,
+                 rng) -> int:
+    """One capture attempt as a pocket of `count` carriers passes a site
+    that holds `held` of that species: with probability `p_eff` (one
+    uniform of `rng`, drawn only if `p_eff` > 0) it moves
+    min(count, capacity - held) carriers.  Returns the number moved."""
     if p_eff <= 0 or rng.random() >= p_eff:
         return 0
-    room = site.capacity - site.held(pocket.species)
-    transferred = min(pocket.count, max(room, 0))
-    if transferred:
-        pocket.count -= transferred
-        site.receive(pocket.species, transferred)
-    return transferred
-
-
-def exciton_formation(site: QdSite, t_ns: float) -> int:
-    """Pair up held carriers into excitons at time t (the later arrival).
-
-    Formed excitons are appended to the site's load schedule and removed from
-    the held-carrier state; unpaired carriers persist until a partner arrives.
-    """
-    formed = min(site.n_electrons, site.n_holes)
-    if formed:
-        site.n_electrons -= formed
-        site.n_holes -= formed
-        site.loads.append((t_ns, formed))
-    return formed
+    return min(count, max(capacity - held, 0))
 
 
 def arrival_delay(distance_um: float, saw: SawWave) -> float:
@@ -543,38 +481,39 @@ def _zero() -> dict:
     return {ELECTRON: 0, HOLE: 0}
 
 
-def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
-               num_pulses: int, master_seed: int,
+def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
+               pulse_period_ns: float, num_pulses: int, master_seed: int,
                variant: int = 0) -> DeviceResult:
     """Full device run: pulses -> pockets -> conveyance -> capture ->
     exciton formation -> cascade photons.
 
     `num_pulses` laser pulses fire every `pulse_period_ns` from t = 0; pair
-    yield per pulse comes from the layout's spot.  The run ends once every
-    pocket has passed the last site.  A pass captures with probability
+    yield per pulse comes from `spot`.  The sites are met in order of
+    direction * x, ties in row order.  The run ends once every pocket has
+    passed the last site.  A pass captures with probability
     capture_prob * amplitude and moves min(pocket count, room for that
     species) carriers; passes at one instant go in order of pocket birth,
     then of site.  With amplitude 0 each pair is captured whole, with that
     site's capture probability, by the nearest site whose window covers its
     generation point, or else recombines there.  Each photon carries its
-    emitting site's position.  The run is a pure function of its arguments;
-    runs that differ only in `variant` draw from disjoint streams (see
-    `rng`).
+    emitting site's row as its id and the site's (x, y) as its position.
+    The run is a pure function of its arguments; runs that differ only in
+    `variant` draw from disjoint streams (see `rng`).
     """
     if not 0 < pulse_period_ns < math.inf:
         raise ValueError("pulse period must be finite and > 0")
     if not num_pulses >= 1:
         raise ValueError("need at least one pulse")
-    # encounter order
-    sites = sorted(layout.sites, key=lambda s: saw.direction * s.position_um)
-    pos = np.array([s.position_um for s in sites])
-    radius = np.array([s.capture_radius_um for s in sites])
-    prob = np.array([s.capture_prob for s in sites])
-    capacity = np.array([s.capacity for s in sites], np.int64)
-    site_ids = np.array([s.site_id for s in sites], np.int64)
+    # encounter order: the site id of each rank
+    site_ids = np.argsort(saw.direction * sites.x_um, kind="stable")
+    pos = sites.x_um[site_ids]
+    radius = sites.capture_radius_um[site_ids]
+    prob = sites.capture_prob[site_ids]
+    capacity = np.array([m.num_levels for m in sites.models],
+                        np.int64)[site_ids]
 
     pulse_times = np.arange(num_pulses) * pulse_period_ns
-    pair_t, pair_x = draw_pairs(layout.spot, saw, pulse_times,
+    pair_t, pair_x = draw_pairs(spot, saw, pulse_times,
                                 substream(master_seed, 0, variant))
     rng = substream(master_seed, 3, variant)
     log = DeviceLog(pulse_times, _zero(), _zero(), _zero(), _zero(),
@@ -619,12 +558,12 @@ def run_device(layout: ChannelLayout, saw: SawWave, pulse_period_ns: float,
 
     by_rank = np.argsort(load_rank, kind="stable")
     ranks, load_site = np.unique(load_rank[by_rank], return_inverse=True)
-    loaded = [sites[r] for r in ranks.tolist()]
+    loaded = site_ids[ranks]
     photons = sample_cascade_from_loads(
-        [s.model for s in loaded], load_time[by_rank], load_n[by_rank],
-        substreams(master_seed, 1, variant, ranks), load_site,
-        emitter_ids=site_ids[ranks],
-        positions_um=[(s.position_um, s.y_um) for s in loaded])
+        [sites.models[i] for i in loaded.tolist()], load_time[by_rank],
+        load_n[by_rank], substreams(master_seed, 1, variant, ranks), load_site,
+        emitter_ids=loaded,
+        positions_um=np.stack([sites.x_um[loaded], sites.y_um[loaded]], 1))
     photons = photons[np.argsort(photons["time_ns"], kind="stable")]
     return DeviceResult(photons=photons, log=log)
 
@@ -637,7 +576,7 @@ def uniform_site_field(density_per_um2: float,
                        extent_um: tuple[tuple[float, float], tuple[float, float]],
                        model: CascadeModel, capture_radius_um: float,
                        capture_prob: float,
-                       rng: np.random.Generator) -> list[QdSite]:
+                       rng: np.random.Generator) -> SiteField:
     """Random dot field with the given areal density over a 2-d extent."""
     (x0, x1), (y0, y1) = extent_um
     area = (x1 - x0) * (y1 - y0)
@@ -646,8 +585,8 @@ def uniform_site_field(density_per_um2: float,
     count = int(rng.poisson(density_per_um2 * area))
     xs = rng.uniform(x0, x1, count)
     ys = rng.uniform(y0, y1, count)
-    return [QdSite(i, float(xs[i]), capture_radius_um, capture_prob,
-                   model, y_um=float(ys[i])) for i in range(count)]
+    return SiteField(xs, ys, np.full(count, capture_radius_um),
+                     np.full(count, capture_prob), (model,) * count)
 
 
 def per_cycle_emission_times(num_cycles: int, period_ns: float,

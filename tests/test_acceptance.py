@@ -19,9 +19,8 @@ from sawsps.emitter import (ensemble_histogram, sample_cascade_from_loads,
                             sample_start_levels)
 from sawsps.rng import substream, substreams
 from sawsps.scenarios import ScenarioConfig, run_scenario
-from sawsps.transport import (ChannelLayout, LaserSpot, QdSite, SawWave,
-                              arrival_delay, per_cycle_emission_times,
-                              run_device)
+from sawsps.transport import (LaserSpot, SawWave, SiteField, arrival_delay,
+                              per_cycle_emission_times, run_device)
 
 THREE_LEVEL = CascadeModel((1.5, 1.4, 0.9))
 
@@ -159,15 +158,15 @@ def test_criterion_6_remote_pumping_geometry():
     assert arrival_delay(14.0, saw_fwd) == pytest.approx(14.0 / 2.895, rel=1e-12)
 
     cycles = 100000
-    sites = tuple(QdSite(i, x, 0.5, 0.5, THREE_LEVEL)
-                  for i, x in enumerate((0.0, -7.0, -14.0)))
-    layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
+    spot = LaserSpot(0.0, 1.0, 1.0)
+    sites = SiteField([0.0, -7.0, -14.0], [0.0] * 3, [0.5] * 3, [0.5] * 3,
+                      (THREE_LEVEL,) * 3)
     period = saw_fwd.period_ns
 
-    res = run_device(layout, saw_fwd, period, cycles, 606)
+    res = run_device(spot, sites, saw_fwd, period, cycles, 606)
     emitted = set(res.photons["emitter_id"].tolist())
     assert emitted == {0, 1, 2}
-    pos = np.array([s.position_um for s in sites])  # by site id
+    pos = sites.x_um  # by site id
     v = saw_fwd.velocity_um_per_ns
     caps = res.log.captures
     dist = np.abs(pos[caps["site_id"]] - caps["pocket_birth_um"])
@@ -176,13 +175,13 @@ def test_criterion_6_remote_pumping_geometry():
                   >= caps["pocket_birth_ns"][far] + dist[far] / v - 1e-9)
     assert res.log.conservation_ok()
 
-    res_rev = run_device(layout, SawWave(193.0, 15.0, direction=+1), period,
-                         cycles, 606)
+    res_rev = run_device(spot, sites, SawWave(193.0, 15.0, direction=+1),
+                         period, cycles, 606)
     wrong_side = np.isin(res_rev.photons["emitter_id"], (1, 2))
     assert not np.any(wrong_side)
 
-    res_off = run_device(layout, SawWave(193.0, 15.0, amplitude=0.0), period,
-                         cycles, 606)
+    res_off = run_device(spot, sites, SawWave(193.0, 15.0, amplitude=0.0),
+                         period, cycles, 606)
     assert set(res_off.photons["emitter_id"].tolist()) == {0}
     report(6, f"delays exact, {len(res.log.captures)} captures causal, "
               f"reversed side dark over {cycles} cycles, amplitude 0 local only")

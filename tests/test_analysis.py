@@ -357,19 +357,22 @@ class TestG2:
     CHUNKS = (1, 2, 7, analysis.G2_CHUNK)
 
     def test_matches_all_pairs_oracle_on_random_streams(self, monkeypatch):
+        # every block size takes streams with ties and without, at every
+        # period and maximum delay; 16 to 80 photons make at least three
+        # blocks of 1, 2 and 7 photons, and spans from 1 to 400 ns make
+        # streams sparse and dense enough to bin in several goes a block
         rng = np.random.default_rng(105)
-        for stream in range(200):
-            n = int(rng.integers(2, 301))
-            times = rng.uniform(0.0, rng.uniform(1.0, 400.0), n)
-            if stream % 2 == 0:
-                times = np.round(times, 1)  # ties
-            period = float(rng.choice([5.0, 5.18, 2.5]))
-            max_delay = float(rng.choice([10.5 * period, 26.0, 7.3]))
-            bin_ns = float(rng.choice([0.1, 0.25, 0.5]))
-            # each block size takes streams with ties and without
-            monkeypatch.setattr(analysis, "G2_CHUNK",
-                                self.CHUNKS[stream // 2 % len(self.CHUNKS)])
-            assert_matches_oracle(times, max_delay, bin_ns, period)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(analysis, "G2_CHUNK", chunk)
+            for ties in (True, False):
+                for period in (5.0, 5.18, 2.5):
+                    for max_delay in (10.5 * period, 26.0, 7.3):
+                        n = int(rng.integers(16, 81))
+                        times = rng.uniform(0.0, rng.uniform(1.0, 400.0), n)
+                        if ties:
+                            times = np.round(times, 1)
+                        bin_ns = float(rng.choice([0.1, 0.25, 0.5]))
+                        assert_matches_oracle(times, max_delay, bin_ns, period)
 
     def test_matches_all_pairs_oracle_on_edge_cases(self, monkeypatch):
         rng = np.random.default_rng(106)

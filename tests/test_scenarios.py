@@ -72,11 +72,12 @@ class TestConfig:
 
     def test_values_take_the_type_of_their_default(self):
         p = ScenarioConfig.preset("fig5_ensemble",
-                                  {"pulses_per_saw_cycle": 2,
-                                   "channel_extent_um": [-20, 12]}).params
+                                  {"pulses_per_saw_cycle": 2}).params
         assert type(p["pulses_per_saw_cycle"]) is float
-        assert p["channel_extent_um"] == (-20.0, 12.0)
-        assert type(p["channel_extent_um"][0]) is float
+        frame = ScenarioConfig.preset(
+            "fig7_remote", {"frame": {"row_extent_um": [-16, 4]}}).params["frame"]
+        assert frame["row_extent_um"] == (-16.0, 4.0)
+        assert type(frame["row_extent_um"][0]) is float
 
     def test_emitter_shift_for_any_site_id(self, tmp_path):
         cfg = ScenarioConfig.preset("fig7_remote",
@@ -264,12 +265,11 @@ class TestStreamKeys:
                                                    tmp_path):
         loaded = set()  # encounter ranks of the sites that got a load
 
-        def recording_run(layout, saw, *args):
-            result = transport.run_device(layout, saw, *args)
-            order = sorted(layout.sites,
-                           key=lambda s: saw.direction * s.position_um)
-            rank = {s.site_id: r for r, s in enumerate(order)}
-            loaded.update(rank[i] for i in result.log.loads["site_id"].tolist())
+        def recording_run(spot, sites, saw, *args):
+            result = transport.run_device(spot, sites, saw, *args)
+            order = np.argsort(saw.direction * sites.x_um, kind="stable")
+            rank = np.argsort(order)  # of each site id
+            loaded.update(rank[result.log.loads["site_id"]].tolist())
             return result
 
         monkeypatch.setattr(scenarios, "run_device", recording_run)
@@ -378,12 +378,13 @@ BAD_CONFIGS = [
      "fig4_transients.irf_fwhm_ns"),
     ({"scenario": "fig7_remote", "params": {"emitter_shifts_nm": {"x": 1.0}}},
      "fig7_remote.emitter_shifts_nm"),
-    # conditions between keys
-    ({"scenario": "fig7_remote", "params": {"sites": {"positions_um": [10.0]}}},
-     "sites.positions_um"),
+    # a key that changed no output and is gone
     ({"scenario": "fig5_ensemble",
-      "params": {"field": {"extent_um": [[0.0, 15.0], [-5.0, 5.0]]}}},
-     "field.extent_um"),
+      "params": {"channel_extent_um": [-20.0, 12.0]}},
+     "fig5_ensemble.channel_extent_um"),
+    ({"scenario": "fig7_remote", "params": {"channel_extent_um": [-20.0, 6.0]}},
+     "fig7_remote.channel_extent_um"),
+    # conditions between keys
     ({"scenario": "fig4_transients",
       "params": {"cascade": {"lifetimes_ns": [1.5, 1.4], "labels": ["1X"]}}},
      "fig4_transients.cascade"),

@@ -1,6 +1,6 @@
 import heapq
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -12,10 +12,9 @@ from sawsps.cascade import CascadeModel
 from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
 from sawsps.scenarios import ScenarioConfig, run_scenario
-from sawsps.transport import (ELECTRON, HOLE, SPECIES, CarrierPocket,
-                              ChannelLayout, LaserSpot, QdSite, SawWave,
-                              arrival_delay, capture_pass, draw_pairs,
-                              exciton_formation, launch_pockets,
+from sawsps.transport import (ELECTRON, HOLE, SPECIES, LaserSpot, SawWave,
+                              SiteField, arrival_delay, capture_pass,
+                              draw_pairs, launch_pockets,
                               per_cycle_emission_times,
                               pocket_lattice_position, run_device,
                               uniform_site_field)
@@ -29,11 +28,26 @@ DELAY_7UM = 2.4179620034542313
 DELAY_14UM = 4.835924006908463
 
 
+def line_sites(positions, capture_prob=0.5, radius=0.5, model=MODEL):
+    """Sites on the channel axis, all alike but for their x."""
+    n = len(positions)
+    return SiteField(positions, np.zeros(n), np.full(n, radius),
+                     np.full(n, capture_prob), (model,) * n)
+
+
 def simple_layout(site_positions=(0.0, -7.0, -14.0), capture_prob=0.5,
                   pairs=2.0, radius=0.5):
-    sites = tuple(QdSite(i, float(x), radius, capture_prob, MODEL)
-                  for i, x in enumerate(site_positions))
-    return ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, pairs), sites)
+    """(spot, sites) of the remote-pumping device."""
+    return (LaserSpot(0.0, 1.0, pairs),
+            line_sites(site_positions, capture_prob, radius))
+
+
+def site_columns(**changed):
+    """Three sites on the channel axis, with some columns replaced."""
+    columns = {"x_um": [0.0, -7.0, -14.0], "y_um": [0.0, 0.0, 0.0],
+               "capture_radius_um": [0.5, 0.5, 0.5],
+               "capture_prob": [0.5, 0.5, 0.5], "models": (MODEL,) * 3}
+    return SiteField(**{**columns, **changed})
 
 
 class TestSawWave:
@@ -55,27 +69,27 @@ class TestSawWave:
             SawWave(193.0, 15.0, direction=0)
 
 
-def pulse_pockets(layout, saw, pulse_times, rng):
-    return launch_pockets(*draw_pairs(layout.spot, saw, pulse_times, rng), saw)
+def pulse_pockets(spot, saw, pulse_times, rng):
+    return launch_pockets(*draw_pairs(spot, saw, pulse_times, rng), saw)
 
 
 class TestLaunchPockets:
     def test_no_pairs_no_pockets(self):
-        layout = simple_layout(pairs=0.0)
-        assert pulse_pockets(layout, SAW, [0.0], substream(1, 0)).size == 0
+        spot = LaserSpot(0.0, 1.0, 0.0)
+        assert pulse_pockets(spot, SAW, [0.0], substream(1, 0)).size == 0
 
     def test_species_counts_balance(self):
-        layout = simple_layout(pairs=5.0)
-        pockets = pulse_pockets(layout, SAW, [0.3], substream(2, 0))
+        spot = LaserSpot(0.0, 1.0, 5.0)
+        pockets = pulse_pockets(spot, SAW, [0.3], substream(2, 0))
         e = pockets["count"][pockets["species"] == SPECIES.index(ELECTRON)].sum()
         h = pockets["count"][pockets["species"] == SPECIES.index(HOLE)].sum()
         assert e == h > 0
 
     def test_half_wavelength_offset(self):
-        layout = simple_layout(pairs=1.0)
+        spot = LaserSpot(0.0, 1.0, 1.0)
         rng = substream(3, 0)
         for _ in range(20):
-            pockets = pulse_pockets(layout, SAW, [0.0], rng)
+            pockets = pulse_pockets(spot, SAW, [0.0], rng)
             es = pockets["position_um"][pockets["species"] == 0]
             hs = pockets["position_um"][pockets["species"] == 1]
             for e in es:
@@ -89,8 +103,7 @@ class TestLaunchPockets:
         # pulse's carriers at one extremum are one pocket; pockets are in
         # order of birth, then downstream, electron before hole
         saw = SawWave(193.0, 4.0, direction=direction)
-        layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.5, 3.0, 6.0), ())
-        times, xs = draw_pairs(layout.spot, saw, np.arange(40) * 1.7,
+        times, xs = draw_pairs(LaserSpot(0.5, 3.0, 6.0), saw, np.arange(40) * 1.7,
                                substream(4, 0))
         grouped = {}
         for t, x in zip(times.tolist(), xs.tolist()):
@@ -124,22 +137,18 @@ def test_lattice_offset_invariant(t, x, direction):
 
 class TestCapturePass:
     def test_zero_probability_no_transfer(self):
-        site = QdSite(0, 0.0, 0.5, 0.0, MODEL)
-        pocket = CarrierPocket(ELECTRON, 5, 0.0, 0.0)
-        assert capture_pass(pocket, site, substream(5, 0)) == 0
-        assert pocket.count == 5
+        rng = substream(5, 0)
+        assert capture_pass(5, 0, MODEL.num_levels, 0.0, rng) == 0
+        # no uniform is drawn
+        assert rng.random() == substream(5, 0).random()
 
     def test_forced_transfer_respects_capacity(self):
-        site = QdSite(0, 0.0, 0.5, 1.0, MODEL)
-        pocket = CarrierPocket(ELECTRON, 5, 0.0, 0.0)
-        moved = capture_pass(pocket, site, substream(5, 1), amplitude=1.0)
-        assert moved == 3 and pocket.count == 2 and site.n_electrons == 3
+        assert capture_pass(5, 0, MODEL.num_levels, 1.0, substream(5, 1)) == 3
+        assert capture_pass(2, 0, MODEL.num_levels, 1.0, substream(5, 1)) == 2
 
     def test_already_held_reduces_room(self):
-        site = QdSite(0, 0.0, 0.5, 1.0, MODEL, n_electrons=2)
-        pocket = CarrierPocket(ELECTRON, 5, 0.0, 0.0)
-        moved = capture_pass(pocket, site, substream(5, 2), amplitude=1.0)
-        assert moved == 1 and site.n_electrons == 3
+        assert capture_pass(5, 2, MODEL.num_levels, 1.0, substream(5, 2)) == 1
+        assert capture_pass(5, 3, MODEL.num_levels, 1.0, substream(5, 2)) == 0
 
 
 class TestExcitonFormation:
@@ -173,11 +182,12 @@ class TestArrivalDelay:
 class TestRunDevice:
     def run(self, direction=-1, amplitude=1.0, pulses=2000, seed=11, **kw):
         saw = SawWave(193.0, 15.0, amplitude=amplitude, direction=direction)
-        layout = simple_layout(**kw)
-        return layout, saw, run_device(layout, saw, saw.period_ns, pulses, seed)
+        spot, sites = simple_layout(**kw)
+        return sites, saw, run_device(spot, sites, saw, saw.period_ns, pulses,
+                                      seed)
 
     def test_forward_feeds_all_sites(self):
-        layout, saw, res = self.run()
+        _, _, res = self.run()
         emitted = set(res.photons["emitter_id"].tolist())
         assert emitted == {0, 1, 2}
 
@@ -187,8 +197,8 @@ class TestRunDevice:
             assert res.log.conservation_ok()
 
     def test_exact_ballistic_causality(self):
-        layout, saw, res = self.run()
-        pos = np.array([s.position_um for s in layout.sites])  # by site id
+        sites, saw, res = self.run()
+        pos = sites.x_um  # by site id
         caps = res.log.captures
         dist = np.abs(pos[caps["site_id"]] - caps["pocket_birth_um"])
         far = dist > 0.5  # born outside the capture window: exact delay
@@ -199,7 +209,7 @@ class TestRunDevice:
     def test_remote_photons_respect_spot_delay(self):
         # photons from the 7 um site: no earlier than the pocket lattice
         # allowance (distance - lambda/2) over the sound velocity
-        layout, saw, res = self.run()
+        _, saw, res = self.run()
         first_pulse = res.log.pulse_times[0]
         ids, times = res.photons["emitter_id"], res.photons["time_ns"]
         assert np.all(times[ids == 1] >= first_pulse + (7.0 - 7.5) / 2.895 - 1e-9)
@@ -220,12 +230,10 @@ class TestRunDevice:
     def test_mirror_symmetry_exact(self):
         saw_m = SawWave(193.0, 15.0, direction=-1)
         saw_p = SawWave(193.0, 15.0, direction=+1)
-        lay_m = simple_layout((0.0, -7.0, -14.0))
-        sites_p = tuple(QdSite(i, -s.position_um, 0.5, 0.5, MODEL)
-                        for i, s in enumerate(lay_m.sites))
-        lay_p = ChannelLayout((-6.0, 20.0), lay_m.spot, sites_p)
-        res_m = run_device(lay_m, saw_m, saw_m.period_ns, 1000, 21)
-        res_p = run_device(lay_p, saw_p, saw_m.period_ns, 1000, 21)
+        spot, sites_m = simple_layout((0.0, -7.0, -14.0))
+        sites_p = line_sites(-sites_m.x_um)
+        res_m = run_device(spot, sites_m, saw_m, saw_m.period_ns, 1000, 21)
+        res_p = run_device(spot, sites_p, saw_p, saw_m.period_ns, 1000, 21)
         assert len(res_m.photons) == len(res_p.photons)
         a, b = res_m.photons, res_p.photons
         assert np.allclose(a["time_ns"], b["time_ns"], rtol=0, atol=1e-9)
@@ -235,11 +243,9 @@ class TestRunDevice:
     def test_depletion_monotonic_in_series(self):
         # two identical sites, both beyond the pocket birth zone (half a
         # wavelength around the spot): finite pockets deplete upstream first
-        sites = tuple(QdSite(i, x, 0.5, 0.5, MODEL)
-                      for i, x in enumerate((-12.0, -17.0)))
-        layout = ChannelLayout((-25.0, 6.0), LaserSpot(0.0, 1.0, 2.0), sites)
         saw = SawWave(193.0, 15.0, direction=-1)
-        res = run_device(layout, saw, saw.period_ns, 10000, 31)
+        res = run_device(LaserSpot(0.0, 1.0, 2.0), line_sites((-12.0, -17.0)),
+                         saw, saw.period_ns, 10000, 31)
         captures = np.bincount(res.log.captures["site_id"],
                                weights=res.log.captures["count"], minlength=2)
         photons = np.bincount(res.photons["emitter_id"], minlength=2)
@@ -249,19 +255,14 @@ class TestRunDevice:
     def test_capacity_one_single_exciton_per_cycle(self):
         # at most one pair per cycle reaching a capacity-1 site: every load is
         # a single exciton and no two loads share a SAW cycle
-        sites = (QdSite(0, -7.0, 0.5, 1.0, CascadeModel((0.5,))),)
-        layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 0.3, 1.0), sites)
+        sites = line_sites((-7.0,), 1.0, model=CascadeModel((0.5,)))
         saw = SawWave(193.0, 15.0, direction=-1)
-        res = run_device(layout, saw, saw.period_ns, 20000, 41)
+        res = run_device(LaserSpot(0.0, 0.3, 1.0), sites, saw, saw.period_ns,
+                         20000, 41)
         loads = res.log.loads[res.log.loads["site_id"] == 0]
         assert loads.size and np.all(loads["excitons"] == 1)
         cycles = (loads["time_ns"] // saw.period_ns).astype(int)
         assert cycles.size == np.unique(cycles).size
-
-    def test_site_outside_extent_rejected(self):
-        sites = (QdSite(0, 50.0, 0.5, 0.5, MODEL),)
-        with pytest.raises(ValueError):
-            ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
 
     @pytest.mark.parametrize("make", [
         lambda: LaserSpot(math.nan, 1.0, 1.0),
@@ -270,34 +271,56 @@ class TestRunDevice:
         lambda: LaserSpot(0.0, math.nan, 1.0),
         lambda: LaserSpot(0.0, 1.0, math.nan),
         lambda: LaserSpot(0.0, 1.0, math.inf),
-        lambda: QdSite(0, 0.0, math.nan, 0.5, MODEL),
-        lambda: QdSite(0, 0.0, math.inf, 0.5, MODEL),
-        lambda: QdSite(0, 0.0, 0.5, 0.5, MODEL, y_um=math.nan),
-        lambda: QdSite(0, 0.0, 0.5, 0.5, MODEL, y_um=-math.inf)])
+        *[lambda name=name, bad=bad: site_columns(**{name: [0.0, bad, -14.0]})
+          for name in ("x_um", "y_um")
+          for bad in (math.nan, math.inf, -math.inf)],
+        lambda: site_columns(capture_radius_um=[0.5, math.nan, 0.5]),
+        lambda: site_columns(capture_radius_um=[0.5, math.inf, 0.5]),
+        lambda: site_columns(capture_radius_um=[0.5, 0.0, 0.5]),
+        lambda: site_columns(capture_prob=[0.5, 1.5, 0.5]),
+        lambda: site_columns(capture_prob=[0.5, -0.1, 0.5]),
+        lambda: site_columns(capture_prob=[0.5, math.nan, 0.5]),
+        lambda: site_columns(y_um=[0.0, 0.0]),
+        lambda: site_columns(capture_prob=[[0.5, 0.5, 0.5]]),
+        lambda: site_columns(models=(MODEL,) * 2),
+        lambda: site_columns(models=(MODEL,) * 4)])
     def test_non_finite_geometry_rejected(self, make):
         # a NaN spot center or an infinite spot radius would otherwise give
         # a silent run that captures nothing and whose log balances; a NaN
-        # capture radius or pair yield would fail deep inside numpy
+        # capture radius or pair yield would fail deep inside numpy; a NaN
+        # or infinite site x would reach the kernel, which nothing else
+        # checks; ragged columns or a model count other than the site count
+        # would pair a site with another's values
         with pytest.raises(ValueError):
             make()
+
+    def test_site_columns_are_read_only_copies(self):
+        x = np.array([0.0, -7.0, -14.0])
+        sites = line_sites(x)
+        x[0] = 3.0
+        assert sites.x_um.tolist() == [0.0, -7.0, -14.0]
+        assert len(sites) == 3
+        for column in (sites.x_um, sites.y_um, sites.capture_radius_um,
+                       sites.capture_prob):
+            assert column.dtype == float and not column.flags.writeable
 
     def test_pulse_train_validation(self):
         # a NaN period must fail too: it would otherwise give an empty run
         # whose log balances
         saw = SawWave(193.0, 15.0, direction=-1)
-        layout = simple_layout()
+        spot, sites = simple_layout()
         for period, pulses in [(math.nan, 10), (math.inf, 10), (0.0, 10),
                                (-1.0, 10), (saw.period_ns, 0)]:
             with pytest.raises(ValueError):
-                run_device(layout, saw, period, pulses, 1)
+                run_device(spot, sites, saw, period, pulses, 1)
 
     @pytest.mark.parametrize("amplitude", [0.0, 1.0])
     @pytest.mark.parametrize("positions, pairs", [((), 2.0), ((0.0, -7.0), 0.0)])
     def test_no_sites_or_no_pairs(self, amplitude, positions, pairs):
         # every carrier exits or recombines and nothing is captured or emitted
         saw = SawWave(193.0, 15.0, amplitude=amplitude, direction=-1)
-        layout = simple_layout(positions, pairs=pairs)
-        res = run_device(layout, saw, saw.period_ns, 50, 3)
+        res = run_device(*simple_layout(positions, pairs=pairs), saw,
+                         saw.period_ns, 50, 3)
         log = res.log
         assert log.conservation_ok()
         assert (sum(log.generated.values()) > 0) == (pairs > 0)
@@ -306,19 +329,12 @@ class TestRunDevice:
         assert log.captured == {ELECTRON: 0, HOLE: 0}
         assert log.captures.size == log.loads.size == res.photons.size == 0
 
-    def test_duplicate_site_ids_rejected(self):
-        sites = (QdSite(0, 0.0, 0.5, 0.5, MODEL),
-                 QdSite(0, -7.0, 0.5, 0.5, MODEL))
-        with pytest.raises(ValueError):
-            ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 1.0, 1.0), sites)
-
     def test_saw_off_pairs_go_to_nearest_covering_site(self):
         # both windows cover the spot: every pair is captured whole by the
         # nearer site, at its pulse time
-        sites = (QdSite(0, 0.1, 0.5, 1.0, MODEL), QdSite(1, 0.4, 0.5, 1.0, MODEL))
-        layout = ChannelLayout((-20.0, 6.0), LaserSpot(0.0, 0.01, 2.0), sites)
         saw = SawWave(193.0, 15.0, amplitude=0.0)
-        res = run_device(layout, saw, saw.period_ns, 200, 71)
+        res = run_device(LaserSpot(0.0, 0.01, 2.0), line_sites((0.1, 0.4), 1.0),
+                         saw, saw.period_ns, 200, 71)
         captures = res.log.captures
         assert captures.size and captures.size % 2 == 0
         assert np.all(captures["site_id"] == 0) and np.all(captures["count"] == 1)
@@ -333,7 +349,7 @@ class TestRunDevice:
         assert res.log.conservation_ok()
 
     def test_formation_time_is_later_species_arrival(self):
-        layout, saw, res = self.run(pulses=300)
+        _, _, res = self.run(pulses=300)
         caps, loads = res.log.captures, res.log.loads
         assert loads.size
         for site_id, t in zip(loads["site_id"], loads["time_ns"]):
@@ -347,7 +363,8 @@ class TestFieldAndPerCycle:
         sites = uniform_site_field(30.0, ((0.0, 10.0), (-5.0, 5.0)),
                                    CascadeModel((1.5,)), 0.05, 0.2, rng)
         assert abs(len(sites) - 3000) < 3 * np.sqrt(3000)
-        assert all(0.0 <= s.position_um <= 10.0 for s in sites)
+        assert np.all((0.0 <= sites.x_um) & (sites.x_um <= 10.0))
+        assert np.all((-5.0 <= sites.y_um) & (sites.y_um <= 5.0))
 
     def test_per_cycle_times_sorted_and_thinned(self):
         rng = substream(51, 0)
@@ -372,6 +389,68 @@ class TestFieldAndPerCycle:
 # Oracle: the event-by-event device loop
 # ---------------------------------------------------------------------------
 
+@dataclass
+class QdSite:
+    """The oracle's dot: one row of a `SiteField` and the carriers it holds
+    (`capture_pass` and `exciton_formation` act on them)."""
+
+    site_id: int
+    position_um: float
+    capture_radius_um: float
+    capture_prob: float
+    model: CascadeModel
+    y_um: float = 0.0
+    n_electrons: int = 0
+    n_holes: int = 0
+    loads: list = field(default_factory=list)
+
+    @property
+    def capacity(self) -> int:
+        return self.model.num_levels
+
+    def held(self, species: str) -> int:
+        return self.n_electrons if species == ELECTRON else self.n_holes
+
+    def receive(self, species: str, count: int) -> None:
+        if species == ELECTRON:
+            self.n_electrons += count
+        else:
+            self.n_holes += count
+
+
+def site_rows(sites):
+    """The rows of a `SiteField` as empty oracle dots, in id order."""
+    return [QdSite(i, x, r, p, model, y_um=y) for i, (x, y, r, p, model)
+            in enumerate(zip(sites.x_um.tolist(), sites.y_um.tolist(),
+                             sites.capture_radius_um.tolist(),
+                             sites.capture_prob.tolist(), sites.models))]
+
+
+@dataclass(slots=True)
+class CarrierPocket:
+    """A packet of one carrier species riding the travelling potential from
+    its birth position and time."""
+
+    species: str
+    count: int
+    position_um: float
+    birth_time_ns: float
+
+
+def exciton_formation(site: QdSite, t_ns: float) -> int:
+    """Pair up held carriers into excitons at time t (the later arrival).
+
+    Formed excitons are appended to the site's load schedule and removed from
+    the held-carrier state; unpaired carriers persist until a partner arrives.
+    """
+    formed = min(site.n_electrons, site.n_holes)
+    if formed:
+        site.n_electrons -= formed
+        site.n_holes -= formed
+        site.loads.append((t_ns, formed))
+    return formed
+
+
 class KeyedUniform:
     """Stands in for the generator in `capture_pass`: returns the uniform
     the run drew for the current (pocket, rank) pass."""
@@ -393,7 +472,7 @@ def reference_passes(pockets, sites, saw):
             if d * pk.position_um <= d * s.position_um + s.capture_radius_um]
 
 
-def reference_device(layout, saw, period, num_pulses, seed, variant=0):
+def reference_device(spot, sites, saw, period, num_pulses, seed, variant=0):
     """The device run crossing by crossing: one heap event and one
     `capture_pass` per pocket-site pass, pulses interleaved in time.  Ties
     between passes at one instant go by pocket birth index, then rank.
@@ -401,11 +480,10 @@ def reference_device(layout, saw, period, num_pulses, seed, variant=0):
     of a pass is the run's, laid out pocket by pocket in birth order, one per
     pass the geometry allows.  Returns the run's outputs as plain values."""
     d, v = saw.direction, saw.velocity_um_per_ns
-    sites = [replace(s, n_electrons=0, n_holes=0, loads=[])
-             for s in sorted(layout.sites, key=lambda s: d * s.position_um)]
+    sites = sorted(site_rows(sites), key=lambda s: d * s.position_um)
     s_pos = [d * s.position_um for s in sites]
     pulse_times = [p * period for p in range(num_pulses)]
-    pair_t, pair_x = draw_pairs(layout.spot, saw, pulse_times,
+    pair_t, pair_x = draw_pairs(spot, saw, pulse_times,
                                 substream(seed, 0, variant))
     draws = substream(seed, 3, variant)
     tallies = {k: {ELECTRON: 0, HOLE: 0}
@@ -458,8 +536,12 @@ def reference_device(layout, saw, period, num_pulses, seed, variant=0):
                 t, i, rank = heapq.heappop(heap)
                 pk, site = pockets[i], sites[rank]
                 rng.key = (i, rank)
-                moved = capture_pass(pk, site, rng, saw.amplitude)
+                moved = capture_pass(pk.count, site.held(pk.species),
+                                     site.capacity,
+                                     site.capture_prob * saw.amplitude, rng)
                 if moved:
+                    pk.count -= moved
+                    site.receive(pk.species, moved)
                     tallies["captured"][pk.species] += moved
                     captures.append((t, site.site_id, SPECIES.index(pk.species),
                                      moved, pk.birth_time_ns, pk.position_um))
@@ -509,16 +591,18 @@ def random_device(seed):
     models = (CascadeModel((0.7,)), CascadeModel((1.5, 1.4, 0.9)))
     positions = g.uniform(-12.0, 12.0, g.integers(1, 9))
     positions[: g.integers(0, 3)] = g.uniform(-1.0, 1.0)  # share a window
-    sites = tuple(QdSite(i, float(x), float(g.uniform(0.05, 5.0)),
-                         float(g.choice([0.0, g.uniform(), 1.0], p=[0.1, 0.6, 0.3])),
-                         models[int(g.integers(2))])
-                  for i, x in enumerate(positions))
+    # radius, capture probability and model, site by site
+    radius, prob, site_models = zip(*[
+        (g.uniform(0.05, 5.0),
+         g.choice([0.0, g.uniform(), 1.0], p=[0.1, 0.6, 0.3]),
+         models[int(g.integers(2))]) for _ in positions])
+    sites = SiteField(positions, np.zeros(positions.size), radius, prob,
+                      site_models)
     spot = LaserSpot(float(g.uniform(-3.0, 3.0)), float(g.uniform(0.2, 3.0)),
                      float(g.uniform(0.5, 6.0)))
-    layout = ChannelLayout((-15.0, 15.0), spot, sites)
     pulses = int(g.integers(5, 40))
     period = saw.period_ns * float(g.choice([1.0, 0.5, g.uniform(0.2, 3.0)]))
-    return layout, saw, period, pulses
+    return spot, sites, saw, period, pulses
 
 
 # at the default window a random layout's sites fit in one block; at 2 a
@@ -532,7 +616,7 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
             "one_level": 0, "mixed_prob": 0}
     for seed in range(100):
         run = random_device(seed)
-        layout, saw = run[:2]
+        _, sites, saw = run[:3]
         got = device_outputs(run_device(*run, seed))
         tallies, captures, loads, photons = reference_device(*run, seed)
         assert got[0] == tallies, seed
@@ -541,8 +625,8 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
         assert_same_photons(got[3], photons)
         seen["amplitude"].add(saw.amplitude)
         seen["direction"].add(saw.direction)
-        seen["capacity"].update(s.capacity for s in layout.sites)
-        site = {s.site_id: s for s in layout.sites}
+        site = site_rows(sites)  # by id
+        seen["capacity"].update(s.capacity for s in site)
         # photons of one-level sites only: the sampler's vector path
         loaded = {load[1] for load in loads}
         seen["one_level"] += bool(loaded) and all(
@@ -559,8 +643,8 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
             times = [(c[0], c[1]) for c in captures]
             seen["ties"] += len(times) - len(set(times))
             # a draw below the largest capture probability can still miss
-            prob = [s.capture_prob for s in layout.sites]
-            seen["mixed_prob"] += 0 < min(prob) < max(prob)
+            prob = sites.capture_prob
+            seen["mixed_prob"] += 0 < prob.min() < prob.max()
     # the layouts reach every case the kernel must order exactly
     assert seen["amplitude"] == {0.0, 0.3, 1.0}
     assert seen["direction"] == {-1, 1}
@@ -578,12 +662,11 @@ def test_kernel_matches_event_loop_oracle_on_fig7_device(direction):
     # rounds are checked too; the random devices give short scans only
     p = ScenarioConfig.from_dict({"scenario": "fig7_remote"}).params
     model = CascadeModel(**p["cascade"])
-    sites = tuple(QdSite(i, x, p["sites"]["capture_radius_um"],
-                         p["sites"]["capture_prob"], model)
-                  for i, x in enumerate(p["sites"]["positions_um"]))
-    layout = ChannelLayout(p["channel_extent_um"], LaserSpot(**p["spot"]), sites)
+    sites = line_sites(p["sites"]["positions_um"], p["sites"]["capture_prob"],
+                       p["sites"]["capture_radius_um"], model)
     saw = SawWave(**p["saw"], direction=direction)
-    run = (layout, saw, saw.period_ns, p["num_pulses"], 12345)
+    run = (LaserSpot(**p["spot"]), sites, saw, saw.period_ns, p["num_pulses"],
+           12345)
     got = device_outputs(run_device(*run))
     tallies, captures, loads, photons = reference_device(*run)
     assert model.num_levels == 3
@@ -658,13 +741,13 @@ def layouts(pockets, sites, saw):
 def test_pass_layout_matches_oracle_enumeration():
     behind = 0
     for seed in range(100):
-        layout, saw, period, pulses = random_device(seed)
+        spot, sites, saw, period, pulses = random_device(seed)
         d = saw.direction
-        sites = sorted(layout.sites, key=lambda s: d * s.position_um)
+        sites = sorted(site_rows(sites), key=lambda s: d * s.position_um)
         pockets = [CarrierPocket(SPECIES[p["species"]], int(p["count"]),
                                  float(p["position_um"]), float(p["birth_time_ns"]))
                    for p in launch_pockets(*draw_pairs(
-                       layout.spot, saw, np.arange(pulses) * period,
+                       spot, saw, np.arange(pulses) * period,
                        substream(seed, 0, 0)), saw)]
         got, expected = layouts(pockets, sites, saw)
         assert got == expected, seed
