@@ -14,10 +14,11 @@ import numpy as np
 
 from .cascade import (CascadeModel, NoSignalError, Transient, initial_loading,
                       onset_time, solve_cascade_analytic)
+from .rng import _map_blocks
 
 # g2_histogram walks the pairs G2_CHUNK photons at a time and bins at most
-# about G2_CHUNK * G2_LAGS delays at once, which bounds its temporaries; the
-# block size does not show in the histogram.
+# about G2_CHUNK * G2_LAGS delays at once per thread, which bounds its
+# temporaries; the block size does not show in the histogram.
 G2_CHUNK = 1 << 14
 G2_LAGS = 8
 
@@ -285,7 +286,7 @@ class G2Histogram:
 
 
 def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
-                 pulse_period_ns: float) -> G2Histogram:
+                 pulse_period_ns: float, threads: int = 1) -> G2Histogram:
     """All-pairs coincidence histogram and the pulsed zero-peak ratio.
 
     Photon i of the sorted stream pairs with every later photon j for which
@@ -301,7 +302,11 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     first lag with no pair, since on a sorted stream no longer lag has one.
     A block's delays are binned once it ends, or sooner once they number
     G2_CHUNK * G2_LAGS, so the temporaries stay bounded however dense the
-    stream, memory is O(photons + cells) and no array of all pairs is built.
+    stream and no array of all pairs is built.  Each block returns its own
+    integer cell counts and the blocks run on `threads` worker threads
+    (`rng._map_blocks`; at threads=1 in the calling thread, in order); their
+    sum does not depend on order, so the result is the same at any thread
+    count.  Memory is O(photons + cells + threads * G2_CHUNK * G2_LAGS).
     Pairs are binned at +delay and mirrored to -delay, so the histogram is
     exactly symmetric.  The zero-peak ratio is the area within half a period
     of zero delay divided by the mean side-peak area; a ratio below 0.5
@@ -309,13 +314,18 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     gives 1.  Fewer than two photons yield an empty histogram, not an error.
     Takes photon times; pass `photons["time_ns"]` (masked to one transition
     if wanted) for a photon stream.  Raises ValueError for a non-finite
-    time, or a bin, max delay or period that is not finite and > 0.
-    `perfbench/spans.py` reads the first argument by its name.
+    time, a bin, max delay or period that is not finite and > 0, or
+    `threads` that is not an int >= 1.  `perfbench/spans.py` reads the
+    first argument by its name.
     """
     if not all(0 < v < math.inf
                for v in (bin_ns, max_delay_ns, pulse_period_ns)):
         raise ValueError("bin, max delay and period must be finite and > 0")
-    times = np.sort(np.asarray(times_or_records, dtype=float))
+    if type(threads) is not int or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+    # the g2 preset passes sorted blocks, concatenated: the stable sort
+    # merges those runs where the default sort starts afresh
+    times = np.sort(np.asarray(times_or_records, dtype=float), kind="stable")
     if not np.isfinite(times).all():
         raise ValueError("photon times must be finite")
 
@@ -339,11 +349,13 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     cells = np.unique(np.concatenate(
         (pos_edges, np.ravel(peaks)[1:], [last_end, np.inf])))
 
-    cell_counts = np.zeros(cells.size - 1, dtype=np.int64)
     n = times.size
-    for a in range(0, n - 1, G2_CHUNK):
+
+    def block_counts(c: int) -> np.ndarray:
+        a = c * G2_CHUNK
         b = min(a + G2_CHUNK, n - 1)  # the last photon has no later partner
         reach = times[a:b] + max_delay_ns  # latest partner time of each photon
+        counts = np.zeros(cells.size - 1, dtype=np.int64)
         pending, size = [], 0
         for k in range(1, n - a):
             stop = min(b, n - k)
@@ -353,10 +365,14 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
             pending.append((times[a + k:stop + k] - times[a:stop])[paired])
             size += pending[-1].size
             if size >= G2_CHUNK * G2_LAGS:
-                cell_counts += np.histogram(np.concatenate(pending), cells)[0]
+                counts += np.histogram(np.concatenate(pending), cells)[0]
                 pending, size = [], 0
         if pending:
-            cell_counts += np.histogram(np.concatenate(pending), cells)[0]
+            counts += np.histogram(np.concatenate(pending), cells)[0]
+        return counts
+
+    cell_counts = np.sum(_map_blocks(block_counts, -(-(n - 1) // G2_CHUNK),
+                                     threads), axis=0)
 
     # pairs below each cell edge
     below = np.concatenate(([0], np.cumsum(cell_counts)))

@@ -40,6 +40,23 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _map_blocks(func, num_blocks: int, threads: int) -> list:
+    """`[func(b) for b in range(num_blocks)]`, on `threads` worker threads.
+
+    At threads=1 the blocks run in the calling thread in index order, and
+    no pool is built or imported: importing `concurrent.futures` adds about
+    0.5 MB to a run's peak memory.  Results do not depend on the thread
+    count: a block that draws owns a substream keyed by its index, and g2's
+    pair chunks share no stream and return integer counts, whose sum does
+    not depend on order.
+    """
+    if threads <= 1:
+        return [func(b) for b in range(num_blocks)]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(func, range(num_blocks)))
+
+
 def _hasher(const: int, mult: int):
     """numpy `SeedSequence`'s hashmix, with its running hash constant, on a
     Python int or a uint64 array of 32-bit words."""

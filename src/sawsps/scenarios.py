@@ -14,7 +14,6 @@ import numbers
 import re
 import secrets
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
                        render_spatial_spectral, whole_bins, write_axes_csv,
                        write_pgm, write_transient_csv)
 from .emitter import sample_start_levels, write_photon_csv
-from .rng import substream
+from .rng import _map_blocks, substream
 from .transport import (LaserSpot, SawWave, SiteField,
                         per_cycle_emission_times, run_device,
                         uniform_site_field)
@@ -302,15 +301,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _map_blocks(func, num_blocks: int, threads: int) -> list:
-    """Run block workers in index order; results independent of threads
-    because every block owns a substream keyed by its index."""
-    if threads <= 1:
-        return [func(b) for b in range(num_blocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, range(num_blocks)))
-
-
 def _block_sizes(total: int, blocks: int) -> list[int]:
     base = total // blocks
     sizes = [base] * blocks
@@ -495,7 +485,7 @@ def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
 
     times = np.concatenate(_map_blocks(block, _G2_BLOCKS, threads))
     hist = g2_histogram(times, p["g2_periods"] * period, p["g2_bin_ns"],
-                        period)
+                        period, threads=threads)
     write_csv(out / "g2_histogram.csv", ["delay_ns", "coincidences"],
               [hist.delay_ns, hist.counts])
     ratio = hist.zero_peak_ratio
@@ -532,8 +522,8 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
     set renamed aside by an earlier run whose delete was interrupted.
     Returns the manifest dictionary.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
+    if type(threads) is not int or threads < 1:
+        raise ConfigError(f"threads must be an int >= 1, got {threads!r}")
     out = Path(out_dir).resolve()
     if out.exists():
         if not out.is_dir():

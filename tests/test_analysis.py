@@ -311,13 +311,21 @@ def reference_g2(times, max_delay_ns, bin_ns, pulse_period_ns):
     return counts, peak_areas, ratio
 
 
-def assert_matches_oracle(times, max_delay_ns, bin_ns, pulse_period_ns):
-    hist = g2_histogram(times, max_delay_ns, bin_ns, pulse_period_ns)
-    counts, peak_areas, ratio, deltas = all_pairs_g2(
-        times, max_delay_ns, bin_ns, pulse_period_ns)
-    assert np.array_equal(hist.counts, counts)
+def assert_same_hist(hist, counts, peak_areas, ratio):
+    assert hist.counts.tobytes() == counts.tobytes()
     assert hist.peak_areas == peak_areas
     assert hist.zero_peak_ratio == ratio
+
+
+def assert_matches_oracle(times, max_delay_ns, bin_ns, pulse_period_ns):
+    """`g2_histogram` at 1, 2 and 3 threads equals the all-pairs oracle, and
+    so the threads=1 result."""
+    counts, peak_areas, ratio, deltas = all_pairs_g2(
+        times, max_delay_ns, bin_ns, pulse_period_ns)
+    for threads in (1, 2, 3):
+        assert_same_hist(g2_histogram(times, max_delay_ns, bin_ns,
+                                      pulse_period_ns, threads=threads),
+                         counts, peak_areas, ratio)
     return deltas
 
 
@@ -414,26 +422,47 @@ class TestG2:
         times = rng.permutation(np.concatenate((base, burst)))
         assert times.size > 2 * analysis.G2_CHUNK
         for args in ((26.0, 0.5, 5.0), (10.5 * 5.18, 0.1, 5.18)):
-            hist = g2_histogram(times, *args)
-            counts, peak_areas, ratio = reference_g2(times, *args)
-            assert hist.counts.tobytes() == counts.tobytes()
-            assert hist.peak_areas == peak_areas
-            assert hist.zero_peak_ratio == ratio
+            expected = reference_g2(times, *args)
+            for threads in (1, 2, 3):
+                assert_same_hist(g2_histogram(times, *args, threads=threads),
+                                 *expected)
+
+    def test_one_thread_builds_no_pool(self, monkeypatch):
+        # at threads=1 the blocks run in the calling thread; the patched
+        # pool is reached at threads=2, so the patch is in the helper's path
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        times = substream(109, 0).uniform(0.0, 200.0, 60)
+        monkeypatch.setattr(analysis, "G2_CHUNK", 7)
+        counts, peak_areas, ratio, _ = all_pairs_g2(times, 26.0, 0.5, 5.0)
+        assert_same_hist(g2_histogram(times, 26.0, 0.5, 5.0), counts,
+                         peak_areas, ratio)
+        with pytest.raises(AssertionError, match="thread pool"):
+            g2_histogram(times, 26.0, 0.5, 5.0, threads=2)
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, "2", None, True])
+    def test_threads_must_be_a_positive_int(self, threads):
+        with pytest.raises(ValueError, match="threads must be an int >= 1"):
+            g2_histogram([1.0, 2.0, 7.0], 26.0, 0.5, 5.0, threads=threads)
 
     def test_temporaries_bounded(self):
         # about 500k photons of the g2 preset: one SAW cycle in two loads the
         # site.  A histogram pass over every lag's delays would take about
-        # five times the input.
+        # five times the input; a second thread adds one block's delays.
         period = SawWave(193.0, 15.0).period_ns
         times = per_cycle_emission_times(1_000_000, period, 0.5, 0.5,
                                          rng=substream(108, 0))
-        tracemalloc.start()
-        try:
-            g2_histogram(times, 10.5 * period, 0.1, period)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * times.nbytes
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                g2_histogram(times, 10.5 * period, 0.1, period,
+                             threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * times.nbytes, threads
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, bad):

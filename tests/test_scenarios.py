@@ -5,6 +5,7 @@ import numpy as np
 
 import pytest
 
+from sawsps.analysis import g2_histogram
 from sawsps.cli import main
 from sawsps.scenarios import (ConfigError, ScenarioConfig, list_scenarios,
                               run_scenario)
@@ -211,12 +212,42 @@ class TestDeterminism:
     ])
     def test_byte_identical_across_thread_counts(self, tmp_path, name, overrides):
         cfg = ScenarioConfig.preset(name, overrides, master_seed=31415)
-        out1 = tmp_path / "t1"
-        out4 = tmp_path / "t4"
-        man1 = run_scenario(cfg, out1, threads=1)
-        man4 = run_scenario(cfg, out4, threads=4)
-        assert dir_digest(out1) == dir_digest(out4)
-        assert man1 == man4
+        man1 = run_scenario(cfg, tmp_path / "t1", threads=1)
+        # g2's ~50k photons make four pair chunks: two threads share them
+        for threads in (2, 4) if name == "g2_antibunching" else (4,):
+            out = tmp_path / f"t{threads}"
+            assert run_scenario(cfg, out, threads=threads) == man1
+            assert dir_digest(out) == dir_digest(tmp_path / "t1")
+
+    def test_one_thread_builds_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        cfg = ScenarioConfig.preset("g2_antibunching", {"num_cycles": 5000})
+        run_scenario(cfg, tmp_path / "t1", threads=1)
+        with pytest.raises(AssertionError, match="thread pool"):
+            run_scenario(cfg, tmp_path / "t2", threads=2)
+
+    def test_g2_pairs_walk_on_the_run_threads(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(*args, threads=1):
+            seen.append(threads)
+            return g2_histogram(*args, threads=threads)
+
+        monkeypatch.setattr(scenarios, "g2_histogram", spy)
+        cfg = ScenarioConfig.preset("g2_antibunching", {"num_cycles": 5000})
+        run_scenario(cfg, tmp_path / "out", threads=3)
+        assert seen == [3]
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, "2", None, True])
+    def test_threads_must_be_a_positive_int(self, tmp_path, threads):
+        # rejected before the output path is touched
+        cfg = ScenarioConfig.preset("g2_antibunching", {"num_cycles": 5000})
+        with pytest.raises(ConfigError, match="threads must be an int >= 1"):
+            run_scenario(cfg, tmp_path / "out", threads=threads)
+        assert not any(tmp_path.iterdir())
 
 
 # A small config of every preset, for the stream-key checks.
