@@ -323,8 +323,8 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
         raise ValueError("bin, max delay and period must be finite and > 0")
     if type(threads) is not int or threads < 1:
         raise ValueError(f"threads must be an int >= 1, got {threads!r}")
-    # the g2 preset passes sorted blocks, concatenated: the stable sort
-    # merges those runs where the default sort starts afresh
+    # the g2 preset passes increasing times: the stable sort finds one run
+    # where the default sort starts afresh
     times = np.sort(np.asarray(times_or_records, dtype=float), kind="stable")
     if not np.isfinite(times).all():
         raise ValueError("photon times must be finite")

@@ -9,7 +9,7 @@ all distinct within one scenario run:
                          encounter rank `rank`: one block of    through
                          standard exponentials, the same values `substreams`
                          as one scalar draw per emission step
-    (2, block)           g2 per-cycle photon times of a block   g2_antibunching
+    (2,)                 g2 per-cycle photon times              g2_antibunching
     (3, variant)         device capture uniforms: pass k of     run_device
                          pocket i is draw O_i + k, O_i the
                          passes of the pockets born before

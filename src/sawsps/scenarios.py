@@ -128,7 +128,6 @@ _PRESETS: dict[str, dict] = {
     },
 }
 
-_G2_BLOCKS = 64
 _MC_BLOCKS = 16
 
 
@@ -148,7 +147,7 @@ _BOUNDS: dict[str, tuple] = {
                     ("a value >= 0", lambda x: x >= 0)),
     **dict.fromkeys(("amplitude", "capture_prob"),
                     ("a value in [0, 1]", lambda x: 0 <= x <= 1)),
-    **dict.fromkeys(("num_pulses", "mc_pulses_per_point"),
+    **dict.fromkeys(("num_pulses", "mc_pulses_per_point", "num_cycles"),
                     ("an integer >= 1", lambda n: n >= 1)),
     **dict.fromkeys(("row_extent_um", "col_extent_nm"),
                     ("an increasing [low, high] pair", lambda v: v[0] < v[1])),
@@ -156,8 +155,6 @@ _BOUNDS: dict[str, tuple] = {
                     ("a non-empty list of values > 0",
                      lambda v: len(v) > 0 and min(v) > 0)),
     "master_seed": ("an integer >= 0", lambda n: n >= 0),
-    # every block of the run draws from its own substream
-    "num_cycles": (f"an integer >= {_G2_BLOCKS}", lambda n: n >= _G2_BLOCKS),
     "direction": ("+1 or -1", lambda d: d in (-1, 1)),
     "onset_threshold": ("a fraction in (0, 1)", lambda x: 0 < x < 1),
     "extent_um": ("two increasing [low, high] pairs",
@@ -309,10 +306,11 @@ def _block_sizes(total: int, blocks: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners: they read the typed, validated `cfg.params`
+# Scenario runners: they read the typed, validated `cfg.params` and write
+# their files into `out`, all of which the manifest lists
 # ---------------------------------------------------------------------------
 
-def _run_fig3(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
+def _run_fig3(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     p = cfg.params
     model = CascadeModel(**p["cascade"])
     g_values = p["g_values"]
@@ -350,28 +348,21 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     write_csv(out / "powerlaw.csv", ["transition", "slope", "stderr"],
               [list(slopes), [f.slope for f in slopes.values()],
                [f.stderr for f in slopes.values()]])
-    return ["intensity_vs_g.csv", "powerlaw.csv"]
 
 
-def _run_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
+def _run_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     p = cfg.params
     model = CascadeModel(**p["cascade"])
     irf = Irf(p["irf_fwhm_ns"])
     grid = np.arange(0.0, p["horizon_ns"], p["step_ns"])
-    files = []
     for g, _, level, trace in pumped_traces(model, p["g_values"], grid):
         label = model.labels[level - 1]
-        name = f"transient_g{g:g}_{label}.csv"
-        write_transient_csv(out / name, trace)
-        files.append(name)
-        blurred = convolve_irf(trace, irf)
-        name = f"transient_g{g:g}_{label}_irf.csv"
-        write_transient_csv(out / name, blurred)
-        files.append(name)
-    return files
+        write_transient_csv(out / f"transient_g{g:g}_{label}.csv", trace)
+        write_transient_csv(out / f"transient_g{g:g}_{label}_irf.csv",
+                            convolve_irf(trace, irf))
 
 
-def _run_fig4c(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
+def _run_fig4c(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     p = cfg.params
     model = CascadeModel(**p["cascade"])
     curve = onset_delay_curve(model, p["g_values"],
@@ -380,10 +371,9 @@ def _run_fig4c(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
               + [f"mean_{lab}" for lab in model.labels])
     write_csv(out / "delays.csv", header,
               [curve.g_values, *curve.onset_ns.T, *curve.mean_time_ns.T])
-    return ["delays.csv"]
 
 
-def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
+def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     p = cfg.params
     model = CascadeModel(**p["cascade"])
     saw = SawWave(**p["saw"])
@@ -418,15 +408,11 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
                    0.5 * (image.y_edges_um[:-1] + image.y_edges_um[1:]),
                    0.5 * (image.x_edges_um[:-1] + image.x_edges_um[1:]),
                    row_name="row_center_um", col_name="col_center_um")
-    files = ["site_emission.csv", "depletion_stats.csv", "pl_image.pgm",
-             "pl_image_axes.csv"]
     if p["write_photons"]:
         write_photon_csv(out / "photons.csv", result.photons)
-        files.append("photons.csv")
-    return files
 
 
-def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
+def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     p = cfg.params
     model = CascadeModel(**p["cascade"])
     sp = p["sites"]
@@ -449,7 +435,6 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
     variants = [("saw_off", replace(base, amplitude=0.0, direction=1)),
                 ("idt1", replace(base, direction=-1)),
                 ("idt2", replace(base, direction=1))]
-    files = []
     for vi, (tag, saw) in enumerate(variants):
         result = run_device(spot, sites, saw, saw.period_ns, p["num_pulses"],
                             cfg.master_seed, variant=vi)
@@ -463,27 +448,17 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
                              minlength=len(sites))
         write_csv(out / f"site_counts_{tag}.csv", ["site_id", "x_um", "photons"],
                   [np.arange(n), sites.x_um, counts])
-        files.extend([f"frame_{tag}.pgm", f"frame_{tag}_axes.csv",
-                      f"site_counts_{tag}.csv"])
         if p["write_photons"]:
             write_photon_csv(out / f"photons_{tag}.csv", result.photons)
-            files.append(f"photons_{tag}.csv")
-    return files
 
 
-def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
+def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     p = cfg.params
     period = SawWave(**p["saw"]).period_ns
     cycles = p["num_cycles"]
-    sizes = _block_sizes(cycles, _G2_BLOCKS)
-    starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-
-    def block(b: int) -> np.ndarray:
-        rng = substream(cfg.master_seed, 2, b)
-        return starts[b] * period + per_cycle_emission_times(
-            sizes[b], period, rng=rng, **p["site"])
-
-    times = np.concatenate(_map_blocks(block, _G2_BLOCKS, threads))
+    times = per_cycle_emission_times(cycles, period,
+                                     rng=substream(cfg.master_seed, 2),
+                                     **p["site"])
     hist = g2_histogram(times, p["g2_periods"] * period, p["g2_bin_ns"],
                         period, threads=threads)
     write_csv(out / "g2_histogram.csv", ["delay_ns", "coincidences"],
@@ -493,7 +468,6 @@ def _run_g2(cfg: ScenarioConfig, out: Path, threads: int) -> list[str]:
               ["num_photons", "num_cycles", "zero_peak_ratio"],
               [[times.size], [cycles],
                [float(ratio) if ratio is not None else float("nan")]])
-    return ["g2_histogram.csv", "g2_summary.csv"]
 
 
 _RUNNERS = {
@@ -536,7 +510,7 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
     stage.mkdir()
     old = None
     try:
-        files = _RUNNERS[config.name](config, stage, threads)
+        _RUNNERS[config.name](config, stage, threads)
         canonical = json.dumps(config.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         manifest = {
@@ -546,7 +520,7 @@ def run_scenario(config: ScenarioConfig, out_dir, force: bool = False,
             "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
             "files": [{"name": name, "sha256": _sha256(stage / name),
                        "bytes": (stage / name).stat().st_size}
-                      for name in sorted(files)],
+                      for name in sorted(p.name for p in stage.iterdir())],
         }
         with open(stage / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)

@@ -592,12 +592,16 @@ def uniform_site_field(density_per_um2: float,
 def per_cycle_emission_times(num_cycles: int, period_ns: float,
                              capture_prob: float, lifetime_ns: float,
                              rng: np.random.Generator) -> np.ndarray:
-    """Sorted photon times of a site injected once per SAW cycle.
+    """Photon times, increasing, of a capacity-1 site injected once per SAW
+    cycle.
 
-    Each cycle loads one exciton with the capture probability, and each load
-    emits one photon after its own exponential wait, whatever the other
-    loads do: a wait longer than the gap to the next load still emits, where
-    a capacity-1 dot would have restarted its clock (ROADMAP item 5).
+    The rng draws one uniform per cycle, and a cycle whose uniform is below
+    the capture probability loads the dot; then it draws one exponential
+    wait per load.  A load emits after its wait unless the next load comes
+    first: that load fills the dot again and restarts its clock.  The last
+    load always emits.  This is `sample_cascade_from_loads`' one-level path,
+    bit for bit, with the loads at their cycle starts and the rng's state
+    after the uniforms as the site's stream.
     """
     if num_cycles < 1:
         raise ValueError("need at least one cycle")
@@ -605,8 +609,11 @@ def per_cycle_emission_times(num_cycles: int, period_ns: float,
         raise ValueError("period and lifetime must be finite and > 0")
     if not 0.0 <= capture_prob <= 1.0:
         raise ValueError("capture probability must be in [0, 1]")
-    loaded = np.nonzero(rng.random(num_cycles) < capture_prob)[0]
-    times = loaded * period_ns + rng.exponential(lifetime_ns, loaded.size)
-    # nearly in order when the lifetime is short of the period: the stable
-    # sort merges the runs where the default sort starts afresh
-    return np.sort(times, kind="stable")
+    loads = np.flatnonzero(rng.random(num_cycles) < capture_prob) * period_ns
+    times = rng.exponential(lifetime_ns, loads.size)
+    times += loads
+    kept = np.ones(times.size, dtype=bool)
+    np.less(times[:-1], loads[1:], out=kept[:-1])
+    # freed before the gather: it would otherwise raise the run's peak
+    del loads
+    return times[kept]

@@ -192,6 +192,17 @@ class TestRunScenario:
             run_scenario(ScenarioConfig.preset("fig4c_delays"), out)
         assert not out.exists()
 
+    def test_one_cycle_runs(self, tmp_path):
+        # one photon at most: no pair, so no zero-peak ratio
+        run_scenario(ScenarioConfig.preset("g2_antibunching",
+                                           {"num_cycles": 1}), tmp_path / "g2")
+        rows = (tmp_path / "g2" / "g2_summary.csv").read_text().splitlines()
+        num_photons, num_cycles, ratio = rows[1].split(",")
+        assert int(num_photons) <= 1 and num_cycles == "1"
+        assert ratio == "nan"
+        with pytest.raises(ConfigError, match="num_cycles"):
+            ScenarioConfig.preset("g2_antibunching", {"num_cycles": 0})
+
     def test_seed_changes_outputs(self, tmp_path):
         over = {"num_cycles": 50000}
         a = tmp_path / "a"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sawsps import transport
 from sawsps.cascade import CascadeModel
-from sawsps.emitter import PHOTON_DTYPE
+from sawsps.emitter import PHOTON_DTYPE, sample_cascade_from_loads
 from sawsps.rng import substream
 from sawsps.scenarios import ScenarioConfig, run_scenario
 from sawsps.transport import (ELECTRON, HOLE, SPECIES, LaserSpot, SawWave,
@@ -369,8 +369,39 @@ class TestFieldAndPerCycle:
     def test_per_cycle_times_sorted_and_thinned(self):
         rng = substream(51, 0)
         times = per_cycle_emission_times(100000, 5.0, 0.5, 0.5, rng)
-        assert np.all(np.diff(times) >= 0)
+        assert np.all(np.diff(times) > 0)
         assert abs(times.size - 50000) < 3 * np.sqrt(25000)
+
+    @pytest.mark.parametrize("cycles,prob,lifetime", [
+        (20000, 0.5, 1.0), (20000, 0.9, 3.0), (1, 1.0, 1.0), (1, 0.0, 1.0)])
+    def test_per_cycle_times_are_the_one_level_sampler(self, cycles, prob,
+                                                       lifetime):
+        # the lifetimes are in SAW periods: a wait of one period or more
+        # outlasts the gap to the next load often enough that the cut rule
+        # is met many times
+        period = SAW.period_ns
+        times = per_cycle_emission_times(cycles, period, prob,
+                                         lifetime * period, substream(52, 0))
+        rng = substream(52, 0)
+        loads = np.flatnonzero(rng.random(cycles) < prob) * period
+        expected = sample_cascade_from_loads(
+            [CascadeModel((lifetime * period,))], loads,
+            np.ones(loads.size, np.int64), [rng])["time_ns"]
+        assert times.tobytes() == expected.tobytes()
+        # every load's own emission time, from the same waits: the photon
+        # leaves exactly when it is earlier than the next load
+        rng = substream(52, 0)
+        rng.random(cycles)
+        t_emit = loads + lifetime * period * rng.standard_exponential(
+            loads.size)
+        kept = t_emit < np.append(loads[1:], math.inf)
+        assert times.tolist() == t_emit[kept].tolist()
+        if cycles > 1:
+            assert 0 < times.size < loads.size
+
+    def test_per_cycle_no_capture_is_empty(self):
+        times = per_cycle_emission_times(1000, 5.0, 0.0, 0.5, substream(53, 0))
+        assert times.shape == (0,) and times.dtype == float
 
     def test_per_cycle_validation(self):
         # NaN slips through a `<= 0` check; a NaN or infinite period or
