@@ -9,14 +9,11 @@ resolved measurements.
 
 __version__ = "0.1.0"
 
-from .cascade import (CascadeModel, OccupancyTrace, Transient,
-                      initial_loading, onset_time, poisson_pmf, poisson_tail,
-                      solve_cascade_analytic, solve_cascade_numeric,
+from .cascade import (CascadeModel, Transient, initial_loading, onset_time,
+                      poisson_pmf, poisson_tail, solve_cascade_analytic,
                       time_integrated_intensity)
-from .emitter import (PHOTON_DTYPE, ensemble_histogram,
-                      sample_cascade_from_loads)
-from .transport import (LaserSpot, SawWave, SiteField, arrival_delay,
-                        run_device)
+from .emitter import PHOTON_DTYPE, sample_cascade_from_loads
+from .transport import LaserSpot, SawWave, SiteField, run_device
 from .detector import (CcdFrame, Irf, TransitionSpectrum, convolve_irf,
                        render_pl_image, render_spatial_spectral)
 from .analysis import (G2Histogram, RiseFallFit, fit_rise_fall, g2_histogram,

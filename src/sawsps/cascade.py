@@ -5,7 +5,7 @@ emitting one photon per step.  Loading per laser pulse is Poisson with mean g;
 pulses generating more than N excitons load the top level N (overflow folding,
 which keeps photon counting exact for the modelled levels).  The chain is a
 triangular linear ODE system, so it has a closed-form sum-of-exponentials
-solution next to the fixed-step integrator.
+solution.
 """
 
 import math
@@ -97,37 +97,6 @@ class Transient:
 
     def integral(self) -> float:
         return float(np.trapezoid(self.intensity, self.time_ns))
-
-
-@dataclass(frozen=True)
-class OccupancyTrace:
-    """Occupancies n_i(t) of every level on a uniform time grid."""
-
-    time_ns: np.ndarray
-    occupancies: np.ndarray  # shape (num_levels, num_times)
-
-    def __post_init__(self):
-        t = np.asarray(self.time_ns, dtype=float)
-        n = np.asarray(self.occupancies, dtype=float)
-        if t.ndim != 1 or n.ndim != 2 or n.shape[1] != t.size:
-            raise ValueError("occupancies must be (levels, times) matching the grid")
-        d = np.diff(t)
-        if d.size and (np.any(d <= 0) or not np.allclose(d, d[0], rtol=1e-9, atol=1e-12)):
-            raise ValueError("time grid must be uniform and strictly increasing")
-        if np.any(n < -1e-9):
-            raise ValueError("occupancies must be non-negative")
-        n = np.maximum(n, 0.0)  # clip integrator round-off
-        object.__setattr__(self, "time_ns", t)
-        object.__setattr__(self, "occupancies", n)
-
-    @property
-    def num_levels(self) -> int:
-        return self.occupancies.shape[0]
-
-    def level(self, level: int) -> np.ndarray:
-        if not 1 <= level <= self.num_levels:
-            raise ValueError(f"level {level} out of range 1..{self.num_levels}")
-        return self.occupancies[level - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -484,65 +453,6 @@ def _add(d: dict, key, value) -> None:
 def solve_cascade_analytic(model: CascadeModel, start_level: int) -> BatemanSolution:
     """Closed-form solution of the chain started with `start_level` excitons."""
     return BatemanSolution(model, start_level)
-
-
-# ---------------------------------------------------------------------------
-# Fixed-step numeric solution
-# ---------------------------------------------------------------------------
-
-def _chain_matrix(rates: np.ndarray) -> np.ndarray:
-    """Generator matrix of the chain: dn/dt = A n."""
-    nlev = rates.size
-    a = np.diag(-rates)
-    for i in range(nlev - 1):
-        a[i, i + 1] = rates[i + 1]
-    return a
-
-
-def _rk4_step_map(a: np.ndarray, dt: float) -> np.ndarray:
-    """One classic RK4 step of a linear system, precomputed.
-
-    For dn/dt = A n the RK4 stages collapse algebraically to n' = M n with
-    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so the integration is one
-    matrix-vector product per step.
-    """
-    eye = np.eye(a.shape[0])
-    ha = dt * a
-    return eye + ha @ (eye + ha @ (eye / 2 + ha @ (eye / 6 + ha / 24)))
-
-
-def solve_cascade_numeric(model: CascadeModel, start_level: int,
-                          horizon_ns: float, dt_ns: float) -> OccupancyTrace:
-    """Fixed-step fourth-order integration of the expected-occupancy
-    equations from `start_level` excitons at t = 0.
-
-    The chain is linear, so the classic RK4 step collapses to a precomputed
-    one-step matrix (`_rk4_step_map`), identical to stage-form RK4 up to
-    rounding.
-    """
-    if not 1 <= start_level <= model.num_levels:
-        raise ValueError(
-            f"start level {start_level} out of range 1..{model.num_levels}")
-    min_tau = min(model.lifetimes_ns)
-    if dt_ns <= 0:
-        raise ValueError("dt must be > 0")
-    if dt_ns > min_tau / 20:
-        raise ValueError(
-            f"dt = {dt_ns} too large; need dt <= min lifetime / 20 = {min_tau / 20:g}")
-    if horizon_ns < dt_ns:
-        raise ValueError("horizon must be at least one step")
-
-    num_steps = int(math.ceil(horizon_ns / dt_ns))
-    times = np.arange(num_steps + 1) * dt_ns
-    step_m = _rk4_step_map(_chain_matrix(model.rates), dt_ns)
-    n = np.zeros(model.num_levels)
-    n[start_level - 1] = 1.0
-    occ = np.empty((num_steps + 1, model.num_levels))
-    occ[0] = n
-    for s in range(num_steps):
-        n = step_m @ n
-        occ[s + 1] = n
-    return OccupancyTrace(times, occ.T)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from ._csvfile import write_csv
-from .cascade import Transient
 
 
 # One emitted photon per entry: when, which transition, from which emitter,
@@ -137,22 +136,6 @@ def sample_cascade_from_loads(models, load_times, load_counts, rngs,
     photons["time_ns"] = emitted
     photons["transition"] = emitted_labels
     return photons
-
-
-def ensemble_histogram(photons, transition: str, bin_ns: float,
-                       period_ns: float):
-    """Photon counts of one transition in a photon array, times folded
-    modulo the pulse period, as a `Transient` of (bin_centers_ns, counts)."""
-    if not 0 < bin_ns < math.inf:
-        raise ValueError("bin width must be finite and > 0")
-    if not 0 < period_ns < math.inf:
-        raise ValueError("period must be finite and > 0")
-    nbins = max(int(round(period_ns / bin_ns)), 1)
-    edges = np.linspace(0.0, period_ns, nbins + 1)
-    times = photons["time_ns"][photons["transition"] == transition]
-    counts, _ = np.histogram(np.mod(times, period_ns), bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return Transient(centers, counts.astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ point and is captured there or recombines.
 """
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .rng import substream, substreams
 
 ELECTRON = "electron"
 HOLE = "hole"
-# the species columns of pockets and captures index this
+# the species column of pockets indexes this
 SPECIES = (ELECTRON, HOLE)
 
 
@@ -124,10 +125,6 @@ class SiteField:
 
 POCKET_DTYPE = np.dtype([("species", "i1"), ("count", "i8"),
                          ("position_um", "f8"), ("birth_time_ns", "f8")])
-CAPTURE_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("species", "i1"),
-                          ("count", "i8"), ("pocket_birth_ns", "f8"),
-                          ("pocket_birth_um", "f8")])
-LOAD_DTYPE = np.dtype([("time_ns", "f8"), ("site_id", "i8"), ("excitons", "i8")])
 
 # The device kernel sweeps the sites DRAW_WINDOW ranks at a time, and capture
 # draws are taken DRAW_WINDOW passes of a pocket at a time, in calls over
@@ -203,32 +200,20 @@ def capture_pass(count: int, held: int, capacity: int, p_eff: float,
     return min(count, max(capacity - held, 0))
 
 
-def arrival_delay(distance_um: float, saw: SawWave) -> float:
-    """Conveyance time over a distance: d / (f * lambda)."""
-    if not 0 <= distance_um < math.inf:
-        raise ValueError("distance must be finite and >= 0")
-    return distance_um / saw.velocity_um_per_ns
-
-
 # ---------------------------------------------------------------------------
 # Device run
 # ---------------------------------------------------------------------------
 
 @dataclass
 class DeviceLog:
-    """Bookkeeping of one device run: carrier tallies by species (exited:
-    left in a pocket past the last site), every capture (CAPTURE_DTYPE) and
-    every exciton load (LOAD_DTYPE), both in order of (time, pocket, site
-    rank).  Pockets go by birth; with the wave off each pair is one, its
-    electron capture before its hole capture."""
+    """Bookkeeping of one device run: its pulse times and carrier tallies by
+    species (exited: left in a pocket past the last site)."""
 
     pulse_times: np.ndarray
     generated: dict
     captured: dict
     exited: dict
     recombined: dict
-    captures: np.ndarray
-    loads: np.ndarray
 
     def conservation_ok(self) -> bool:
         return all(self.generated[sp] == self.captured[sp] + self.exited[sp]
@@ -307,7 +292,7 @@ def _clamp_add_scan(d, lo, hi):
     return total + np.minimum(np.maximum(ends[0], 0), ends[1])
 
 
-def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
+def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     """Conveyed pockets through the sites (columns in encounter order), a
     block of DRAW_WINDOW ranks at a time, and in a block site by site.  A
     pocket's count changes only at its own hits (passes whose capture draw
@@ -337,9 +322,9 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
     those below it are ranked and compared with their site's, which gives
     the same hits.
 
-    Returns the pocket counts left, the captures (CAPTURE_DTYPE) and the
-    loads as (time, rank, excitons) columns, both in order of (time,
-    pocket, rank).
+    Returns the pocket counts left and the captures as columns (time,
+    pocket, rank, carriers moved, excitons formed), in order of (time,
+    pocket, rank); the captures that formed excitons are the loads.
     """
     d, v = saw.direction, saw.velocity_um_per_ns
     sp, s0 = d * pos, d * pockets["position_um"]
@@ -447,17 +432,7 @@ def _convey(pockets, pos, radius, prob, capacity, site_ids, saw, rng):
     t = _crossing(born[pk], s0[pk], sp[rank], v)
     # a pocket passes a rank once: (pocket, rank) folds into one unique key
     order = np.lexsort((pk * sp.size + rank, t))
-    t, caps = t[order], caps.take(order, axis=1)
-    pk, rank, moved, formed = caps
-    captures = np.zeros(pk.size, CAPTURE_DTYPE)
-    captures["time_ns"] = t
-    captures["site_id"] = site_ids[rank]
-    captures["species"] = pockets["species"][pk]
-    captures["count"] = moved
-    captures["pocket_birth_ns"] = born[pk]
-    captures["pocket_birth_um"] = pockets["position_um"][pk]
-    load = formed > 0
-    return counts, captures, (t[load], rank[load], formed[load])
+    return counts, (t[order], *caps.take(order, axis=1))
 
 
 def _nearest_covering(xs, pos, radius):
@@ -481,29 +456,36 @@ def _zero() -> dict:
     return {ELECTRON: 0, HOLE: 0}
 
 
+def _check_count(n, what: str) -> None:
+    """A count must be an integer >= 1; a bool or a fraction is refused."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need an integer number of {what} >= 1, got {n!r}")
+
+
 def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
                pulse_period_ns: float, num_pulses: int, master_seed: int,
                variant: int = 0) -> DeviceResult:
     """Full device run: pulses -> pockets -> conveyance -> capture ->
     exciton formation -> cascade photons.
 
-    `num_pulses` laser pulses fire every `pulse_period_ns` from t = 0; pair
-    yield per pulse comes from `spot`.  The sites are met in order of
-    direction * x, ties in row order.  The run ends once every pocket has
-    passed the last site.  A pass captures with probability
+    `num_pulses` (an integer >= 1) laser pulses fire every
+    `pulse_period_ns` from t = 0; pair yield per pulse comes from `spot`.
+    The sites are met in order of direction * x, ties in row order.  The run
+    ends once every pocket has passed the last site.  A pass captures with probability
     capture_prob * amplitude and moves min(pocket count, room for that
     species) carriers; passes at one instant go in order of pocket birth,
     then of site.  With amplitude 0 each pair is captured whole, with that
     site's capture probability, by the nearest site whose window covers its
     generation point, or else recombines there.  Each photon carries its
     emitting site's row as its id and the site's (x, y) as its position.
-    The run is a pure function of its arguments; runs that differ only in
-    `variant` draw from disjoint streams (see `rng`).
+    The log holds the pulse times and the carrier tallies; the captures
+    themselves are not kept.  The run is a pure function of its arguments;
+    runs that differ only in `variant` draw from disjoint streams (see
+    `rng`).
     """
     if not 0 < pulse_period_ns < math.inf:
         raise ValueError("pulse period must be finite and > 0")
-    if not num_pulses >= 1:
-        raise ValueError("need at least one pulse")
+    _check_count(num_pulses, "pulses")
     # encounter order: the site id of each rank
     site_ids = np.argsort(saw.direction * sites.x_um, kind="stable")
     pos = sites.x_um[site_ids]
@@ -516,45 +498,35 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
     pair_t, pair_x = draw_pairs(spot, saw, pulse_times,
                                 substream(master_seed, 0, variant))
     rng = substream(master_seed, 3, variant)
-    log = DeviceLog(pulse_times, _zero(), _zero(), _zero(), _zero(),
-                    np.zeros(0, CAPTURE_DTYPE), np.zeros(0, LOAD_DTYPE))
+    log = DeviceLog(pulse_times, _zero(), _zero(), _zero(), _zero())
 
     if saw.amplitude == 0:
         uniform = rng.random(pair_t.size)
         rank = _nearest_covering(pair_x, pos, radius)
         # rank -1 (no covering site) reads the trailing 0: never captured
         pair = np.flatnonzero(uniform < np.append(prob, 0.0)[rank])
-        rank = rank[pair]
         for sp in SPECIES:
             log.generated[sp] = int(pair_t.size)
             log.captured[sp] = int(pair.size)
             log.recombined[sp] = int(pair_t.size - pair.size)
-        # each pair's electron row, then its hole row
-        caps = np.zeros(2 * pair.size, CAPTURE_DTYPE)
-        caps["time_ns"] = caps["pocket_birth_ns"] = np.repeat(pair_t[pair], 2)
-        caps["site_id"] = np.repeat(site_ids[rank], 2)
-        caps["species"] = np.tile(np.arange(2, dtype=np.int8), pair.size)
-        caps["count"] = 1
-        caps["pocket_birth_um"] = np.repeat(pair_x[pair], 2)
-        log.captures = caps
-        load_time, load_rank = pair_t[pair], rank
+        # each captured pair is a load of one exciton
+        load_time, load_rank = pair_t[pair], rank[pair]
         load_n = np.ones(pair.size, np.int64)
     else:
         pockets = launch_pockets(pair_t, pair_x, saw)
-        counts, log.captures, (load_time, load_rank, load_n) = _convey(
-            pockets, pos, radius, prob, capacity, site_ids, saw, rng)
+        counts, (t, pk, rank, moved, formed) = _convey(
+            pockets, pos, radius, prob, capacity, saw, rng)
+        species = pockets["species"]
+        captured = np.bincount(species[pk], moved, minlength=2)
         for code, sp in enumerate(SPECIES):
-            mine = pockets["species"] == code
+            mine = species == code
             log.generated[sp] = int(pockets["count"][mine].sum())
-            log.captured[sp] = int(
-                log.captures["count"][log.captures["species"] == code].sum())
+            log.captured[sp] = int(captured[code])
             log.exited[sp] = int(counts[mine].sum())
-
-    loads = np.zeros(load_rank.size, LOAD_DTYPE)
-    loads["time_ns"] = load_time
-    loads["site_id"] = site_ids[load_rank]
-    loads["excitons"] = load_n
-    log.loads = loads
+        load = formed > 0
+        load_time, load_rank, load_n = t[load], rank[load], formed[load]
+        # freed before the sampler runs: its peak does not add to theirs
+        del t, pk, rank, moved, formed, load
 
     by_rank = np.argsort(load_rank, kind="stable")
     ranks, load_site = np.unique(load_rank[by_rank], return_inverse=True)
@@ -601,10 +573,10 @@ def per_cycle_emission_times(num_cycles: int, period_ns: float,
     first: that load fills the dot again and restarts its clock.  The last
     load always emits.  This is `sample_cascade_from_loads`' one-level path,
     bit for bit, with the loads at their cycle starts and the rng's state
-    after the uniforms as the site's stream.
+    after the uniforms as the site's stream.  `num_cycles` must be an
+    integer >= 1, and every bad argument raises `ValueError`.
     """
-    if num_cycles < 1:
-        raise ValueError("need at least one cycle")
+    _check_count(num_cycles, "cycles")
     if not (0 < period_ns < math.inf and 0 < lifetime_ns < math.inf):
         raise ValueError("period and lifetime must be finite and > 0")
     if not 0.0 <= capture_prob <= 1.0:

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from sawsps.analysis import fit_rise_fall, g2_histogram
-from sawsps.cascade import (CascadeModel, Transient,
-                            solve_cascade_analytic, solve_cascade_numeric)
+from sawsps.cascade import CascadeModel, Transient, solve_cascade_analytic
 from sawsps.detector import Irf, convolve_irf
-from sawsps.emitter import (ensemble_histogram, sample_cascade_from_loads,
-                            sample_start_levels)
+from sawsps.emitter import sample_cascade_from_loads, sample_start_levels
 from sawsps.rng import substream, substreams
 from sawsps.scenarios import ScenarioConfig, run_scenario
-from sawsps.transport import (LaserSpot, SawWave, SiteField, arrival_delay,
+from sawsps.transport import (LaserSpot, SawWave, SiteField,
                               per_cycle_emission_times, run_device)
+from oracles import (arrival_delay, ensemble_histogram, run_with_rows,
+                     solve_cascade_numeric)
 
 THREE_LEVEL = CascadeModel((1.5, 1.4, 0.9))
 
@@ -163,16 +163,15 @@ def test_criterion_6_remote_pumping_geometry():
                       (THREE_LEVEL,) * 3)
     period = saw_fwd.period_ns
 
-    res = run_device(spot, sites, saw_fwd, period, cycles, 606)
+    res, captures, _ = run_with_rows(spot, sites, saw_fwd, period, cycles, 606)
     emitted = set(res.photons["emitter_id"].tolist())
     assert emitted == {0, 1, 2}
     pos = sites.x_um  # by site id
     v = saw_fwd.velocity_um_per_ns
-    caps = res.log.captures
-    dist = np.abs(pos[caps["site_id"]] - caps["pocket_birth_um"])
+    t, site, _, _, birth_t, birth_x = np.array(captures).T
+    dist = np.abs(pos[site.astype(int)] - birth_x)
     far = dist > 0.5
-    assert np.all(caps["time_ns"][far]
-                  >= caps["pocket_birth_ns"][far] + dist[far] / v - 1e-9)
+    assert np.all(t[far] >= birth_t[far] + dist[far] / v - 1e-9)
     assert res.log.conservation_ok()
 
     res_rev = run_device(spot, sites, SawWave(193.0, 15.0, direction=+1),
@@ -183,7 +182,7 @@ def test_criterion_6_remote_pumping_geometry():
     res_off = run_device(spot, sites, SawWave(193.0, 15.0, amplitude=0.0),
                          period, cycles, 606)
     assert set(res_off.photons["emitter_id"].tolist()) == {0}
-    report(6, f"delays exact, {len(res.log.captures)} captures causal, "
+    report(6, f"delays exact, {len(captures)} captures causal, "
               f"reversed side dark over {cycles} cycles, amplitude 0 local only")
 
 

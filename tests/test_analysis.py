@@ -464,6 +464,26 @@ class TestG2:
                 tracemalloc.stop()
             assert peak < 3 * times.nbytes, threads
 
+    def test_zero_peak_area_matches_closed_form(self):
+        # criterion 7's source: loads with probability p each period T, and
+        # a photon after an exponential wait of mean tau unless the next
+        # load comes first.  Only consecutive loads k periods apart give a
+        # delay below T/2; over the two waits this has probability
+        # a^k (cosh(T / 2 tau) - 1), a = exp(-T / tau), and over the
+        # geometric gap between loads, both signs of delay counted, the
+        # zero-peak area is 2pN (cosh(T / 2 tau) - 1) pa / (1 - qa), q = 1 - p
+        period, p, tau, cycles = SawWave(193.0, 15.0).period_ns, 0.5, 0.5, 10 ** 6
+        a = math.exp(-period / tau)
+        expected = (2 * p * cycles * (math.cosh(period / (2 * tau)) - 1)
+                    * p * a / (1 - (1 - p) * a))
+        assert expected == pytest.approx(1389.38, abs=0.01)
+        times = per_cycle_emission_times(cycles, period, p, tau,
+                                         substream(707, 0))
+        area = g2_histogram(times, 10.5 * period, 0.1, period).peak_areas[0]
+        # each pair counts at +delay and -delay, so sigma is sqrt(2 * area),
+        # about 53 counts; 4 sigma, and seeds 1 to 20 stay within 1.6 sigma
+        assert abs(area - expected) <= 4 * math.sqrt(2 * expected)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

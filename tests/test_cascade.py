@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawsps import cascade
-from sawsps.cascade import (CascadeModel, NoSignalError, OccupancyTrace,
-                            Transient, initial_loading, onset_time,
-                            poisson_pmf, poisson_tail, solve_cascade_analytic,
-                            solve_cascade_numeric, time_integrated_intensity)
+from sawsps.cascade import (CascadeModel, NoSignalError, Transient,
+                            initial_loading, onset_time, poisson_pmf,
+                            poisson_tail, solve_cascade_analytic,
+                            time_integrated_intensity)
 from sawsps.emitter import sample_start_levels
 from sawsps.scenarios import ScenarioConfig, list_scenarios
+from oracles import OccupancyTrace, solve_cascade_numeric
 
 THREE_LEVEL = CascadeModel((1.5, 1.4, 0.9))
 
@@ -24,8 +25,8 @@ ONSET_T_EXP = 0.2319609529865344
 
 
 def brute_force_chain(lifetimes, start_level, t_end, dt):
-    """Independent fine-step RK4 oracle, deliberately separate from the
-    package's integrator."""
+    """Independent fine-step stage-form RK4 oracle, deliberately separate
+    from the step-map integrator of `oracles.solve_cascade_numeric`."""
     lam = 1.0 / np.asarray(lifetimes)
     n = np.zeros(len(lifetimes))
     n[start_level - 1] = 1.0

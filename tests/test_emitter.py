@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawsps.cascade import CascadeModel, poisson_tail
-from sawsps.emitter import (PHOTON_DTYPE, ensemble_histogram,
-                            read_photon_csv, sample_cascade_from_loads,
-                            sample_start_levels, write_photon_csv)
+from sawsps.emitter import (PHOTON_DTYPE, read_photon_csv,
+                            sample_cascade_from_loads, sample_start_levels,
+                            write_photon_csv)
 from sawsps.rng import substream, substreams
+from oracles import ensemble_histogram
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
 

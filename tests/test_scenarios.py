@@ -311,7 +311,10 @@ class TestStreamKeys:
             result = transport.run_device(spot, sites, saw, *args)
             order = np.argsort(saw.direction * sites.x_um, kind="stable")
             rank = np.argsort(order)  # of each site id
-            loaded.update(rank[result.log.loads["site_id"]].tolist())
+            # one level: a site's last load always emits, so the loaded
+            # sites are the emitting ones
+            assert {m.num_levels for m in sites.models} == {1}
+            loaded.update(rank[result.photons["emitter_id"]].tolist())
             return result
 
         monkeypatch.setattr(scenarios, "run_device", recording_run)

@@ -13,11 +13,11 @@ from sawsps.emitter import PHOTON_DTYPE, sample_cascade_from_loads
 from sawsps.rng import substream
 from sawsps.scenarios import ScenarioConfig, run_scenario
 from sawsps.transport import (ELECTRON, HOLE, SPECIES, LaserSpot, SawWave,
-                              SiteField, arrival_delay, capture_pass,
-                              draw_pairs, launch_pockets,
-                              per_cycle_emission_times,
+                              SiteField, capture_pass, draw_pairs,
+                              launch_pockets, per_cycle_emission_times,
                               pocket_lattice_position, run_device,
                               uniform_site_field)
+from oracles import arrival_delay, run_with_rows
 from test_emitter import reference_cascade
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
@@ -181,48 +181,50 @@ class TestArrivalDelay:
 
 class TestRunDevice:
     def run(self, direction=-1, amplitude=1.0, pulses=2000, seed=11, **kw):
+        """(sites, saw, result, capture rows, load rows) of a run of the
+        remote-pumping device; `run_with_rows` gives the rows."""
         saw = SawWave(193.0, 15.0, amplitude=amplitude, direction=direction)
         spot, sites = simple_layout(**kw)
-        return sites, saw, run_device(spot, sites, saw, saw.period_ns, pulses,
-                                      seed)
+        return sites, saw, *run_with_rows(spot, sites, saw, saw.period_ns,
+                                          pulses, seed)
 
     def test_forward_feeds_all_sites(self):
-        _, _, res = self.run()
+        _, _, res, _, _ = self.run()
         emitted = set(res.photons["emitter_id"].tolist())
         assert emitted == {0, 1, 2}
 
     def test_conservation(self):
         for seed in (1, 2, 3):
-            _, _, res = self.run(seed=seed, pulses=500)
+            _, _, res, _, _ = self.run(seed=seed, pulses=500)
             assert res.log.conservation_ok()
 
     def test_exact_ballistic_causality(self):
-        sites, saw, res = self.run()
+        sites, saw, _, captures, _ = self.run()
         pos = sites.x_um  # by site id
-        caps = res.log.captures
-        dist = np.abs(pos[caps["site_id"]] - caps["pocket_birth_um"])
+        t, site, _, _, birth_t, birth_x = np.array(captures).T
+        dist = np.abs(pos[site.astype(int)] - birth_x)
         far = dist > 0.5  # born outside the capture window: exact delay
-        assert np.all(caps["time_ns"][far] >= caps["pocket_birth_ns"][far]
+        assert np.all(t[far] >= birth_t[far]
                       + dist[far] / saw.velocity_um_per_ns - 1e-9)
         assert np.count_nonzero(far) > 100
 
     def test_remote_photons_respect_spot_delay(self):
         # photons from the 7 um site: no earlier than the pocket lattice
         # allowance (distance - lambda/2) over the sound velocity
-        _, saw, res = self.run()
+        _, saw, res, _, _ = self.run()
         first_pulse = res.log.pulse_times[0]
         ids, times = res.photons["emitter_id"], res.photons["time_ns"]
         assert np.all(times[ids == 1] >= first_pulse + (7.0 - 7.5) / 2.895 - 1e-9)
         assert np.all(times[ids == 2] >= first_pulse + (14.0 - 7.5) / 2.895 - 1e-9)
 
     def test_reversed_direction_dark_side(self):
-        _, _, res = self.run(direction=+1, pulses=5000)
+        _, _, res, _, _ = self.run(direction=+1, pulses=5000)
         emitted = set(res.photons["emitter_id"].tolist())
         assert 1 not in emitted and 2 not in emitted
         assert 0 in emitted  # the spot site still captures passing pockets
 
     def test_saw_off_only_spot_emits(self):
-        _, _, res = self.run(amplitude=0.0, pulses=5000)
+        _, _, res, _, _ = self.run(amplitude=0.0, pulses=5000)
         emitted = set(res.photons["emitter_id"].tolist())
         assert emitted == {0}
         assert res.log.conservation_ok()
@@ -244,12 +246,13 @@ class TestRunDevice:
         # two identical sites, both beyond the pocket birth zone (half a
         # wavelength around the spot): finite pockets deplete upstream first
         saw = SawWave(193.0, 15.0, direction=-1)
-        res = run_device(LaserSpot(0.0, 1.0, 2.0), line_sites((-12.0, -17.0)),
-                         saw, saw.period_ns, 10000, 31)
-        captures = np.bincount(res.log.captures["site_id"],
-                               weights=res.log.captures["count"], minlength=2)
+        res, captures, _ = run_with_rows(
+            LaserSpot(0.0, 1.0, 2.0), line_sites((-12.0, -17.0)), saw,
+            saw.period_ns, 10000, 31)
+        _, site, _, count, _, _ = np.array(captures).T
+        captured = np.bincount(site.astype(int), weights=count, minlength=2)
         photons = np.bincount(res.photons["emitter_id"], minlength=2)
-        assert captures[0] > captures[1] > 0
+        assert captured[0] > captured[1] > 0
         assert photons[0] > photons[1] > 0
 
     def test_capacity_one_single_exciton_per_cycle(self):
@@ -257,11 +260,11 @@ class TestRunDevice:
         # a single exciton and no two loads share a SAW cycle
         sites = line_sites((-7.0,), 1.0, model=CascadeModel((0.5,)))
         saw = SawWave(193.0, 15.0, direction=-1)
-        res = run_device(LaserSpot(0.0, 0.3, 1.0), sites, saw, saw.period_ns,
-                         20000, 41)
-        loads = res.log.loads[res.log.loads["site_id"] == 0]
-        assert loads.size and np.all(loads["excitons"] == 1)
-        cycles = (loads["time_ns"] // saw.period_ns).astype(int)
+        _, _, loads = run_with_rows(LaserSpot(0.0, 0.3, 1.0), sites, saw,
+                                    saw.period_ns, 20000, 41)
+        t, site, excitons = np.array(loads).T
+        assert t.size and np.all(site == 0) and np.all(excitons == 1)
+        cycles = (t // saw.period_ns).astype(int)
         assert cycles.size == np.unique(cycles).size
 
     @pytest.mark.parametrize("make", [
@@ -309,52 +312,70 @@ class TestRunDevice:
         # whose log balances
         saw = SawWave(193.0, 15.0, direction=-1)
         spot, sites = simple_layout()
+        # a fractional count would otherwise run the next whole number of
+        # pulses, and True one pulse
         for period, pulses in [(math.nan, 10), (math.inf, 10), (0.0, 10),
-                               (-1.0, 10), (saw.period_ns, 0)]:
+                               (-1.0, 10), (saw.period_ns, 0),
+                               (saw.period_ns, 2.5), (saw.period_ns, 3.0),
+                               (saw.period_ns, True), (saw.period_ns, -2)]:
             with pytest.raises(ValueError):
                 run_device(spot, sites, saw, period, pulses, 1)
+        # a numpy integer is a count like any int
+        a = run_device(spot, sites, saw, saw.period_ns, np.int64(30), 1)
+        b = run_device(spot, sites, saw, saw.period_ns, 30, 1)
+        assert a.log.pulse_times.size == 30
+        assert_same_photons(a.photons, b.photons)
 
     @pytest.mark.parametrize("amplitude", [0.0, 1.0])
     @pytest.mark.parametrize("positions, pairs", [((), 2.0), ((0.0, -7.0), 0.0)])
     def test_no_sites_or_no_pairs(self, amplitude, positions, pairs):
         # every carrier exits or recombines and nothing is captured or emitted
         saw = SawWave(193.0, 15.0, amplitude=amplitude, direction=-1)
-        res = run_device(*simple_layout(positions, pairs=pairs), saw,
-                         saw.period_ns, 50, 3)
+        res, captures, loads = run_with_rows(
+            *simple_layout(positions, pairs=pairs), saw, saw.period_ns, 50, 3)
         log = res.log
         assert log.conservation_ok()
         assert (sum(log.generated.values()) > 0) == (pairs > 0)
         for sp in SPECIES:
             assert log.generated[sp] == log.exited[sp] + log.recombined[sp]
         assert log.captured == {ELECTRON: 0, HOLE: 0}
-        assert log.captures.size == log.loads.size == res.photons.size == 0
+        assert res.photons.size == 0
+        # with the wave off nothing is conveyed; a conveyed run has no rows
+        assert (captures, loads) == ((None, None) if amplitude == 0
+                                     else ([], []))
 
     def test_saw_off_pairs_go_to_nearest_covering_site(self):
         # both windows cover the spot: every pair is captured whole by the
-        # nearer site, at its pulse time
+        # nearer site, at its pulse time, so the photons are those of one
+        # load of one exciton per pair at site 0, from that site's stream
         saw = SawWave(193.0, 15.0, amplitude=0.0)
-        res = run_device(LaserSpot(0.0, 0.01, 2.0), line_sites((0.1, 0.4), 1.0),
-                         saw, saw.period_ns, 200, 71)
-        captures = res.log.captures
-        assert captures.size and captures.size % 2 == 0
-        assert np.all(captures["site_id"] == 0) and np.all(captures["count"] == 1)
-        assert np.all(np.isin(captures["time_ns"], res.log.pulse_times))
-        assert np.array_equal(captures["time_ns"], captures["pocket_birth_ns"])
-        e_ev, h_ev = captures[0::2], captures[1::2]
-        assert np.all(e_ev["species"] == SPECIES.index(ELECTRON))
-        assert np.all(h_ev["species"] == SPECIES.index(HOLE))
-        for field in ("time_ns", "pocket_birth_um"):
-            assert np.array_equal(e_ev[field], h_ev[field])
+        spot = LaserSpot(0.0, 0.01, 2.0)
+        res = run_device(spot, line_sites((0.1, 0.4), 1.0), saw,
+                         saw.period_ns, 200, 71)
+        pair_t, _ = draw_pairs(spot, saw, res.log.pulse_times,
+                               substream(71, 0, 0))
+        assert pair_t.size and np.all(np.isin(pair_t, res.log.pulse_times))
+        expected = sample_cascade_from_loads(
+            [MODEL], pair_t, np.ones(pair_t.size, np.int64),
+            [substream(71, 1, 0, 0)], emitter_ids=[0], positions_um=[(0.1, 0.0)])
+        assert_same_photons(res.photons, expected)
+        assert res.log.captured == {ELECTRON: pair_t.size, HOLE: pair_t.size}
         assert res.log.recombined == {ELECTRON: 0, HOLE: 0}
         assert res.log.conservation_ok()
 
     def test_formation_time_is_later_species_arrival(self):
-        _, _, res = self.run(pulses=300)
-        caps, loads = res.log.captures, res.log.loads
-        assert loads.size
-        for site_id, t in zip(loads["site_id"], loads["time_ns"]):
-            arrivals = caps["time_ns"][caps["site_id"] == site_id]
-            assert np.any(np.abs(t - arrivals) < 1e-9)
+        # replayed site by site, the captures form excitons at the arrival
+        # of the later species, as many as both species then hold
+        _, _, _, captures, loads = self.run(pulses=300)
+        held, expected = {}, []
+        for t, site, code, count, _, _ in captures:
+            e, h = held.get(site, (0, 0))
+            e, h = (e + count, h) if SPECIES[code] == ELECTRON else (e, h + count)
+            formed = min(e, h)
+            held[site] = (e - formed, h - formed)
+            if formed:
+                expected.append((t, site, formed))
+        assert loads and loads == expected
 
 
 class TestFieldAndPerCycle:
@@ -406,14 +427,20 @@ class TestFieldAndPerCycle:
     def test_per_cycle_validation(self):
         # NaN slips through a `<= 0` check; a NaN or infinite period or
         # lifetime would otherwise give NaN or infinite photon times
+        # a fractional or bool cycle count is refused like 0
         nan, inf = math.nan, math.inf
         for cycles, period, prob, lifetime in [
                 (0, 5.0, 0.5, 0.5), (10, 5.0, 1.5, 0.5), (10, nan, 0.5, 0.5),
                 (10, inf, 0.5, 0.5), (10, 5.0, 0.5, nan), (10, 5.0, 0.5, inf),
-                (10, 0.0, 0.5, 0.5), (10, 5.0, 0.5, -1.0)]:
+                (10, 0.0, 0.5, 0.5), (10, 5.0, 0.5, -1.0), (2.5, 5.0, 0.5, 0.5),
+                (10.0, 5.0, 0.5, 0.5), (True, 5.0, 0.5, 0.5)]:
             with pytest.raises(ValueError):
                 per_cycle_emission_times(cycles, period, prob, lifetime,
                                          substream(0, 0))
+        times = per_cycle_emission_times(np.int32(100), 5.0, 0.5, 0.5,
+                                         substream(0, 0))
+        assert times.tolist() == per_cycle_emission_times(
+            100, 5.0, 0.5, 0.5, substream(0, 0)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +625,25 @@ def reference_device(spot, sites, saw, period, num_pulses, seed, variant=0):
     return tallies, captures, loads, photons
 
 
-def device_outputs(res):
-    log = res.log
-    tallies = {k: getattr(log, k) for k in ("generated", "captured", "exited",
-                                             "recombined")}
-    return (tallies, log.captures.tolist(), log.loads.tolist(), res.photons)
+def device_outputs(*run):
+    """The tallies, capture rows, load rows (None with the wave off) and
+    photons of `run_device(*run)`."""
+    res, captures, loads = run_with_rows(*run)
+    tallies = {k: getattr(res.log, k) for k in ("generated", "captured",
+                                                 "exited", "recombined")}
+    return tallies, captures, loads, res.photons
+
+
+def assert_same_rows(got, tallies, captures, loads, amplitude):
+    """Kernel and oracle agree on the tallies, and on every capture and load
+    row of a conveyed run; with the wave off nothing is conveyed, and the
+    photons, a function of the loads on fixed streams, stand for them."""
+    assert got[0] == tallies
+    if amplitude > 0:
+        assert got[1] == captures
+        assert got[2] == loads
+    else:
+        assert got[1] is got[2] is None
 
 
 def assert_same_photons(a, b):
@@ -648,11 +689,9 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
     for seed in range(100):
         run = random_device(seed)
         _, sites, saw = run[:3]
-        got = device_outputs(run_device(*run, seed))
+        got = device_outputs(*run, seed)
         tallies, captures, loads, photons = reference_device(*run, seed)
-        assert got[0] == tallies, seed
-        assert got[1] == captures, seed
-        assert got[2] == loads, seed
+        assert_same_rows(got, tallies, captures, loads, saw.amplitude)
         assert_same_photons(got[3], photons)
         seen["amplitude"].add(saw.amplitude)
         seen["direction"].add(saw.direction)
@@ -698,12 +737,10 @@ def test_kernel_matches_event_loop_oracle_on_fig7_device(direction):
     saw = SawWave(**p["saw"], direction=direction)
     run = (LaserSpot(**p["spot"]), sites, saw, saw.period_ns, p["num_pulses"],
            12345)
-    got = device_outputs(run_device(*run))
+    got = device_outputs(*run)
     tallies, captures, loads, photons = reference_device(*run)
     assert model.num_levels == 3
-    assert got[0] == tallies
-    assert got[1] == captures
-    assert got[2] == loads
+    assert_same_rows(got, tallies, captures, loads, saw.amplitude)
     assert_same_photons(got[3], photons)
     per_site = np.bincount([c[1] for c in captures], minlength=len(sites))
     assert per_site.max() > 1024
@@ -714,14 +751,14 @@ def test_draw_block_never_shows(monkeypatch):
     # ones, so a tie at a site that the pocket index does not break shows;
     # SCAN_HITS 1 resolves one site per scan
     runs = [random_device(seed) for seed in range(40)]
-    default = [device_outputs(run_device(*run, 5)) for run in runs]
+    default = [device_outputs(*run, 5) for run in runs]
     for name, size in (("DRAW_BLOCK", 7), ("DRAW_WINDOW", 1),
                        ("DRAW_WINDOW", 2), ("DRAW_WINDOW", 7),
                        ("SCAN_HITS", 1), ("SCAN_HITS", 5)):
         with monkeypatch.context() as patch:
             patch.setattr(transport, name, size)
             for run, expected in zip(runs, default):
-                got = device_outputs(run_device(*run, 5))
+                got = device_outputs(*run, 5)
                 assert got[:3] == expected[:3], (name, size)
                 assert_same_photons(got[3], expected[3])
 
