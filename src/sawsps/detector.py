@@ -123,10 +123,11 @@ class SpectralLine:
 
 @dataclass(frozen=True)
 class TransitionSpectrum:
-    """Line positions per transition, with optional per-emitter overrides."""
+    """Line positions per transition; `shifts_nm` shifts every line of an
+    emitter rigidly (distinct dots emit at distinct wavelengths)."""
 
     lines: dict
-    overrides: dict = field(default_factory=dict)  # (emitter_id, transition) -> line
+    shifts_nm: dict = field(default_factory=dict)  # emitter_id -> shift
 
     @classmethod
     def default(cls) -> "TransitionSpectrum":
@@ -136,22 +137,11 @@ class TransitionSpectrum:
                           "3X": SpectralLine(863.0, 1.1)})
 
     def line_for(self, emitter_id: int, transition: str) -> SpectralLine:
-        key = (emitter_id, transition)
-        if key in self.overrides:
-            return self.overrides[key]
         if transition not in self.lines:
             raise KeyError(f"no spectral line for transition {transition!r}")
-        return self.lines[transition]
-
-    def with_emitter_shifts(self, shifts_nm: dict) -> "TransitionSpectrum":
-        """Rigidly shift every line of the given emitters (distinct dots emit
-        at distinct wavelengths)."""
-        overrides = dict(self.overrides)
-        for emitter_id, shift in shifts_nm.items():
-            for transition, line in self.lines.items():
-                overrides[(emitter_id, transition)] = SpectralLine(
-                    line.center_nm + shift, line.linewidth_mev)
-        return TransitionSpectrum(lines=self.lines, overrides=overrides)
+        line = self.lines[transition]
+        return SpectralLine(line.center_nm + self.shifts_nm.get(emitter_id, 0.0),
+                            line.linewidth_mev)
 
 
 def sample_wavelengths(records, spectrum: TransitionSpectrum,
@@ -313,27 +303,26 @@ class PlImage:
     intensity: np.ndarray  # shape (ny, nx)
 
 
-def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
+def render_pl_image(x_um, y_um, counts, psf_sigma_um: float, pixel_um: float,
                     extent_um: tuple[tuple[float, float], tuple[float, float]],
                     ) -> PlImage:
-    """Splat each photon as a pixel-integrated 2-d Gaussian of the PSF width.
+    """Splat each emitter, at (`x_um`, `y_um`) with `counts` photons, as a
+    pixel-integrated 2-d Gaussian of the PSF width.
 
     Pixel values are exact Gaussian integrals (products of erf differences),
     so the total intensity equals the photon count for emitters away from the
     image edges.  The erf is `_erf`, a numpy port of fdlibm's (within 1 ulp),
-    so rendering needs numpy alone.  Photons are grouped by float equality of
-    (x, y), with a stable sort of the two columns; each group takes its first
-    photon's coordinates and is weighted by its photon count.  The groups
-    are splatted in order of first appearance: one erf call per axis gives
-    every edge of a chunk of positions, about SPLAT_BLOCK edges in all, and
-    the chunk is splatted SPLAT_BLOCK pixel values at a time, each
-    position's weighted outer product added to the image in turn, so the
-    sums round as they would one position at a time.  Temporaries stay
-    within a chunk, however many positions there are.  Raises ValueError
-    for a PSF sigma or `pixel_um` that is not finite and > 0, a
-    non-increasing extent axis, a `pixel_um` that does not divide each axis
-    into whole pixels (the last pixel would stop short of the extent) or a
-    non-finite photon position.
+    so rendering needs numpy alone.  The emitters are splatted in the order
+    given: one erf call per axis gives every edge of a chunk of emitters,
+    about SPLAT_BLOCK edges in all, and the chunk is splatted SPLAT_BLOCK
+    pixel values at a time, each emitter's count-weighted outer product
+    added to the image in turn, so the sums round as they would one emitter
+    at a time.  Temporaries stay within a chunk, however many emitters
+    there are.  Raises ValueError for a PSF sigma or `pixel_um` that is not
+    finite and > 0, a non-increasing extent axis, a `pixel_um` that does not
+    divide each axis into whole pixels (the last pixel would stop short of
+    the extent), columns that are not 1-d and of one length, a non-finite
+    position or a count that is not finite and >= 0.
     """
     if not 0 < psf_sigma_um < math.inf:
         raise ValueError("PSF sigma must be finite and > 0")
@@ -345,41 +334,29 @@ def render_pl_image(records, psf_sigma_um: float, pixel_um: float,
     if not all(whole_bins(axis, pixel_um) for axis in extent_um):
         raise ValueError("pixel_um must divide each extent axis into whole "
                          "pixels")
-    x = np.asarray(records["x_um"], dtype=float)
-    y = np.asarray(records["y_um"], dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("photon positions must be finite")
+    x, y, w = (np.asarray(c, dtype=float) for c in (x_um, y_um, counts))
+    if not (x.ndim == 1 and x.shape == y.shape == w.shape
+            and np.isfinite([x, y, w]).all() and (w >= 0).all()):
+        raise ValueError("need 1-d emitter columns of one length, positions "
+                         "finite and counts finite and >= 0")
     nx = round((x1 - x0) / pixel_um)
     ny = round((y1 - y0) / pixel_um)
     x_edges = x0 + np.arange(nx + 1) * pixel_um
     y_edges = y0 + np.arange(ny + 1) * pixel_um
     img = np.zeros((ny, nx))
 
-    # groups of equal (x, y) in sorted order; a stable sort puts each
-    # group's first photon at its head
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    head = np.ones(x.size, dtype=bool)
-    head[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    starts = np.flatnonzero(head)
-    weights = np.diff(starts, append=x.size).astype(float)
-    first = order[starts]
-    by_appearance = np.argsort(first)
-    first, weights = first[by_appearance], weights[by_appearance]
-
     root2s = math.sqrt(2.0) * psf_sigma_um
     chunk = max(SPLAT_BLOCK // (x_edges.size + y_edges.size), 1)
     step = max(SPLAT_BLOCK // img.size, 1)
-    for a in range(0, first.size, chunk):
-        at = first[a:a + chunk]
-        ex = _erf((x_edges - x[at, None]) / root2s)
-        ey = _erf((y_edges - y[at, None]) / root2s)
+    for a in range(0, x.size, chunk):
+        ex = _erf((x_edges - x[a:a + chunk, None]) / root2s)
+        ey = _erf((y_edges - y[a:a + chunk, None]) / root2s)
         gx = 0.5 * (ex[:, 1:] - ex[:, :-1])
         gy = 0.5 * (ey[:, 1:] - ey[:, :-1])
-        w = weights[a:a + chunk, None, None]
-        for b in range(0, at.size, step):
+        wa = w[a:a + chunk, None, None]
+        for b in range(0, len(wa), step):
             terms = gy[b:b + step, :, None] * gx[b:b + step, None, :]
-            terms *= w[b:b + step]
+            terms *= wa[b:b + step]
             for term in terms:
                 img += term
     return PlImage(x_edges, y_edges, img)

@@ -129,6 +129,8 @@ _PRESETS: dict[str, dict] = {
 }
 
 _MC_BLOCKS = 16
+# fig7's spectral lines, by transition label
+_LINES = TransitionSpectrum.default().lines
 
 
 # What each key may hold beyond its type: (what is needed, test of the typed
@@ -179,6 +181,14 @@ _BOUNDS: dict[str, tuple] = {
     "fig4_transients": ("step_ns < horizon_ns and step_ns <= irf_fwhm_ns",
                         lambda p: p["irf_fwhm_ns"] >= p["step_ns"]
                         < p["horizon_ns"]),
+    # fig7 draws each photon's wavelength from its transition's line,
+    # shifted by its emitter's shift
+    "fig7_remote": ("cascade labels that have a spectral line, and "
+                    "emitter_shifts_nm keeping their centers > 0 nm",
+                    lambda p: set(p["cascade"]["labels"]) <= _LINES.keys()
+                    and all(_LINES[label].center_nm + shift > 0
+                            for label in p["cascade"]["labels"]
+                            for shift in p["emitter_shifts_nm"].values())),
     # the PL image spans field.extent_um in whole pixels, as a frame does
     "fig5_ensemble": ("image.pixel_um dividing each axis of field.extent_um "
                       "into whole pixels",
@@ -402,7 +412,10 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> None:
               [[int(total)], [counts.size], [upstream_fraction],
                [illuminated]])
 
-    image = render_pl_image(result.photons, extent_um=extent, **p["image"])
+    # the sites that emitted, in id order, each with its photon count
+    lit = np.flatnonzero(per_site)
+    image = render_pl_image(sites.x_um[lit], sites.y_um[lit], per_site[lit],
+                            extent_um=extent, **p["image"])
     write_pgm(out / "pl_image.pgm", image.intensity)
     write_axes_csv(out / "pl_image_axes.csv",
                    0.5 * (image.y_edges_um[:-1] + image.y_edges_um[1:]),
@@ -421,8 +434,7 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     sites = SiteField(sp["positions_um"], np.zeros(n),
                       np.full(n, sp["capture_radius_um"]),
                       np.full(n, sp["capture_prob"]), (model,) * n)
-    spectrum = TransitionSpectrum.default().with_emitter_shifts(
-        p["emitter_shifts_nm"])
+    spectrum = TransitionSpectrum(_LINES, p["emitter_shifts_nm"])
     fr = p["frame"]
     row_edges = np.arange(fr["row_extent_um"][0],
                           fr["row_extent_um"][1] + fr["row_bin_um"] / 2,

@@ -222,7 +222,7 @@ class DeviceLog:
 
 @dataclass
 class DeviceResult:
-    photons: np.ndarray  # of PHOTON_DTYPE, sorted by time
+    photons: np.ndarray  # of PHOTON_DTYPE, by time, ties in encounter order
     log: DeviceLog
 
 
@@ -323,8 +323,10 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     the same hits.
 
     Returns the pocket counts left and the captures as columns (time,
-    pocket, rank, carriers moved, excitons formed), in order of (time,
-    pocket, rank); the captures that formed excitons are the loads.
+    pocket, rank, carriers moved, excitons formed), in the order the blocks
+    resolve them: by rank, then (time, pocket), so each site's captures are
+    contiguous and in time order.  The captures that formed excitons are
+    the loads.
     """
     d, v = saw.direction, saw.velocity_um_per_ns
     sp, s0 = d * pos, d * pockets["position_um"]
@@ -429,10 +431,7 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
             caps.append(resolve(*hits))
     caps = np.concatenate(caps, axis=1)
     pk, rank = caps[:2]
-    t = _crossing(born[pk], s0[pk], sp[rank], v)
-    # a pocket passes a rank once: (pocket, rank) folds into one unique key
-    order = np.lexsort((pk * sp.size + rank, t))
-    return counts, (t[order], *caps.take(order, axis=1))
+    return counts, (_crossing(born[pk], s0[pk], sp[rank], v), *caps)
 
 
 def _nearest_covering(xs, pos, radius):
@@ -478,10 +477,12 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
     site's capture probability, by the nearest site whose window covers its
     generation point, or else recombines there.  Each photon carries its
     emitting site's row as its id and the site's (x, y) as its position.
-    The log holds the pulse times and the carrier tallies; the captures
-    themselves are not kept.  The run is a pure function of its arguments;
-    runs that differ only in `variant` draw from disjoint streams (see
-    `rng`).
+    The loads (captures that form excitons) reach the sampler in the order
+    the kernel resolves them, site by site in encounter order and each
+    site's in time order, with no sort between.  The log holds the pulse
+    times and the carrier tallies; the captures themselves are not kept.
+    The run is a pure function of its arguments; runs that differ only in
+    `variant` draw from disjoint streams (see `rng`).
     """
     if not 0 < pulse_period_ns < math.inf:
         raise ValueError("pulse period must be finite and > 0")
@@ -509,7 +510,9 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
             log.generated[sp] = int(pair_t.size)
             log.captured[sp] = int(pair.size)
             log.recombined[sp] = int(pair_t.size - pair.size)
-        # each captured pair is a load of one exciton
+        # each captured pair is a load of one exciton; the pairs come in
+        # birth order, the sampler takes them site by site
+        pair = pair[np.argsort(rank[pair], kind="stable")]
         load_time, load_rank = pair_t[pair], rank[pair]
         load_n = np.ones(pair.size, np.int64)
     else:
@@ -528,12 +531,11 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
         # freed before the sampler runs: its peak does not add to theirs
         del t, pk, rank, moved, formed, load
 
-    by_rank = np.argsort(load_rank, kind="stable")
-    ranks, load_site = np.unique(load_rank[by_rank], return_inverse=True)
+    ranks, load_site = np.unique(load_rank, return_inverse=True)
     loaded = site_ids[ranks]
     photons = sample_cascade_from_loads(
-        [sites.models[i] for i in loaded.tolist()], load_time[by_rank],
-        load_n[by_rank], substreams(master_seed, 1, variant, ranks), load_site,
+        [sites.models[i] for i in loaded.tolist()], load_time, load_n,
+        substreams(master_seed, 1, variant, ranks), load_site,
         emitter_ids=loaded,
         positions_um=np.stack([sites.x_um[loaded], sites.y_um[loaded]], 1))
     photons = photons[np.argsort(photons["time_ns"], kind="stable")]

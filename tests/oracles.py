@@ -138,8 +138,9 @@ def run_with_rows(spot, sites, saw, *args):
 
     A capture row is (time, site id, species code, carriers moved, pocket
     birth time, pocket birth position) and a load row (time, site id,
-    excitons formed), both in order of (time, pocket, rank).  With the wave
-    off nothing is conveyed, and both are None.
+    excitons formed).  The kernel returns its captures site by site; the
+    rows are sorted into event order, by (time, pocket, rank).  With the
+    wave off nothing is conveyed, and both are None.
     """
     calls = []
     convey = transport._convey
@@ -154,7 +155,10 @@ def run_with_rows(spot, sites, saw, *args):
         result = transport.run_device(spot, sites, saw, *args)
     if not calls:
         return result, None, None
-    [(pockets, (t, pk, rank, moved, formed))] = calls
+    [(pockets, columns)] = calls
+    # a pocket passes a rank once, so (time, pocket, rank) orders every row
+    order = np.lexsort(columns[2::-1])
+    t, pk, rank, moved, formed = (c[order] for c in columns)
     # the sites in encounter order: a stable sort of direction * x
     site = np.argsort(saw.direction * sites.x_um, kind="stable")[rank]
     captures = list(zip(t.tolist(), site.tolist(),

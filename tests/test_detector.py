@@ -26,37 +26,30 @@ def photons(*rows):
                     dtype=PHOTON_DTYPE)
 
 
-def reference_pl_image(records, psf_sigma_um, pixel_um, extent_um):
-    """One splat per distinct position, found with `np.unique`, summed in
-    order of first appearance: the oracle for `render_pl_image`'s splat
-    order and rounding.  It takes the same elementwise `_erf`, which
-    `TestErf` checks on its own, in one call per axis."""
+def reference_pl_image(x, y, counts, psf_sigma_um, pixel_um, extent_um):
+    """One splat per emitter, weighted by its count, summed in the order
+    given: the oracle for `render_pl_image`'s splat order and rounding.  It
+    takes the same elementwise `_erf`, which `TestErf` checks on its own, in
+    one call per axis."""
     (x0, x1), (y0, y1) = extent_um
     nx = max(int(round((x1 - x0) / pixel_um)), 1)
     ny = max(int(round((y1 - y0) / pixel_um)), 1)
     x_edges = x0 + np.arange(nx + 1) * pixel_um
     y_edges = y0 + np.arange(ny + 1) * pixel_um
     img = np.zeros((ny, nx))
-    xy = np.stack([records["x_um"], records["y_um"]], axis=1)
-    positions, first, weights = np.unique(xy, axis=0, return_index=True,
-                                          return_counts=True)
-    order = np.argsort(first)
     root2s = math.sqrt(2.0) * psf_sigma_um
-    ex = detector._erf((x_edges - positions[order, :1]) / root2s)
-    ey = detector._erf((y_edges - positions[order, 1:]) / root2s)
-    for ex_row, ey_row, w in zip(ex, ey, weights[order]):
+    ex = detector._erf((x_edges - np.asarray(x, float)[:, None]) / root2s)
+    ey = detector._erf((y_edges - np.asarray(y, float)[:, None]) / root2s)
+    for ex_row, ey_row, w in zip(ex, ey, np.asarray(counts, float)):
         gx = 0.5 * (ex_row[1:] - ex_row[:-1])
         gy = 0.5 * (ey_row[1:] - ey_row[:-1])
         img += w * np.outer(gy, gx)
     return img
 
 
-def positions(xy):
-    """A photon stream at the given (x, y) rows."""
-    recs = np.zeros(len(xy), dtype=PHOTON_DTYPE)
-    if len(xy):
-        recs["x_um"], recs["y_um"] = np.asarray(xy, dtype=float).T
-    return recs
+def one_emitter():
+    """Columns of a single emitter of one photon at (1, 0)."""
+    return [1.0], [0.0], [1]
 
 
 def emg_reference(t, tau, sigma):
@@ -159,8 +152,10 @@ class TestSpectrum:
         assert fwhm_nm == pytest.approx(878.0 ** 2 * 1.5 / 1.23984198e6, rel=1e-6)
 
     def test_emitter_shifts(self):
-        spectrum = TransitionSpectrum.default().with_emitter_shifts({1: 2.0})
+        spectrum = TransitionSpectrum(TransitionSpectrum.default().lines,
+                                      {1: 2.0})
         assert spectrum.line_for(1, "1X").center_nm == 880.0
+        assert spectrum.line_for(1, "3X") == SpectralLine(865.0, 1.1)
         assert spectrum.line_for(0, "1X").center_nm == 878.0
 
     def test_unknown_transition(self):
@@ -181,7 +176,7 @@ class TestSpectrum:
         # one draw per broadened photon in photon order, none for a delta line
         lines = dict(TransitionSpectrum.default().lines,
                      **{"2X": SpectralLine(879.0, 0.0)})
-        spectrum = TransitionSpectrum(lines).with_emitter_shifts({3: 1.5})
+        spectrum = TransitionSpectrum(lines, {3: 1.5})
         rng = substream(11, 0)
         recs = np.zeros(200, dtype=PHOTON_DTYPE)
         recs["transition"] = rng.choice(["1X", "2X", "3X"], 200)
@@ -231,30 +226,29 @@ class TestCcdFrame:
 
 class TestPlImage:
     def test_single_photon_unit_integral(self):
-        img = render_pl_image(photons(("1X", 1.0, -0.5)),
-                              0.4, 0.1, ((-5, 5), (-5, 5)))
+        img = render_pl_image([1.0], [-0.5], [1], 0.4, 0.1, ((-5, 5), (-5, 5)))
         assert img.intensity.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_close_emitters_unresolved(self):
         # two emitters closer than the PSF merge into one blob
-        recs = photons(*[("1X", -0.1, 0.0)] * 50, *[("1X", 0.1, 0.0)] * 50)
-        img = render_pl_image(recs, 0.5, 0.1, ((-4, 4), (-4, 4)))
+        img = render_pl_image([-0.1, 0.1], [0.0, 0.0], [50, 50], 0.5, 0.1,
+                              ((-4, 4), (-4, 4)))
         profile = img.intensity.sum(axis=0)
         peaks = [i for i in range(1, profile.size - 1)
                  if profile[i] > profile[i - 1] and profile[i] > profile[i + 1]]
         assert len(peaks) == 1
 
     def test_far_emitters_resolved(self):
-        recs = photons(*[("1X", -2.0, 0.0)] * 50, *[("1X", 2.0, 0.0)] * 50)
-        img = render_pl_image(recs, 0.3, 0.1, ((-4, 4), (-4, 4)))
+        img = render_pl_image([-2.0, 2.0], [0.0, 0.0], [50, 50], 0.3, 0.1,
+                              ((-4, 4), (-4, 4)))
         profile = img.intensity.sum(axis=0)
         peaks = [i for i in range(1, profile.size - 1)
                  if profile[i] > profile[i - 1] and profile[i] > profile[i + 1]]
         assert len(peaks) == 2
 
     def test_total_matches_photon_count(self):
-        recs = photons(*[("1X", 0.5, 1.0)] * 7, *[("1X", -1.0, 0.0)] * 5)
-        img = render_pl_image(recs, 0.4, 0.2, ((-6, 6), (-6, 6)))
+        img = render_pl_image([0.5, -1.0], [1.0, 0.0], [7, 5], 0.4, 0.2,
+                              ((-6, 6), (-6, 6)))
         assert img.intensity.sum() == pytest.approx(12.0, abs=1e-6)
 
     def test_matches_per_position_oracle_bitwise(self, monkeypatch):
@@ -264,8 +258,9 @@ class TestPlImage:
             pixel = float(rng.choice([0.1, 0.25, 0.4]))
             nx, ny = rng.integers(1, 25, 2)  # mostly non-square
             extent = ((x0, x0 + nx * pixel), (y0, y0 + ny * pixel))
-            # zero and one photon, then repeated positions from a pool that
-            # shares x or y values and reaches outside the image
+            # zero and one emitter, then emitters drawn from a pool of
+            # positions that shares x or y values, puts several emitters at
+            # one position and reaches outside the image
             n = case if case < 2 else int(rng.integers(2, 400))
             pool = rng.uniform(-8.0, 8.0, (int(rng.integers(1, 150)), 2))
             if case % 2:
@@ -274,35 +269,38 @@ class TestPlImage:
             if case % 5 == 2:
                 xy[::3] = 0.0
                 xy[1::3] = -0.0
-            # blocks of one position, of seven (the last one short) and of
+            # whole counts, zero among them, or fractional weights
+            counts = (rng.integers(0, 60, n) if case % 4 else
+                      rng.uniform(0.0, 60.0, n))
+            # blocks of one emitter, of seven (the last one short) and of
             # the default size
             block = [1, 7 * nx * ny + 3, detector.SPLAT_BLOCK][case % 3]
             monkeypatch.setattr(detector, "SPLAT_BLOCK", block)
             psf = float(rng.uniform(0.1, 1.0))
-            recs = positions(xy)
-            got = render_pl_image(recs, psf, pixel, extent)
-            want = reference_pl_image(recs, psf, pixel, extent)
+            got = render_pl_image(*xy.T, counts, psf, pixel, extent)
+            want = reference_pl_image(*xy.T, counts, psf, pixel, extent)
             assert got.intensity.tobytes() == want.tobytes(), case
 
     def test_more_positions_than_one_block(self):
-        # fig5's 40 x 40 image: SPLAT_BLOCK holds 40 positions, so the
-        # default block splits 300 distinct positions four ways
+        # fig5's 40 x 40 image: SPLAT_BLOCK holds 40 emitters, so the
+        # default block splits 300 emitters four ways
         rng = np.random.default_rng(14)
-        recs = positions(rng.uniform(0.0, 10.0, (300, 2))[
-            rng.integers(0, 300, 2000)])
+        x, y = rng.uniform(0.0, 10.0, (2, 300))
+        counts = np.bincount(rng.integers(0, 300, 2000), minlength=300)
         extent = ((0.0, 10.0), (0.0, 10.0))
         assert detector.SPLAT_BLOCK // 1600 < 300
-        got = render_pl_image(recs, 0.4, 0.25, extent)
-        want = reference_pl_image(recs, 0.4, 0.25, extent)
+        got = render_pl_image(x, y, counts, 0.4, 0.25, extent)
+        want = reference_pl_image(x, y, counts, 0.4, 0.25, extent)
         assert got.intensity.tobytes() == want.tobytes()
 
     def test_temporaries_bounded(self):
-        # a stack of 5,000 positions' 40 x 40 splats would be 64 MB
+        # a stack of 5,000 emitters' 40 x 40 splats would be 64 MB
         rng = np.random.default_rng(15)
-        recs = positions(rng.uniform(0.0, 10.0, (5000, 2)))
+        x, y = rng.uniform(0.0, 10.0, (2, 5000))
         tracemalloc.start()
         try:
-            render_pl_image(recs, 0.4, 0.25, ((0.0, 10.0), (0.0, 10.0)))
+            render_pl_image(x, y, np.ones(5000), 0.4, 0.25,
+                            ((0.0, 10.0), (0.0, 10.0)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,11 +309,11 @@ class TestPlImage:
     @pytest.mark.parametrize("extent", [((0.0, 10.0), (-1.5, 1.5)),
                                         ((0.0, 9.0), (-1.0, 1.5))])
     def test_pixel_must_tile_extent(self, extent):
-        # 3 um pixels from x = 0 end at 9 um: a photon at 9.5 um, inside a
+        # 3 um pixels from x = 0 end at 9 um: an emitter at 9.5 um, inside a
         # 10 um extent, would fall off the image with no error.  The second
         # extent fails on its y axis.
         with pytest.raises(ValueError, match="whole pixels"):
-            render_pl_image(positions([(9.5, 0.0)]), 0.4, 3.0, extent)
+            render_pl_image([9.5], [0.0], [1], 0.4, 3.0, extent)
 
     @pytest.mark.parametrize("extent", [((10.0, 0.0), (-5.0, 5.0)),
                                         ((0.0, 10.0), (5.0, -5.0)),
@@ -323,14 +321,25 @@ class TestPlImage:
                                         ((0.0, math.nan), (-5.0, 5.0))])
     def test_extent_must_increase(self, extent):
         with pytest.raises(ValueError, match="increasing"):
-            render_pl_image(positions([(1.0, 0.0)]), 0.4, 0.25, extent)
+            render_pl_image(*one_emitter(), 0.4, 0.25, extent)
 
-    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf),
-                                     (-math.inf, 0.0)])
+    @pytest.mark.parametrize("bad", [
+        # (x, y, counts) columns: a position that is not finite
+        ([1.0, math.nan], [0.0, 0.0], [1, 1]),
+        ([1.0, 1.0], [0.0, math.inf], [1, 1]),
+        ([1.0, -math.inf], [0.0, 0.0], [1, 1]),
+        # columns of unequal length, or not 1-d
+        ([1.0, 2.0], [0.0], [1, 1]), ([1.0], [0.0], [1, 1]),
+        ([[1.0]], [[0.0]], [[1]]),
+        # a count that is negative or not finite
+        ([1.0], [0.0], [-1]), ([1.0], [0.0], [math.nan]),
+        ([1.0], [0.0], [math.inf])])
     def test_non_finite_position_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            render_pl_image(positions([(1.0, 0.0), bad]), 0.4, 0.25,
-                            ((0.0, 10.0), (-5.0, 5.0)))
+        # a NaN or infinite position or count would give a NaN image,
+        # a negative count a negative intensity, and columns of unequal
+        # length would pair an emitter with another's values
+        with pytest.raises(ValueError, match="emitter columns"):
+            render_pl_image(*bad, 0.4, 0.25, ((0.0, 10.0), (-5.0, 5.0)))
 
     @pytest.mark.parametrize("psf,pixel,match", [
         (0.0, 0.25, "PSF"), (math.nan, 0.25, "PSF"), (math.inf, 0.25, "PSF"),
@@ -340,7 +349,7 @@ class TestPlImage:
         # a NaN PSF would give an all-NaN image and an infinite one an
         # all-zero image
         with pytest.raises(ValueError, match=f"{match}.*finite and > 0"):
-            render_pl_image(positions([(1.0, 0.0)]), psf, pixel,
+            render_pl_image(*one_emitter(), psf, pixel,
                             ((0.0, 10.0), (-5.0, 5.0)))
 
 

@@ -458,6 +458,14 @@ BAD_CONFIGS = [
      "fig5_ensemble"),
     ({"scenario": "fig5_ensemble", "params": {"image": {"pixel_um": 6.0}}},
      "fig5_ensemble"),
+    # fig7 frames need a spectral line for every label, with its center
+    # > 0 nm at every emitter shift; both failed mid-run with exit 1
+    ({"scenario": "fig7_remote",
+      "params": {"cascade": {"lifetimes_ns": [1.5, 1.4, 0.9, 0.8],
+                             "labels": ["1X", "2X", "3X", "4X"]}}},
+     "fig7_remote"),
+    ({"scenario": "fig7_remote", "params": {"emitter_shifts_nm": {"1": -900.0}}},
+     "fig7_remote"),
 ]
 
 

@@ -683,13 +683,27 @@ def random_device(seed):
                          ids=["default", "2"])
 def test_kernel_matches_event_loop_oracle(window, monkeypatch):
     monkeypatch.setattr(transport, "DRAW_WINDOW", window)
+    # the kernel's columns, which `run_device` hands on unsorted
+    recorded, convey = [], transport._convey
+
+    def recording(*args):
+        recorded.append(convey(*args))
+        return recorded[-1]
+    monkeypatch.setattr(transport, "_convey", recording)
     seen = {"amplitude": set(), "direction": set(), "capacity": set(),
             "exited": 0, "inside_before": 0, "inside_past": 0, "ties": 0,
-            "one_level": 0, "mixed_prob": 0}
+            "one_level": 0, "mixed_prob": 0, "site_order": 0}
     for seed in range(100):
         run = random_device(seed)
         _, sites, saw = run[:3]
+        recorded.clear()
         got = device_outputs(*run, seed)
+        for _, (t, pk, rank, _, _) in recorded:
+            # by (rank, time, pocket): the sampler's site-by-site order
+            assert np.array_equal(np.lexsort((pk, t, rank)), np.arange(t.size))
+            # which differs from event order when a later site captures first
+            seen["site_order"] += not np.array_equal(
+                np.lexsort((rank, pk, t)), np.arange(t.size))
         tallies, captures, loads, photons = reference_device(*run, seed)
         assert_same_rows(got, tallies, captures, loads, saw.amplitude)
         assert_same_photons(got[3], photons)
@@ -723,6 +737,7 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
     assert seen["inside_before"] >= 10 and seen["inside_past"] >= 10
     assert seen["ties"] >= 10
     assert seen["one_level"] >= 10 and seen["mixed_prob"] >= 10
+    assert seen["site_order"] >= 10
 
 
 @pytest.mark.parametrize("direction", [-1, 1])
