@@ -312,20 +312,24 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     of zero delay divided by the mean side-peak area; a ratio below 0.5
     certifies single-photon emission, and a homogeneous (Poisson) stream
     gives 1.  Fewer than two photons yield an empty histogram, not an error.
-    Takes photon times; pass `photons["time_ns"]` (masked to one transition
-    if wanted) for a photon stream.  Raises ValueError for a non-finite
-    time, a bin, max delay or period that is not finite and > 0, or
-    `threads` that is not an int >= 1.  `perfbench/spans.py` reads the
-    first argument by its name.
+    Takes photon times in any order: times already in non-decreasing order
+    are read in place, others are sorted into a copy.  Pass
+    `photons["time_ns"]` (masked to one transition if wanted) for a photon
+    stream.  Raises ValueError for a non-finite time, a bin, max delay or
+    period that is not finite and > 0, or `threads` that is not an int
+    >= 1.  `perfbench/spans.py` reads the first argument by its name.
     """
     if not all(0 < v < math.inf
                for v in (bin_ns, max_delay_ns, pulse_period_ns)):
         raise ValueError("bin, max delay and period must be finite and > 0")
     if type(threads) is not int or threads < 1:
         raise ValueError(f"threads must be an int >= 1, got {threads!r}")
-    # the g2 preset passes increasing times: the stable sort finds one run
-    # where the default sort starts afresh
-    times = np.sort(np.asarray(times_or_records, dtype=float), kind="stable")
+    # the g2 preset passes increasing times, which are used as given: a
+    # stable sort would return the same values in a copy.  NaN fails the
+    # order check and is sorted to the end, where the finite check meets it.
+    times = np.asarray(times_or_records, dtype=float)
+    if not (times[1:] >= times[:-1]).all():
+        times = np.sort(times, kind="stable")
     if not np.isfinite(times).all():
         raise ValueError("photon times must be finite")
 

@@ -129,8 +129,9 @@ _PRESETS: dict[str, dict] = {
 }
 
 _MC_BLOCKS = 16
-# fig7's spectral lines, by transition label
+# fig7's spectral lines, by transition label, and its default emitter shifts
 _LINES = TransitionSpectrum.default().lines
+_SHIFTS = _PRESETS["fig7_remote"]["params"]["emitter_shifts_nm"]
 
 
 # What each key may hold beyond its type: (what is needed, test of the typed
@@ -182,10 +183,16 @@ _BOUNDS: dict[str, tuple] = {
                         lambda p: p["irf_fwhm_ns"] >= p["step_ns"]
                         < p["horizon_ns"]),
     # fig7 draws each photon's wavelength from its transition's line,
-    # shifted by its emitter's shift
+    # shifted by its emitter's shift; a shift given for a site that does not
+    # exist would change no output (a default one may stay, so runs with
+    # fewer sites keep their defaults)
     "fig7_remote": ("cascade labels that have a spectral line, and "
-                    "emitter_shifts_nm keeping their centers > 0 nm",
+                    "emitter_shifts_nm keyed by ids of sites in "
+                    "sites.positions_um and keeping their centers > 0 nm",
                     lambda p: set(p["cascade"]["labels"]) <= _LINES.keys()
+                    and all(i < len(p["sites"]["positions_um"])
+                            or _SHIFTS.get(i) == shift
+                            for i, shift in p["emitter_shifts_nm"].items())
                     and all(_LINES[label].center_nm + shift > 0
                             for label in p["cascade"]["labels"]
                             for shift in p["emitter_shifts_nm"].values())),

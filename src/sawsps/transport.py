@@ -130,7 +130,9 @@ POCKET_DTYPE = np.dtype([("species", "i1"), ("count", "i8"),
 # draws are taken DRAW_WINDOW passes of a pocket at a time, in calls over
 # pockets that hold about DRAW_BLOCK passes, which bounds memory.  Each pass
 # reads its own draw of the stream by offset, so neither size shows in the
-# outputs.
+# outputs.  `per_cycle_emission_times` draws and walks its cycles DRAW_BLOCK
+# at a time; consecutive draws continue one stream, so that size does not
+# show either.
 DRAW_BLOCK = 1 << 16
 DRAW_WINDOW = 256
 # The kernel resolves a run of sites in one scan, and looks for the run's end
@@ -531,7 +533,9 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
         # freed before the sampler runs: its peak does not add to theirs
         del t, pk, rank, moved, formed, load
 
-    ranks, load_site = np.unique(load_rank, return_inverse=True)
+    # the loads come in rank order: a site's loads are one run of its rank
+    head = np.diff(load_rank, prepend=-1) != 0
+    ranks, load_site = load_rank[head], np.cumsum(head) - 1
     loaded = site_ids[ranks]
     photons = sample_cascade_from_loads(
         [sites.models[i] for i in loaded.tolist()], load_time, load_n,
@@ -575,19 +579,37 @@ def per_cycle_emission_times(num_cycles: int, period_ns: float,
     first: that load fills the dot again and restarts its clock.  The last
     load always emits.  This is `sample_cascade_from_loads`' one-level path,
     bit for bit, with the loads at their cycle starts and the rng's state
-    after the uniforms as the site's stream.  `num_cycles` must be an
-    integer >= 1, and every bad argument raises `ValueError`.
+    after the uniforms as the site's stream.  The uniforms are drawn, and
+    the loads then walked, DRAW_BLOCK cycles at a time; all uniforms still
+    come before all waits, so the photons do not depend on that size.
+    Memory is one byte per cycle, the photons, and one block's temporaries;
+    the result is a view of an array sized for one photon per load, or a
+    copy of its filled part when fewer than half the loads emit, so it never
+    holds more than twice its photons.
+    `num_cycles` must be an integer >= 1, and every bad argument raises
+    `ValueError`.
     """
     _check_count(num_cycles, "cycles")
     if not (0 < period_ns < math.inf and 0 < lifetime_ns < math.inf):
         raise ValueError("period and lifetime must be finite and > 0")
     if not 0.0 <= capture_prob <= 1.0:
         raise ValueError("capture probability must be in [0, 1]")
-    loads = np.flatnonzero(rng.random(num_cycles) < capture_prob) * period_ns
-    times = rng.exponential(lifetime_ns, loads.size)
-    times += loads
-    kept = np.ones(times.size, dtype=bool)
-    np.less(times[:-1], loads[1:], out=kept[:-1])
-    # freed before the gather: it would otherwise raise the run's peak
-    del loads
-    return times[kept]
+    loaded = np.empty(num_cycles, dtype=bool)
+    for a in range(0, num_cycles, DRAW_BLOCK):
+        block = loaded[a:a + DRAW_BLOCK]
+        np.less(rng.random(block.size), capture_prob, out=block)
+    out = np.empty(np.count_nonzero(loaded))
+    n = 0
+    for a in range(0, num_cycles, DRAW_BLOCK):
+        loads = (np.flatnonzero(loaded[a:a + DRAW_BLOCK]) + a) * period_ns
+        if not loads.size:
+            continue
+        times = rng.exponential(lifetime_ns, loads.size)
+        times += loads
+        # a block's last photon is written before its next load is known
+        if n and out[n - 1] >= loads[0]:
+            n -= 1
+        kept = times[np.append(times[:-1] < loads[1:], True)]
+        out[n:n + kept.size] = kept
+        n += kept.size
+    return out[:n] if 2 * n >= out.size else out[:n].copy()

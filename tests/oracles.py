@@ -1,7 +1,8 @@
 """Oracles that only the tests use: a fixed-step solution of the cascade
 rate equations, a folded photon histogram, the ballistic conveyance delay,
-and the capture and load rows of a device run, which `run_device` does not
-keep.  Test modules import them by name (`from oracles import ...`)."""
+the per-cycle photon train drawn in one piece, and the capture and load
+rows of a device run, which `run_device` does not keep.  Test modules
+import them by name (`from oracles import ...`)."""
 
 import math
 from dataclasses import dataclass
@@ -129,6 +130,20 @@ def arrival_delay(distance_um: float, saw: SawWave) -> float:
     if not 0 <= distance_um < math.inf:
         raise ValueError("distance must be finite and >= 0")
     return distance_um / saw.velocity_um_per_ns
+
+
+def one_shot_emission_times(num_cycles: int, period_ns: float,
+                            capture_prob: float, lifetime_ns: float,
+                            rng: np.random.Generator) -> np.ndarray:
+    """`transport.per_cycle_emission_times` drawn in one piece: every
+    cycle's uniform in one call, then every load's wait in one call, and
+    the capacity-1 rule applied to the whole train at once."""
+    loads = np.flatnonzero(rng.random(num_cycles) < capture_prob) * period_ns
+    times = rng.exponential(lifetime_ns, loads.size)
+    times += loads
+    kept = np.ones(times.size, dtype=bool)
+    np.less(times[:-1], loads[1:], out=kept[:-1])
+    return times[kept]
 
 
 def run_with_rows(spot, sites, saw, *args):

@@ -90,6 +90,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="emitter_shifts_nm"):
             ScenarioConfig.preset("fig7_remote", {"emitter_shifts_nm": {"1.5": 1.0}})
 
+    def test_fewer_sites_keep_the_default_shifts(self, tmp_path):
+        # the default shifts of sites 1 and 2 may outlive those sites; a
+        # changed shift of a missing site is refused (BAD_CONFIGS)
+        cfg = ScenarioConfig.preset("fig7_remote",
+                                    {"num_pulses": 50,
+                                     "sites": {"positions_um": [0.0, -7.0]}})
+        run_scenario(cfg, tmp_path / "out")
+        with pytest.raises(ConfigError, match="fig7_remote: need"):
+            ScenarioConfig.preset("fig7_remote",
+                                  {"sites": {"positions_um": [0.0, -7.0]},
+                                   "emitter_shifts_nm": {"2": 5.0}})
+
     def test_every_bound_names_a_preset_key(self):
         def paths(params, prefix):
             for key, value in params.items():
@@ -465,6 +477,9 @@ BAD_CONFIGS = [
                              "labels": ["1X", "2X", "3X", "4X"]}}},
      "fig7_remote"),
     ({"scenario": "fig7_remote", "params": {"emitter_shifts_nm": {"1": -900.0}}},
+     "fig7_remote"),
+    # a shift of a site that does not exist changed no output
+    ({"scenario": "fig7_remote", "params": {"emitter_shifts_nm": {"7": 5.0}}},
      "fig7_remote"),
 ]
 

@@ -1,6 +1,7 @@
 """The scripts run end to end against the package in `src/`."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -112,3 +113,55 @@ def test_run_all_scenarios_writes_every_manifest(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name, _ in list_scenarios():
         assert (tmp_path / name / "manifest.json").is_file(), name
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    # canned results in the shape perfbench/run.py writes them: the change
+    # lowers peak_rss_mb in 2 of 3 pairs and raises pulses_per_cal in all
+    def result(rss, pps, run_s, failed=0):
+        return {"failed": failed, "attempted": 10, "correct": failed == 0,
+                "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"},
+                            "pulses_per_cal": {"value": pps, "unit": "1/cal"}},
+                "info": {"run_s": run_s}}
+
+    pairs = [{"parent": result(47.0, 100.0, 0.10),
+              "change": result(43.0, 110.0, 0.10)},
+             {"parent": result(47.2, 100.0, 0.12),
+              "change": result(47.2, 101.0, 0.09)},
+             {"parent": result(47.1, 102.0, 0.11),
+              "change": result(43.2, 105.0, 0.10, failed=1)}]
+    metrics = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+               {"name": "pulses_per_cal", "unit": "1/cal", "better": "higher"}]
+    summary = _bench_pairs().summarise(pairs, metrics)
+    assert summary["pairs"] == 3 and summary["correct"] is False
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["attempted"] == {"parent": 30, "change": 30}
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert rss["parent"] == {"median": 47.1, "q1": pytest.approx(47.05),
+                             "q3": pytest.approx(47.15),
+                             "runs": [47.0, 47.2, 47.1]}
+    assert rss["change"]["median"] == 43.2 and rss["change"]["runs"][1] == 47.2
+    # a tie wins for neither side
+    assert rss["change_better_in"] == 2
+    assert rss["median_change_pct"] == pytest.approx(-100 * 3.9 / 47.1)
+    assert rss["median_gap_over_parent_iqr"] == pytest.approx(3.9 / 0.1)
+    pps = summary["metrics"]["pulses_per_cal"]
+    assert pps["better"] == "higher" and pps["change_better_in"] == 3
+    assert pps["median_change_pct"] == pytest.approx(5.0)
+    # run_s is read from the raw wall time next to the metrics
+    assert summary["metrics"]["run_s"]["change_better_in"] == 2
+    assert summary["metrics"]["run_s"]["parent"]["median"] == 0.11
+    # one pair gives its one value as median and quartiles; an IQR of 0 has
+    # no gap ratio
+    one = _bench_pairs().summarise(pairs[:1], metrics)["metrics"]["peak_rss_mb"]
+    assert one["parent"] == {"median": 47.0, "q1": 47.0, "q3": 47.0,
+                             "runs": [47.0]}
+    assert one["median_gap_over_parent_iqr"] is None

@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from sawsps.transport import (ELECTRON, HOLE, SPECIES, LaserSpot, SawWave,
                               launch_pockets, per_cycle_emission_times,
                               pocket_lattice_position, run_device,
                               uniform_site_field)
-from oracles import arrival_delay, run_with_rows
+from oracles import arrival_delay, one_shot_emission_times, run_with_rows
 from test_emitter import reference_cascade
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
@@ -419,6 +420,46 @@ class TestFieldAndPerCycle:
         assert times.tolist() == t_emit[kept].tolist()
         if cycles > 1:
             assert 0 < times.size < loads.size
+
+    @pytest.mark.parametrize("cycles", [
+        1, transport.DRAW_BLOCK - 1, transport.DRAW_BLOCK,
+        transport.DRAW_BLOCK + 1, 3 * transport.DRAW_BLOCK + 5])
+    @pytest.mark.parametrize("prob", [0.0, 0.01, 0.5, 1.0])
+    def test_per_cycle_blocks_never_show(self, cycles, prob):
+        # the blocks continue one stream, whatever doubles the rng has
+        # already drawn (1 to 3 leave words buffered in Philox's output),
+        # and leave it where the one-piece draw does.  A lifetime of a
+        # period cuts photons, also across a block edge
+        for drawn in range(4):
+            rngs = substream(54, drawn), substream(54, drawn)
+            for rng in rngs:
+                rng.random(drawn)
+            times = per_cycle_emission_times(cycles, 5.0, prob, 5.0, rngs[0])
+            expected = one_shot_emission_times(cycles, 5.0, prob, 5.0, rngs[1])
+            assert times.tobytes() == expected.tobytes(), drawn
+            assert rngs[0].random() == rngs[1].random(), drawn
+
+    def test_per_cycle_temporaries_bounded(self):
+        # the g2 preset's source at 1M cycles: one byte per cycle, the
+        # photons and a block's temporaries; a draw of every uniform at
+        # once would take 8 bytes per cycle, about twice the photons
+        tracemalloc.start()
+        try:
+            times = per_cycle_emission_times(1_000_000, SAW.period_ns, 0.5,
+                                             0.5, substream(55, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * times.nbytes
+
+    def test_per_cycle_holds_at_most_twice_its_photons(self):
+        # a lifetime long against the period drops most loads' photons;
+        # the result must not keep the array sized for every load
+        for lifetime in (0.5, 50.0):
+            times = per_cycle_emission_times(100000, 5.0, 0.5, lifetime,
+                                             substream(56, 0))
+            held = times if times.base is None else times.base
+            assert held.size <= 2 * times.size
 
     def test_per_cycle_no_capture_is_empty(self):
         times = per_cycle_emission_times(1000, 5.0, 0.0, 0.5, substream(53, 0))
