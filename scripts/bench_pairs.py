@@ -16,17 +16,22 @@ The output file holds, per workload and for each end-to-end metric of
 BENCHMARK.json plus the raw `run_s`: both sides' runs, median and
 quartiles, the number of pairs the change won, the median change in
 percent and the gap between the medians over the earlier side's
-interquartile range.  Without --workload every workload of BENCHMARK.json
-runs.  Needs git and no network.
+interquartile range.  Before the pairs, each side's Tier-1 suite runs once
+(its own `src/` first on PYTHONPATH); its wall time, closing summary and
+five slowest tests go into that side's `env`.  Without --workload every
+workload of BENCHMARK.json runs.  Needs git and no network.
 """
 
 import argparse
 import json
+import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +75,36 @@ def run_once(root: Path, workload: str, seed: int, keep: Path) -> dict:
     shutil.copyfile(results, keep)
     saved = json.loads(keep.read_text(encoding="utf-8"))
     return {"env": saved["env"], **saved["results"][0]}
+
+
+def parse_pytest(output: str) -> dict:
+    """pytest's closing summary line with its counts by outcome, and the
+    tests of its "slowest durations" section as (seconds, phase, test)."""
+    lines = output.splitlines()
+    summary = next((line.strip("= ") for line in reversed(lines)
+                    if re.search(r" in [\d.]+s\b", line)), "")
+    head = next((k for k, line in enumerate(lines)
+                 if re.search(r"slowest \d* ?durations", line)), len(lines))
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in (re.match(r"([\d.]+)s (\w+) +(\S.*)$", line)
+                         for line in lines[head + 1:]) if m]
+    return {"summary": summary, "slowest": slowest,
+            "counts": {word: int(n) for n, word in
+                       re.findall(r"(\d+) ([a-z]+)", summary.split(" in ")[0])}}
+
+
+def tier1(root: Path) -> dict:
+    """The Tier-1 suite in `root`, run once: its wall time, exit code and
+    `parse_pytest` of its output with the five slowest tests."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors", "--durations=5"],
+                          cwd=root, env=env, capture_output=True, text=True)
+    return {"wall_s": round(time.perf_counter() - start, 3),
+            "exit": proc.returncode, **parse_pytest(proc.stdout)}
 
 
 def _spread(runs: list) -> dict:
@@ -140,6 +175,10 @@ def main(argv=None) -> int:
                             "order": "parent first in even pairs (0, 2, ...), "
                                      "change first in odd ones"},
                "workloads": {}, "env": {}}
+    suites = {side: tier1(roots[side]) for side in SIDES}
+    for side, suite in suites.items():
+        print(f"{side} Tier-1: {suite['summary']} ({suite['wall_s']} s wall)",
+              flush=True)
     for workload in chosen:
         pairs = []
         for i in range(args.pairs):
@@ -153,7 +192,8 @@ def main(argv=None) -> int:
                                   pair[side]["metrics"].items()), flush=True)
             pairs.append(pair)
         summary["workloads"][workload] = summarise(pairs, bench["end_to_end"])
-        summary["env"] = {s: pairs[-1][s]["env"] for s in SIDES}
+        summary["env"] = {s: {**pairs[-1][s]["env"], "tier1": suites[s]}
+                          for s in SIDES}
         args.out.write_text(json.dumps(summary, indent=1) + "\n",
                             encoding="utf-8")
     print(f"wrote {args.out}")

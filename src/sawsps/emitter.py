@@ -18,7 +18,8 @@ from ._csvfile import write_csv
 
 
 # One emitted photon per entry: when, which transition, from which emitter,
-# where.  Every photon stream is a 1-d array of this dtype, sorted by time.
+# where.  Every photon stream is a 1-d array of this dtype: the sampler
+# returns one site by site (each site's by time), `run_device` sorts by time.
 PHOTON_DTYPE = np.dtype([("time_ns", "f8"), ("transition", "O"),
                          ("emitter_id", "i8"), ("x_um", "f8"), ("y_um", "f8")])
 

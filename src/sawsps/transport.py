@@ -16,12 +16,12 @@ device kernel takes the sites in encounter order (a stable sort of
 direction * x); a site's hits, in order of crossing time and pocket, walk
 its held carriers, and one clamp-add prefix scan resolves all of them, or
 all of a run of sites whose pocket counts are known at its start.  The
-draws are read by offset, a window of a pocket's passes at a time, and a
-later window only while the pocket still holds carriers.  Only a draw below
-the largest capture probability can hit, so only those draws are given
-their site rank and compared with that site's probability.  With the wave
-off (amplitude 0) nothing is conveyed: each pair stays at its generation
-point and is captured there or recombines.
+kernel sweeps the sites in blocks of ranks: before each block a pocket
+that still holds carriers reads its passes at the block's ranks, by
+offset.  Only a draw below the largest capture probability can hit, so
+only those draws are given their site rank and compared with that site's
+probability.  With the wave off (amplitude 0) nothing is conveyed: each
+pair stays at its generation point and is captured there or recombines.
 """
 
 import math
@@ -126,13 +126,13 @@ class SiteField:
 POCKET_DTYPE = np.dtype([("species", "i1"), ("count", "i8"),
                          ("position_um", "f8"), ("birth_time_ns", "f8")])
 
-# The device kernel sweeps the sites DRAW_WINDOW ranks at a time, and capture
-# draws are taken DRAW_WINDOW passes of a pocket at a time, in calls over
-# pockets that hold about DRAW_BLOCK passes, which bounds memory.  Each pass
-# reads its own draw of the stream by offset, so neither size shows in the
-# outputs.  `per_cycle_emission_times` draws and walks its cycles DRAW_BLOCK
-# at a time; consecutive draws continue one stream, so that size does not
-# show either.
+# The device kernel sweeps the sites DRAW_WINDOW ranks at a time: before each
+# block a pocket that still holds carriers reads its passes at the block's
+# ranks, in calls over pockets that hold about DRAW_BLOCK passes, which bounds
+# memory.  Each pass reads its own draw of the stream by offset, so neither
+# size shows in the outputs.  `per_cycle_emission_times` draws and walks its
+# cycles DRAW_BLOCK at a time; consecutive draws continue one stream, so that
+# size does not show either.
 DRAW_BLOCK = 1 << 16
 DRAW_WINDOW = 256
 # The kernel resolves a run of sites in one scan, and looks for the run's end
@@ -243,8 +243,9 @@ def _stream_reader(rng):
 
 
 def _pass_layout(s0, sp, radius):
-    """The number of passes of each pocket and `rank(pk, k)`, the site rank
-    of pass k of pocket pk, elementwise.
+    """The number of passes of each pocket, `rank(pk, k)`, the site rank of
+    pass k of pocket pk, and `below(pk, r)`, how many passes of pocket pk
+    lie at ranks below r (0 <= r <= the number of sites), elementwise.
 
     A pocket passes, in rank order, the sites behind its birth point whose
     window still covers it (s0 <= sp + radius), then every site from its
@@ -259,6 +260,8 @@ def _pass_layout(s0, sp, radius):
     back = np.arange(pk.size) + np.repeat(m - np.cumsum(size), size)
     ok = s0[pk] <= sp[back] + radius[back]
     n_back = np.bincount(pk[ok], minlength=s0.size)
+    # the band's passes keyed by (pocket, rank), in order
+    key = pk[ok] * sp.size + back[ok]
     # a pocket's band ends at stop in back; a pass past the band reads
     # back[stop - 1] (a rank, or the trailing 0) and discards it
     back, stop = np.append(back[ok], 0), np.cumsum(n_back)
@@ -266,7 +269,11 @@ def _pass_layout(s0, sp, radius):
     def rank(pk, k):
         k = k - n_back[pk]  # < 0 in the band behind s0
         return np.where(k < 0, back[stop[pk] + np.minimum(k, -1)], m[pk] + k)
-    return n_back + sp.size - m, rank
+
+    def below(pk, r):
+        return (np.searchsorted(key, pk * sp.size + r) - stop[pk] + n_back[pk]
+                + np.maximum(r - m[pk], 0))
+    return n_back + sp.size - m, rank, below
 
 
 def _crossing(born, s0, sp, v):
@@ -316,10 +323,9 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     before it.
 
     Pass k of pocket i reads draw O_i + k of `rng`'s stream, where O_i
-    counts the passes of the pockets born before it.  Before each block,
-    each pocket that still holds carriers and has undrawn passes in the
-    block draws its next window of DRAW_WINDOW passes, which covers at
-    least DRAW_WINDOW ranks and so reaches past the block.  A window's
+    counts the passes of the pockets born before it.  Before each block, a
+    pocket that still holds carriers reads its passes at the block's ranks,
+    so every hit of a block is drawn in it, in (pocket, rank) order.  The
     draws are first compared with the largest capture probability; only
     those below it are ranked and compared with their site's, which gives
     the same hits.
@@ -339,28 +345,26 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     # (pocket, rank, carriers moved, excitons formed) of each capture, by block
     caps = [np.zeros((4, 0), np.int64)]
     if n and sp.size:  # else no pocket passes a site
-        passes, rank_at = _pass_layout(s0, sp, radius)
-        offset, drawn = np.cumsum(passes) - passes, np.zeros(n, np.int64)
+        passes, rank_at, below = _pass_layout(s0, sp, radius)
+        offset = np.cumsum(passes) - passes
         read = _stream_reader(rng)
         p_eff = prob * saw.amplitude
         p_max = p_eff.max()
 
-        def window(pks):
-            """Draw the next window of each pocket of `pks`: (pocket, rank) of
-            its hits."""
-            take = np.minimum(passes[pks] - drawn[pks], DRAW_WINDOW)
-            at = offset[pks] + drawn[pks]  # where each window starts
-            # windows that follow on in the stream share one read
+        def draw(pks, first, take):
+            """Draw passes first to first + take - 1 of each pocket of `pks`:
+            (pocket, rank) of their hits."""
+            at = offset[pks] + first  # where each pocket's draws start
+            # pockets whose draws follow on in the stream share one read
             calls = np.flatnonzero(np.append(True, at[1:] != at[:-1] + take[:-1]))
             u = np.concatenate([read(j, c) for j, c in zip(
                 at[calls].tolist(), np.add.reduceat(take, calls).tolist())])
             # only a draw below the largest probability can hit: rank those
-            # (draw i of the read, in window w, is pass i + base[w])
+            # (draw i of the read, of pocket w, is pass i + base[w])
             ends = np.cumsum(take)
             cand = np.flatnonzero(u < p_max)
             w = np.searchsorted(ends, cand, side="right")
-            base = drawn[pks] - ends + take
-            drawn[pks] += take
+            base = first - ends + take
             pk = pks[w]
             rank = rank_at(pk, cand + base[w])
             hit = u[cand] < p_eff[rank]
@@ -372,10 +376,8 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
             """Resolve the hits (pocket, rank) of a block: (pocket, rank,
             carriers moved, excitons formed) of each capture.  Its columns
             are freed before the next block draws."""
-            # each hit's place among its pocket's hits in the block (drawn
-            # pocket by pocket, each in rank order, they need little sorting)
-            by_pocket = np.argsort(pk, kind="stable")
-            pk, rank = pk[by_pocket], rank[by_pocket]
+            # each hit's place among its pocket's hits in the block (they
+            # come pocket by pocket, each pocket's in rank order)
             place = np.arange(pk.size) - np.maximum.accumulate(
                 np.where(np.diff(pk, prepend=-1) != 0, np.arange(pk.size), 0))
             # a pocket passes a rank once, so in pocket order a stable sort by
@@ -416,21 +418,17 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
             formed = np.minimum(moved, np.maximum(-step * before, 0))
             return np.stack([pk, rank, moved, formed])
 
-        pool = np.zeros((2, 0), np.int64)  # (pocket, rank) of hits not visited
         for lo in range(0, sp.size, DRAW_WINDOW):
-            hi = lo + DRAW_WINDOW
-            live = counts > 0
-            need = np.flatnonzero(live & (drawn < passes))
-            need = need[rank_at(need, drawn[need]) < hi]
-            ends = np.cumsum(np.minimum(passes[need] - drawn[need], DRAW_WINDOW))
-            hits = np.concatenate([pool] + [window(pks) for pks in np.split(
-                need, np.flatnonzero(np.diff(ends // DRAW_BLOCK)) + 1) if pks.size],
-                axis=1)
-            # a pocket run dry captures no more
-            hits = hits.compress(live[hits[0]], axis=1)
-            now = hits[1] < hi
-            pool, hits = hits.compress(~now, axis=1), hits.compress(now, axis=1)
-            caps.append(resolve(*hits))
+            # a pocket that still holds carriers draws its passes in the block
+            pks = np.flatnonzero(counts > 0)
+            first = below(pks, lo)
+            take = below(pks, min(lo + DRAW_WINDOW, sp.size)) - first
+            some = take > 0
+            pks, first, take = pks[some], first[some], take[some]
+            groups = np.flatnonzero(np.diff(np.cumsum(take) // DRAW_BLOCK)) + 1
+            caps.append(resolve(*np.concatenate([np.zeros((2, 0), np.int64)] + [
+                draw(*group) for group in zip(*(np.split(c, groups) for c in (
+                    pks, first, take))) if group[0].size], axis=1)))
     caps = np.concatenate(caps, axis=1)
     pk, rank = caps[:2]
     return counts, (_crossing(born[pk], s0[pk], sp[rank], v), *caps)

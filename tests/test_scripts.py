@@ -165,3 +165,44 @@ def test_bench_pairs_summary():
     assert one["parent"] == {"median": 47.0, "q1": 47.0, "q3": 47.0,
                              "runs": [47.0]}
     assert one["median_gap_over_parent_iqr"] is None
+
+
+# the tail of a Tier-1 run as pytest prints it with -q and --durations=5
+PYTEST_TAIL = """\
+........................................................................ [ 98%]
+.....F..                                                                 [100%]
+=================================== FAILURES ===================================
+___________________________ test_slow_but_wrong ________________________________
+E       assert 0.5 == 1.5s call
+============================= slowest 5 durations ==============================
+2.41s call     tests/test_scripts.py::test_run_all_scenarios_writes_every_manifest
+1.30s call     tests/test_detector.py::TestPlImage::test_matches_per_position_oracle_bitwise
+0.92s setup    tests/test_acceptance.py::test_criterion_8[fig5 ensemble]
+0.50s call     tests/test_transport.py::test_draw_block_never_shows
+0.01s teardown tests/test_cli.py::test_run
+=========================== short test summary info ============================
+FAILED tests/test_x.py::test_slow_but_wrong - assert 0.5 == 1.5s call
+1 failed, 425 passed, 2 warnings in 21.37s
+"""
+
+
+def test_bench_pairs_parses_tier1_output():
+    parsed = _bench_pairs().parse_pytest(PYTEST_TAIL)
+    assert parsed["summary"] == "1 failed, 425 passed, 2 warnings in 21.37s"
+    assert parsed["counts"] == {"failed": 1, "passed": 425, "warnings": 2}
+    # only the durations section's lines, in pytest's order
+    assert [t["seconds"] for t in parsed["slowest"]] == [2.41, 1.30, 0.92,
+                                                         0.50, 0.01]
+    assert parsed["slowest"][2] == {
+        "seconds": 0.92, "phase": "setup",
+        "test": "tests/test_acceptance.py::test_criterion_8[fig5 ensemble]"}
+    assert parsed["slowest"][4]["phase"] == "teardown"
+    # a framed summary, hidden durations, and output with no summary at all
+    quiet = _bench_pairs().parse_pytest(
+        "=== slowest 5 durations ===\n\n(5 durations < 0.005s hidden.  "
+        "Use -vv to show these durations.)\n"
+        "============ 39 passed in 0.91s (0:00:00) ============\n")
+    assert quiet == {"summary": "39 passed in 0.91s (0:00:00)", "slowest": [],
+                     "counts": {"passed": 39}}
+    assert _bench_pairs().parse_pytest("") == {"summary": "", "slowest": [],
+                                               "counts": {}}

@@ -803,9 +803,9 @@ def test_kernel_matches_event_loop_oracle_on_fig7_device(direction):
 
 
 def test_draw_block_never_shows(monkeypatch):
-    # blocks of 2 ranks visit hits drawn in earlier blocks alongside new
-    # ones, so a tie at a site that the pocket index does not break shows;
-    # SCAN_HITS 1 resolves one site per scan
+    # blocks of 1, 2 or 7 ranks draw a pocket's passes block by block and
+    # split its hits over several scans, so a tie at a site that the pocket
+    # index does not break shows; SCAN_HITS 1 resolves one site per scan
     runs = [random_device(seed) for seed in range(40)]
     default = [device_outputs(*run, 5) for run in runs]
     for name, size in (("DRAW_BLOCK", 7), ("DRAW_WINDOW", 1),
@@ -817,6 +817,67 @@ def test_draw_block_never_shows(monkeypatch):
                 got = device_outputs(*run, 5)
                 assert got[:3] == expected[:3], (name, size)
                 assert_same_photons(got[3], expected[3])
+
+
+# at the default window a random layout's sites fit in one block; at 2 a
+# layout of more than two sites spans several blocks
+@pytest.mark.parametrize("window", [transport.DRAW_WINDOW, 2],
+                         ids=["default", "2"])
+def test_each_block_reads_exactly_its_passes(window, monkeypatch):
+    """Every draw the kernel reads is a pass (pocket i, rank r) by the
+    oracle's enumeration of the stream, and each read lies in one block of
+    ranks, the blocks in sweep order.  The draws read are exactly the
+    passes whose pocket held carriers when their block started, and none
+    is read twice."""
+    monkeypatch.setattr(transport, "DRAW_WINDOW", window)
+    calls, convey, reader = [], transport._convey, transport._stream_reader
+
+    def recording_reader(rng):
+        read = reader(rng)
+
+        def recording_read(j, n):
+            calls[-1]["reads"].append((j, n))
+            return read(j, n)
+        return recording_read
+
+    def recording_convey(*args):
+        calls.append({"args": args, "reads": []})
+        calls[-1]["out"] = convey(*args)
+        return calls[-1]["out"]
+    monkeypatch.setattr(transport, "_stream_reader", recording_reader)
+    monkeypatch.setattr(transport, "_convey", recording_convey)
+    seen = {"blocks": 0, "unread": 0}
+    for seed in range(100):
+        calls.clear()
+        run_device(*random_device(seed), seed)
+        for call in calls:
+            pockets, pos, radius, _, _, saw, _ = call["args"]
+            _, (_, pk, rank, moved, _) = call["out"]
+            d, pos, radius = saw.direction, pos.tolist(), radius.tolist()
+            # (pocket, rank) of each draw of the stream
+            passes = [(i, r)
+                      for i, x in enumerate(pockets["position_um"].tolist())
+                      for r in range(len(pos)) if d * x <= d * pos[r] + radius[r]]
+            # each pocket's count at the start of each block
+            n_blocks = -(-len(pos) // window)
+            taken = np.zeros((len(pockets), n_blocks + 1), np.int64)
+            np.add.at(taken, (pk, rank // window + 1), moved)
+            held = pockets["count"][:, None] - np.cumsum(taken, axis=1)
+            expected = [j for j, (i, r) in enumerate(passes)
+                        if held[i, r // window] > 0]
+            drawn = [k for j, n in call["reads"] for k in range(j, j + n)]
+            assert sorted(drawn) == expected, seed
+            read_blocks = [{passes[k][1] // window for k in range(j, j + n)}
+                           for j, n in call["reads"]]
+            assert all(len(b) == 1 for b in read_blocks), seed
+            order = [min(b) for b in read_blocks]
+            assert order == sorted(order), seed
+            seen["blocks"] += len(set(order)) > 1
+            seen["unread"] += len(expected) < len(passes)
+    # reads in several blocks, and passes of pockets run dry left unread
+    if window == 2:
+        assert seen["blocks"] >= 10
+        assert seen["unread"] >= 10
 
 
 @settings(max_examples=60, deadline=None)
@@ -850,16 +911,20 @@ def test_stream_reader_reads_any_offset():
 
 def layouts(pockets, sites, saw):
     """Each pocket's pass ranks from `_pass_layout` and from the oracle's
-    enumeration; `sites` are in encounter order."""
+    enumeration, and `_pass_layout`'s `below` of each pocket at every rank
+    0..len(sites); `sites` are in encounter order."""
     d = saw.direction
-    passes, rank = transport._pass_layout(
+    passes, rank, below = transport._pass_layout(
         np.array([d * p.position_um for p in pockets]),
         np.array([d * s.position_um for s in sites]),
         np.array([s.capture_radius_um for s in sites]))
     expected = [[] for _ in pockets]
     for i, r in reference_passes(pockets, sites, saw):
         expected[i].append(r)
-    return [rank(i, np.arange(n)).tolist() for i, n in enumerate(passes)], expected
+    ends = np.arange(len(sites) + 1)
+    return ([rank(i, np.arange(n)).tolist() for i, n in enumerate(passes)],
+            expected, [below(np.full(ends.size, i), ends).tolist()
+                       for i in range(len(pockets))])
 
 
 def test_pass_layout_matches_oracle_enumeration():
@@ -873,8 +938,12 @@ def test_pass_layout_matches_oracle_enumeration():
                    for p in launch_pockets(*draw_pairs(
                        spot, saw, np.arange(pulses) * period,
                        substream(seed, 0, 0)), saw)]
-        got, expected = layouts(pockets, sites, saw)
+        got, expected, below = layouts(pockets, sites, saw)
         assert got == expected, seed
+        # below(i, r) counts the oracle's ranks of pocket i under r
+        assert below == [[sum(k < r for k in ranks)
+                          for r in range(len(sites) + 1)]
+                         for ranks in expected], seed
         sp = [d * s.position_um for s in sites]
         for pk, ranks in zip(pockets, expected):
             behind += any(sp[r] < d * pk.position_um for r in ranks)
@@ -884,19 +953,20 @@ def test_pass_layout_matches_oracle_enumeration():
 
 def test_capture_draws_stay_lazy(monkeypatch, tmp_path):
     """fig5 at its defaults draws a small share of its pockets' passes: a
-    pocket that runs dry draws no further window.  Of the drawn passes only
-    those whose draw is below the capture probability look up their rank."""
+    pocket that runs dry draws no passes of a later block.  Of the drawn
+    passes only those whose draw is below the capture probability look up
+    their rank."""
     count = {"passes": 0, "draws": 0, "lookups": 0}
     layout, reader = transport._pass_layout, transport._stream_reader
 
     def counting_layout(*args):
-        passes, rank = layout(*args)
+        passes, rank, below = layout(*args)
         count["passes"] += int(passes.sum())
 
         def counting_rank(pk, k):
             count["lookups"] += np.size(pk)
             return rank(pk, k)
-        return passes, counting_rank
+        return passes, counting_rank, below
 
     def counting_reader(rng):
         read = reader(rng)
