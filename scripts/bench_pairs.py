@@ -5,12 +5,16 @@
         [--workload W ...] [--seed S]
 
 Each pair runs the unchanged `perfbench/run.py --workload W --trace 0` once
-on each side, one after the other: the change is this working tree, and
-the earlier side is REV's committed files, unpacked with `git archive`
-under `.bench_out/`.  The side that goes first alternates from pair to
-pair, so a drift in the host's speed falls on both sides alike.  run.py
-rewrites its `.bench_out/results-*.json` at every call, so each is copied
-under `.bench_out/pairs/` as soon as its run ends.
+on each side, one after the other.  Both sides run from a `git archive`
+snapshot unpacked under `.bench_out/`, in sibling directories whose paths
+have one length, because the directory alone moves `peak_rss_mb` by about
+1 %.  The earlier side is REV.  The change is `git stash create` of this
+working tree, or HEAD when the tree is clean; that snapshot holds the
+tracked files, staged new files included, but no untracked file.  The
+summary records each side's commit, tree and directory.  The side that
+goes first alternates from pair to pair, so a drift in the host's speed
+falls on both sides alike.  run.py rewrites its `results-*.json` at every
+call, so each is copied under `.bench_out/pairs/` as soon as its run ends.
 
 The output file holds, per workload and for each end-to-end metric of
 BENCHMARK.json plus the raw `run_s`: both sides' runs, median and
@@ -46,18 +50,26 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def checkout(rev: str) -> Path:
-    """REV's committed files under .bench_out/, unpacked once per commit."""
-    path = OUT / f"against-{rev[:12]}"
+def snapshot() -> str:
+    """The commit the change runs from: `git stash create` of the working
+    tree (it leaves the tree and the stash list as they are), or HEAD when
+    the tree is clean."""
+    return git("stash", "create") or git("rev-parse", "HEAD")
+
+
+def checkout(tree: str, side: str) -> Path:
+    """TREE's files under .bench_out/<side>-<tree>/, unpacked once per tree;
+    every side's name has six letters, so every such path has one length."""
+    path = OUT / f"{side}-{tree[:12]}"
     if not (path / "perfbench" / "run.py").is_file():
         shutil.rmtree(path, ignore_errors=True)
         path.mkdir(parents=True)
-        archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT,
+        archive = subprocess.Popen(["git", "archive", tree], cwd=ROOT,
                                    stdout=subprocess.PIPE)
         with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
             tar.extractall(path, filter="data")
         if archive.wait():
-            raise SystemExit(f"git archive {rev} failed")
+            raise SystemExit(f"git archive {tree} failed")
     return path
 
 
@@ -164,10 +176,15 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {name!r}; known: {', '.join(known)}")
 
     rev = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
-    roots = {"parent": checkout(rev), "change": ROOT}
+    revs = {"parent": rev, "change": snapshot()}
+    trees = {side: git("rev-parse", f"{revs[side]}^{{tree}}") for side in SIDES}
+    roots = {side: checkout(trees[side], side) for side in SIDES}
     label = f"{rev[:12]}-seed{args.seed}"
-    summary = {"against": rev, "change": "working tree at "
+    summary = {"against": rev, "change": "snapshot of the working tree at "
                + git("describe", "--always", "--dirty"),
+               "sides": {side: {"commit": revs[side], "tree": trees[side],
+                                "dir": str(roots[side].relative_to(ROOT))}
+                         for side in SIDES},
                "protocol": {"command": "python3 perfbench/run.py --workload W "
                                        f"--trace 0 --seed {args.seed}",
                             "run_seconds": bench["run_seconds"],

@@ -10,8 +10,6 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from sawsps.cascade import CascadeModel
 from sawsps.transport import LaserSpot, SawWave, SiteField, run_device
 
@@ -33,8 +31,7 @@ def main() -> int:
                           (model,) * 3)
         result = run_device(spot, sites, saw, saw.period_ns, args.pulses,
                             args.seed)
-        counts = np.bincount(result.photons["emitter_id"],
-                             minlength=len(sites)).tolist()
+        counts = result.site_photons.tolist()
         ratio = counts[2] / counts[1] if counts[1] else float("nan")
         rows.append([prob, counts[0], counts[1], counts[2], ratio])
         print(f"p = {prob:4.2f}: spot {counts[0]:6d}  7um {counts[1]:6d}  "

@@ -4,9 +4,7 @@ One event-driven sampler serves every caller: a dot is loaded with excitons
 at given times (pulse-aligned Poisson loads folded to the top level, or the
 captures of the transport device) and steps down the chain through
 sequential exponential waiting times, which is exact for a linear chain (no
-time-stepped propagation needed).  When every dot has one level and every
-load brings an exciton, the sampler emits in vector form, from the same
-waits and with the same photons.
+time-stepped propagation needed).
 """
 
 import csv
@@ -18,8 +16,8 @@ from ._csvfile import write_csv
 
 
 # One emitted photon per entry: when, which transition, from which emitter,
-# where.  Every photon stream is a 1-d array of this dtype: the sampler
-# returns one site by site (each site's by time), `run_device` sorts by time.
+# where.  Every photon stream is a 1-d array of this dtype: the sampler's is
+# site by site (each site's by time), a device run's by time.
 PHOTON_DTYPE = np.dtype([("time_ns", "f8"), ("transition", "O"),
                          ("emitter_id", "i8"), ("x_um", "f8"), ("y_um", "f8")])
 
@@ -52,14 +50,6 @@ def sample_cascade_from_loads(models, load_times, load_counts, rngs,
     Every draw either emits a photon or is cut short by the next load, so
     sum(min(count, levels)) plus one per load always suffices.  Photons come
     site by site, each site's in time order.
-
-    When every model has one level and every count is at least 1, each load
-    fills its dot and restarts its clock, so a site takes one wait per load:
-    its block is `standard_exponential(number of loads)`, the first draws of
-    the block above, and load j at t_j emits at t_j + tau * w_j exactly when
-    that is earlier than the site's next load (the last load's next is at
-    infinity).  This is the event loop's rule, evaluated for all loads at
-    once.
     """
     nsites = len(models)
     times = np.asarray(load_times, dtype=float)
@@ -86,20 +76,6 @@ def sample_cascade_from_loads(models, load_times, load_counts, rngs,
     chains = [((0.0, *m.lifetimes_ns), (None, *m.labels), m.num_levels)
               for m in models]
     counts = np.minimum(counts, np.array([c[2] for c in chains])[site])
-    if all(c[2] == 1 for c in chains) and counts.min() >= 1:
-        # load j of a site leaves on the site's wait j unless its next load
-        # comes first
-        waits = np.concatenate([rng.standard_exponential(n) for rng, n in zip(
-            rngs, np.bincount(site, minlength=nsites).tolist(), strict=True)])
-        t_emit = times + np.array([c[0][1] for c in chains])[site] * waits
-        next_load = np.append(np.where(site[1:] == site[:-1], times[1:],
-                                       math.inf), math.inf)
-        kept = t_emit < next_load
-        photons = stamp[site[kept]]
-        photons["time_ns"] = t_emit[kept]
-        photons["transition"] = np.array([c[1][1] for c in chains],
-                                         object)[site[kept]]
-        return photons
     need = np.bincount(site, counts + 1, nsites).astype(np.int64).tolist()
     blocks = [rng.standard_exponential(n).tolist()
               for rng, n in zip(rngs, need, strict=True)]

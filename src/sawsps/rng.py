@@ -5,10 +5,10 @@ all distinct within one scenario run:
 
     key                  draws                                  opened by
     (0, variant)         device pair counts and positions       run_device
-    (1, variant, rank)   cascade photons of the device site at  run_device,
+    (1, variant, rank)   cascade waits of the device site at    run_device,
                          encounter rank `rank`: one block of    through
-                         standard exponentials, the same values `substreams`
-                         as one scalar draw per emission step
+                         standard exponentials, one per load if `substreams`
+                         one-level, else the event loop's block
     (2,)                 g2 per-cycle photon times              g2_antibunching
     (3, variant)         device capture uniforms: pass k of     run_device
                          pocket i is draw O_i + k, O_i the

@@ -401,7 +401,7 @@ def _run_fig5(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     result = run_device(LaserSpot(**p["spot"]), sites, saw, period,
                         p["num_pulses"], cfg.master_seed)
 
-    per_site = np.bincount(result.photons["emitter_id"], minlength=len(sites))
+    per_site = result.site_photons
     write_csv(out / "site_emission.csv",
               ["site_id", "x_um", "y_um", "photons"],
               [np.arange(len(sites)), sites.x_um, sites.y_um, per_site])
@@ -463,10 +463,8 @@ def _run_fig7(cfg: ScenarioConfig, out: Path, threads: int) -> None:
         write_pgm(out / f"frame_{tag}.pgm", frame.counts)
         write_axes_csv(out / f"frame_{tag}_axes.csv", frame.row_centers_um,
                        frame.col_centers_nm)
-        counts = np.bincount(result.photons["emitter_id"],
-                             minlength=len(sites))
         write_csv(out / f"site_counts_{tag}.csv", ["site_id", "x_um", "photons"],
-                  [np.arange(n), sites.x_um, counts])
+                  [np.arange(n), sites.x_um, result.site_photons])
         if p["write_photons"]:
             write_photon_csv(out / f"photons_{tag}.csv", result.photons)
 

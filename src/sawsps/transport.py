@@ -4,7 +4,7 @@ Photogenerated electron-hole pairs snap to the extrema of the travelling
 piezoelectric potential (electrons and holes half a wavelength apart), ride
 it at the sound velocity v = f * lambda, and are captured into dot sites as
 they pass.  Excitons form when both species have arrived and each loaded dot
-runs its cascade through the stochastic emitter.
+runs its cascade (`_one_level_kept` for one level, else the emitter's sampler).
 
 The dots are one `SiteField`: a column per site property, a row per site,
 and the row is the site's id.  Pocket motion is ballistic and
@@ -24,15 +24,16 @@ probability.  With the wave off (amplitude 0) nothing is conveyed: each
 pair stays at its generation point and is captured there or recombines.
 """
 
+import functools
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cascade import CascadeModel
-from .emitter import sample_cascade_from_loads
+from .emitter import PHOTON_DTYPE, sample_cascade_from_loads
 from .rng import substream, substreams
 
 ELECTRON = "electron"
@@ -224,8 +225,25 @@ class DeviceLog:
 
 @dataclass
 class DeviceResult:
-    photons: np.ndarray  # of PHOTON_DTYPE, by time, ties in encounter order
+    site_photons: np.ndarray  # photons per site id
     log: DeviceLog
+    _build_photons: object = field(repr=False)
+
+    @functools.cached_property
+    def photons(self) -> np.ndarray:
+        """Of PHOTON_DTYPE, by time, ties in encounter order."""
+        return self._build_photons()
+
+
+def _one_level_kept(load_t, emit_t, site=None):
+    """Which loads of capacity-1 sites emit: load j, at emit_t[j], unless its
+    site's next load comes first and restarts the clock.  Each site's loads
+    (one site if `site` is None) are contiguous and in time order."""
+    kept = np.ones(load_t.size, bool)
+    np.less(emit_t[:-1], load_t[1:], out=kept[:-1])
+    if site is not None:
+        kept[:-1] |= site[1:] != site[:-1]
+    return kept
 
 
 def _stream_reader(rng):
@@ -451,10 +469,6 @@ def _nearest_covering(xs, pos, radius):
     return nearest
 
 
-def _zero() -> dict:
-    return {ELECTRON: 0, HOLE: 0}
-
-
 def _check_count(n, what: str) -> None:
     """A count must be an integer >= 1; a bool or a fraction is refused."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -477,10 +491,12 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
     site's capture probability, by the nearest site whose window covers its
     generation point, or else recombines there.  Each photon carries its
     emitting site's row as its id and the site's (x, y) as its position.
-    The loads (captures that form excitons) reach the sampler in the order
-    the kernel resolves them, site by site in encounter order and each
-    site's in time order, with no sort between.  The log holds the pulse
-    times and the carrier tallies; the captures themselves are not kept.
+    The loads (captures that form excitons) come site by site in encounter
+    order, each site's in time order, as the kernel resolves them.  If every
+    loaded site has one level, each takes one wait per load from its stream
+    and `_one_level_kept` picks the loads that emit, the sampler's photons
+    bit for bit, built on first read; else `sample_cascade_from_loads` runs.
+    The log holds the pulse times and the carrier tallies.
     The run is a pure function of its arguments; runs that differ only in
     `variant` draw from disjoint streams (see `rng`).
     """
@@ -499,7 +515,7 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
     pair_t, pair_x = draw_pairs(spot, saw, pulse_times,
                                 substream(master_seed, 0, variant))
     rng = substream(master_seed, 3, variant)
-    log = DeviceLog(pulse_times, _zero(), _zero(), _zero(), _zero())
+    log = DeviceLog(pulse_times, *(dict.fromkeys(SPECIES, 0) for _ in range(4)))
 
     if saw.amplitude == 0:
         uniform = rng.random(pair_t.size)
@@ -535,13 +551,36 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
     head = np.diff(load_rank, prepend=-1) != 0
     ranks, load_site = load_rank[head], np.cumsum(head) - 1
     loaded = site_ids[ranks]
-    photons = sample_cascade_from_loads(
-        [sites.models[i] for i in loaded.tolist()], load_time, load_n,
-        substreams(master_seed, 1, variant, ranks), load_site,
-        emitter_ids=loaded,
-        positions_um=np.stack([sites.x_um[loaded], sites.y_um[loaded]], 1))
-    photons = photons[np.argsort(photons["time_ns"], kind="stable")]
-    return DeviceResult(photons=photons, log=log)
+    models = [sites.models[i] for i in loaded.tolist()]
+    streams = substreams(master_seed, 1, variant, ranks)
+    if any(m.num_levels > 1 for m in models):
+        photons = sample_cascade_from_loads(
+            models, load_time, load_n, streams, load_site, emitter_ids=loaded,
+            positions_um=np.stack([sites.x_um[loaded], sites.y_um[loaded]], 1))
+        photons = photons[np.argsort(photons["time_ns"], kind="stable")]
+        site_photons = np.bincount(photons["emitter_id"], minlength=len(sites))
+        return DeviceResult(site_photons, log, lambda: photons)
+    # one wait per load, each site's drawn before the next stream is taken
+    bounds = np.flatnonzero(np.append(head, True)).tolist()
+    waits = np.empty(load_time.size)
+    for rng, a, b in zip(streams, bounds, bounds[1:]):
+        waits[a:b] = rng.standard_exponential(b - a)
+    t_emit = load_time + np.array([m.lifetimes_ns[0] for m in models])[
+        load_site] * waits
+    kept = _one_level_kept(load_time, t_emit, load_site)
+    t_emit, emitter = t_emit[kept], loaded[load_site[kept]]
+
+    def build():
+        order = np.argsort(t_emit, kind="stable")
+        ids = emitter[order]
+        photons = np.zeros(ids.size, PHOTON_DTYPE)
+        photons["time_ns"] = t_emit[order]
+        photons["transition"] = np.array(
+            [m.labels[0] for m in sites.models], object)[ids]
+        photons["emitter_id"] = ids
+        photons["x_um"], photons["y_um"] = sites.x_um[ids], sites.y_um[ids]
+        return photons
+    return DeviceResult(np.bincount(emitter, minlength=len(sites)), log, build)
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +612,14 @@ def per_cycle_emission_times(num_cycles: int, period_ns: float,
 
     The rng draws one uniform per cycle, and a cycle whose uniform is below
     the capture probability loads the dot; then it draws one exponential
-    wait per load.  A load emits after its wait unless the next load comes
-    first: that load fills the dot again and restarts its clock.  The last
-    load always emits.  This is `sample_cascade_from_loads`' one-level path,
-    bit for bit, with the loads at their cycle starts and the rng's state
-    after the uniforms as the site's stream.  The uniforms are drawn, and
-    the loads then walked, DRAW_BLOCK cycles at a time; all uniforms still
-    come before all waits, so the photons do not depend on that size.
-    Memory is one byte per cycle, the photons, and one block's temporaries;
-    the result is a view of an array sized for one photon per load, or a
-    copy of its filled part when fewer than half the loads emit, so it never
-    holds more than twice its photons.
+    wait per load, and `_one_level_kept`, `run_device`'s one-level rule,
+    keeps the loads whose photon leaves before the next load.  The uniforms
+    are drawn, and the loads then walked, DRAW_BLOCK cycles at a time; all
+    uniforms still come before all waits, so the photons do not depend on
+    that size.  Memory is one byte per cycle, the photons, and one block's
+    temporaries; the result is a view of an array sized for one photon per
+    load, or a copy of its filled part when fewer than half the loads emit,
+    so it never holds more than twice its photons.
     `num_cycles` must be an integer >= 1, and every bad argument raises
     `ValueError`.
     """
@@ -607,7 +643,7 @@ def per_cycle_emission_times(num_cycles: int, period_ns: float,
         # a block's last photon is written before its next load is known
         if n and out[n - 1] >= loads[0]:
             n -= 1
-        kept = times[np.append(times[:-1] < loads[1:], True)]
+        kept = times[_one_level_kept(loads, times)]
         out[n:n + kept.size] = kept
         n += kept.size
     return out[:n] if 2 * n >= out.size else out[:n].copy()

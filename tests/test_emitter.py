@@ -216,8 +216,9 @@ class TestEventDrivenLoads:
         return expected
 
     def test_one_level_batch_matches_scalar_draw_oracle(self):
-        # one-level dots loaded with at least one exciton each time take the
-        # vector path: load j emits on wait j unless the next load is first
+        # one-level dots loaded with at least one exciton each time, as a
+        # device run's are: load j emits on wait j unless the next load is
+        # first (run_device's own one-level path is pinned in test_transport)
         g = np.random.default_rng(31)
         models, schedules = [], []
         seen = {"above_top": 0, "equal_times": 0, "reload": 0}
@@ -232,16 +233,12 @@ class TestEventDrivenLoads:
             seen["equal_times"] += len(set(times)) < len(times)
             gaps = np.diff(times)
             seen["reload"] += bool(np.any(gaps < model.lifetimes_ns[0]))
-        stubs = [CountingStream() for _ in models]
-        sample_sites(models, schedules, stubs)
-        # one draw per load, in one call per site
-        assert [stub.sizes for stub in stubs] == [[len(s)] for s in schedules]
         for case in ("above_top", "equal_times", "reload"):
             assert seen[case] >= 20, case
         expected = self.assert_matches_oracle(models, schedules, 41)
         # some loads are cut short by the next one
         assert expected.size < sum(map(len, schedules))
-        # a zero count or a three-level site sends the batch through the loop
+        # and with a zero count or a three-level site among them
         i, j = [k for k, loads in enumerate(schedules) if loads][:2]
         zero = list(schedules)
         zero[i] = [(schedules[i][0][0], 0)] + schedules[i][1:]
@@ -256,7 +253,7 @@ class TestEventDrivenLoads:
         model = CascadeModel((0.5,))
         stub = CountingStream()
         recs = sample_cascade_from_loads([model], [0.0, 0.5], [1, 2], [stub])
-        assert stub.sizes == [2]
+        assert stub.calls == 1
         assert recs["time_ns"].tolist() == [1.0]
         assert recs["transition"].tolist() == [model.labels[0]]
         # just before the next load it still emits

@@ -284,9 +284,9 @@ SMALL = {
 }
 
 
-def streams_used(monkeypatch, tmp_path, name, seed):
+def streams_used(monkeypatch, tmp_path, name, seed, **changed):
     """(master_seed, *key) of every substream one run of a preset opens, on
-    its own or in a batch."""
+    its own or in a batch; `changed` overrides keys of its SMALL config."""
     keys = []
 
     def recording(master_seed, *key):
@@ -303,17 +303,34 @@ def streams_used(monkeypatch, tmp_path, name, seed):
     for module in (scenarios, transport):
         monkeypatch.setattr(module, "substream", recording)
     monkeypatch.setattr(transport, "substreams", recording_batch)
-    run_scenario(ScenarioConfig.preset(name, SMALL[name], master_seed=seed),
-                 tmp_path / f"{name}-{seed}")
+    run_scenario(ScenarioConfig.preset(name, {**SMALL[name], **changed},
+                                       master_seed=seed),
+                 tmp_path / "-".join([name, str(seed), *changed]))
     return keys
 
 
 class TestStreamKeys:
     def test_no_two_streams_of_a_run_share_a_key(self, monkeypatch, tmp_path):
         assert sorted(SMALL) == [name for name, _ in list_scenarios()]
+        opened = {}
         for name in SMALL:
-            keys = streams_used(monkeypatch, tmp_path, name, 7)
+            keys = opened[name] = streams_used(monkeypatch, tmp_path, name, 7)
             assert len(keys) == len(set(keys)), name
+        # fig5's photons are stamped from its kept loads when they are
+        # written: reading them opens no stream
+        assert streams_used(monkeypatch, tmp_path, "fig5_ensemble", 7,
+                            write_photons=True) == opened["fig5_ensemble"]
+
+    def test_fig5_counts_its_photons_without_the_sampler(self, monkeypatch,
+                                                          tmp_path):
+        def refuse(*args, **kw):
+            raise AssertionError("fig5 called the cascade sampler")
+        monkeypatch.setattr(transport, "sample_cascade_from_loads", refuse)
+        manifest = run_scenario(ScenarioConfig.preset("fig5_ensemble"),
+                                tmp_path / "fig5")
+        assert {f["name"] for f in manifest["files"]} == {
+            "site_emission.csv", "depletion_stats.csv", "pl_image.pgm",
+            "pl_image_axes.csv"}
 
     def test_fig5_opens_one_stream_per_loaded_site(self, monkeypatch,
                                                    tmp_path):

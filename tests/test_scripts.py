@@ -167,6 +167,45 @@ def test_bench_pairs_summary():
     assert one["median_gap_over_parent_iqr"] is None
 
 
+def test_bench_pairs_runs_both_sides_from_snapshots(tmp_path, monkeypatch):
+    # in a scratch repository: the change side is a snapshot of the tracked
+    # files, a staged new file included, or HEAD once the tree is clean; the
+    # working tree is left as it was, and both sides unpack to paths of one
+    # length
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "OUT", tmp_path / ".bench_out")
+    for who in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{who}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{who}_EMAIL", "bench@example.invalid")
+    run_py = tmp_path / "perfbench" / "run.py"
+    run_py.parent.mkdir()
+    run_py.write_text("old\n")
+    bench.git("init", "-q")
+    bench.git("add", "-A")
+    bench.git("commit", "-q", "-m", "parent")
+    parent = bench.git("rev-parse", "HEAD")
+    assert bench.snapshot() == parent
+    run_py.write_text("new\n")
+    (tmp_path / "staged.txt").write_text("staged\n")
+    bench.git("add", "staged.txt")
+    (tmp_path / "untracked.txt").write_text("untracked\n")
+    status = bench.git("status", "--porcelain")
+    change = bench.snapshot()
+    assert change != parent and bench.git("status", "--porcelain") == status
+    assert bench.git("stash", "list") == ""
+    roots = {side: bench.checkout(bench.git("rev-parse", f"{rev}^{{tree}}"),
+                                  side)
+             for side, rev in (("parent", parent), ("change", change))}
+    assert roots["parent"].parent == roots["change"].parent == bench.OUT
+    assert len(str(roots["parent"])) == len(str(roots["change"]))
+    assert (roots["parent"] / "perfbench" / "run.py").read_text() == "old\n"
+    assert (roots["change"] / "perfbench" / "run.py").read_text() == "new\n"
+    assert (roots["change"] / "staged.txt").is_file()
+    assert not (roots["change"] / "untracked.txt").exists()
+    assert run_py.read_text() == "new\n"
+
+
 # the tail of a Tier-1 run as pytest prints it with -q and --durations=5
 PYTEST_TAIL = """\
 ........................................................................ [ 98%]

@@ -19,7 +19,7 @@ from sawsps.transport import (ELECTRON, HOLE, SPECIES, LaserSpot, SawWave,
                               pocket_lattice_position, run_device,
                               uniform_site_field)
 from oracles import arrival_delay, one_shot_emission_times, run_with_rows
-from test_emitter import reference_cascade
+from test_emitter import CountingStream, reference_cascade
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
 SAW = SawWave(193.0, 15.0)
@@ -752,7 +752,7 @@ def test_kernel_matches_event_loop_oracle(window, monkeypatch):
         seen["direction"].add(saw.direction)
         site = site_rows(sites)  # by id
         seen["capacity"].update(s.capacity for s in site)
-        # photons of one-level sites only: the sampler's vector path
+        # photons of one-level sites only: run_device's one-level path
         loaded = {load[1] for load in loads}
         seen["one_level"] += bool(loaded) and all(
             site[i].capacity == 1 for i in loaded)
@@ -800,6 +800,99 @@ def test_kernel_matches_event_loop_oracle_on_fig7_device(direction):
     assert_same_photons(got[3], photons)
     per_site = np.bincount([c[1] for c in captures], minlength=len(sites))
     assert per_site.max() > 1024
+
+
+def test_site_photons_count_the_photons(monkeypatch):
+    """`site_photons` is the photons' count per site id, whichever of the two
+    is read first.  Reading the photons opens no stream: a one-level run
+    stamps them from its kept loads, and any other run's sampler has drawn
+    them before `run_device` returns."""
+    def refuse(*args):
+        raise AssertionError("a stream was opened")
+
+    runs = [(*random_device(seed), seed) for seed in range(60)] + [
+        (*simple_layout(positions, pairs=pairs), saw, saw.period_ns, 50, 3)
+        for positions, pairs in (((), 2.0), ((0.0, -7.0), 0.0))
+        for saw in (SawWave(193.0, 15.0, amplitude=a, direction=-1)
+                    for a in (0.0, 1.0))]
+    levels, wave_off = set(), 0
+    for run in runs:
+        sites = run[1]
+        results = [run_device(*run), run_device(*run)]
+        with monkeypatch.context() as patch:
+            for name in ("substream", "substreams"):
+                patch.setattr(transport, name, refuse)
+            counts = results[0].site_photons
+            photons = results[0].photons
+            assert_same_photons(results[1].photons, photons)
+            other = results[1].site_photons
+        assert results[0].photons is photons
+        expected = np.bincount(photons["emitter_id"], minlength=len(sites))
+        assert counts.tolist() == other.tolist() == expected.tolist()
+        emitting = {sites.models[i].num_levels for i in np.flatnonzero(counts)}
+        levels.add(max(emitting, default=0))
+        wave_off += run[2].amplitude == 0 and bool(emitting)
+    assert levels == {0, 1, 3} and wave_off >= 5
+
+
+def counting_streams(stubs):
+    """A stand-in for `substreams`: a `CountingStream` per key, each taken
+    only once the one before it has drawn."""
+    def batch(master_seed, *key):
+        for _ in np.ravel(key[-1]):
+            assert not stubs or stubs[-1].calls
+            stubs.append(CountingStream())
+            yield stubs[-1]
+    return batch
+
+
+def test_one_level_path_takes_one_wait_per_load(monkeypatch):
+    # every wait is 1.  With the wave off and one site that captures every
+    # pair at its pulse, a load emits 4 ns later unless a pair of the same
+    # or the next pulse (4 ns later, exactly when the photon would leave)
+    # loads the dot first
+    stubs = []
+    monkeypatch.setattr(transport, "substreams", counting_streams(stubs))
+    model = CascadeModel((4.0,))
+    saw = SawWave(193.0, 15.0, amplitude=0.0)
+    spot = LaserSpot(0.0, 0.01, 1.0)
+    res = run_device(spot, line_sites((0.0,), 1.0, model=model), saw, 4.0,
+                     400, 9)
+    loads, _ = draw_pairs(spot, saw, res.log.pulse_times, substream(9, 0, 0))
+    assert [stub.sizes for stub in stubs] == [[loads.size]]
+    after = loads + 4.0
+    kept = after < np.append(loads[1:], math.inf)
+    assert res.photons["time_ns"].tolist() == after[kept].tolist()
+    assert set(res.photons["transition"].tolist()) == {model.labels[0]}
+    assert res.site_photons.tolist() == [np.count_nonzero(kept)]
+    cut_at_next_pulse = loads[1:] == after[:-1]
+    assert cut_at_next_pulse.sum() >= 20 and np.count_nonzero(kept) >= 20
+    # conveyed to several one-level sites: one call per loaded site, in
+    # encounter order, of one wait per load
+    one_level = CascadeModel((0.7,))
+    seen = 0
+    for seed in range(40):
+        spot, sites, saw, period, pulses = random_device(seed)
+        if saw.amplitude == 0:
+            continue
+        sites = SiteField(sites.x_um, sites.y_um, sites.capture_radius_um,
+                          sites.capture_prob, (one_level,) * len(sites))
+        stubs.clear()
+        res, _, loads = run_with_rows(spot, sites, saw, period, pulses, seed)
+        per_site = np.bincount([site for _, site, _ in loads],
+                               minlength=len(sites))
+        order = np.argsort(saw.direction * sites.x_um, kind="stable")
+        assert [stub.sizes for stub in stubs] == [
+            [n] for n in per_site[order].tolist() if n]
+        # a site's load emits 0.7 ns later unless its next load comes first
+        emitted = np.zeros(len(sites), np.int64)
+        for site in np.flatnonzero(per_site):
+            times = np.array([t for t, i, _ in loads if i == site])
+            emitted[site] = np.count_nonzero(
+                times + 0.7 < np.append(times[1:], math.inf))
+        assert res.site_photons.tolist() == emitted.tolist()
+        seen += np.count_nonzero(per_site) > 1
+    assert seen >= 10
 
 
 def test_draw_block_never_shows(monkeypatch):
