@@ -17,51 +17,11 @@ from .cascade import Transient
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # = 2.3548...
 HC_MEV_NM = 1.23984198e6  # h*c in meV * nm
 
-# render_pl_image takes the erf of about SPLAT_BLOCK pixel edges at once and
-# splats positions in blocks of about SPLAT_BLOCK pixel values (512 KB),
-# which bounds its temporaries; the block size does not show in the image.
+# render_pl_image splats its emitters SPLAT_BLOCK // (pixel count) at a
+# time, at least one, so its temporaries hold about SPLAT_BLOCK pixel values
+# (512 KB) however many emitters there are; the block size does not show in
+# the image.
 SPLAT_BLOCK = 1 << 16
-
-# _erf ports fdlibm's s_erf.c (Sun Microsystems, 1993), whose algorithm and
-# coefficients glibc and musl also use.  Its regions of |x| end at these
-# bounds: below 2**-1015 and below 2**-28 erf is (1 + efx) * x, below
-# 0.84375 it is a rational function of x**2, below 1.25 one of |x| - 1,
-# below the double whose high word is 0x4006DB6E (about 1 / 0.35) and below
-# 6 one of 1 / x**2 inside an exp, and from 6 on erf rounds to 1.
-_ERF_BOUNDS = np.array((2.0 ** -1015, 2.0 ** -28, 0.84375, 1.25,
-                        2.8571434020996094, 6.0))
-_ERF_EFX = 1.28379167095512586316e-01
-_ERF_EFX8 = 1.02703333676410069053e+00
-_ERF_ERX = 8.45062911510467529297e-01
-_ERF_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
-           -2.84817495755985104766e-02, -5.77027029648944159157e-03,
-           -2.37630166566501626084e-05)
-_ERF_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
-           5.08130628187576562776e-03, 1.32494738004321644526e-04,
-           -3.96022827877536812320e-06)
-_ERF_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01,
-           -3.72207876035701323847e-01, 3.18346619901161753674e-01,
-           -1.10894694282396677476e-01, 3.54783043256182359371e-02,
-           -2.16637559486879084300e-03)
-_ERF_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
-           7.18286544141962662868e-02, 1.26171219808761642112e-01,
-           1.36370839120290507362e-02, 1.19844998467991074170e-02)
-_ERF_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
-           -1.05586262253232909814e+01, -6.23753324503260060396e+01,
-           -1.62396669462573470355e+02, -1.84605092906711035994e+02,
-           -8.12874355063065934246e+01, -9.81432934416914548592e+00)
-_ERF_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
-           4.34565877475229228821e+02, 6.45387271733267880336e+02,
-           4.29008140027567833386e+02, 1.08635005541779435134e+02,
-           6.57024977031928170135e+00, -6.04244152148580987438e-02)
-_ERF_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
-           -1.77579549177547519889e+01, -1.60636384855821916062e+02,
-           -6.37566443368389627722e+02, -1.02509513161107724954e+03,
-           -4.83519191608651397019e+02)
-_ERF_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
-           1.53672958608443695994e+03, 3.19985821950859553908e+03,
-           2.55305040643316442583e+03, 4.74528541206955367215e+02,
-           -2.24409524465858183362e+01)
 
 
 @dataclass(frozen=True)
@@ -223,75 +183,16 @@ def whole_bins(extent: tuple, width: float) -> bool:
     return round(n) >= 1 and abs(n - round(n)) <= 1e-9 * n
 
 
-def _horner(z, coeffs):
-    """coeffs[0] + z * (coeffs[1] + z * (...)), rounded step by step from
-    the innermost product out, as the C expression is."""
-    acc = z * coeffs[-1]
-    for c in coeffs[-2:0:-1]:
-        acc += c
-        acc *= z
-    acc += coeffs[0]
-    return acc
-
-
-def _erf_near_zero(a):
-    """erf(a) for 2**-28 <= a < 0.84375: a + a * P(a**2) / Q(a**2)."""
-    z = a * a
-    y = _horner(z, _ERF_PP)
-    y /= _horner(z, _ERF_QQ)
-    y *= a
-    y += a
-    return y
-
-
-def _erf_near_one(a):
-    """erf(a) for 0.84375 <= a < 1.25: erx + P(a - 1) / Q(a - 1)."""
-    s = a - 1.0
-    y = _horner(s, _ERF_PA)
-    y /= _horner(s, _ERF_QA)
-    y += _ERF_ERX
-    return y
-
-
-def _erf_tail(a, r, s):
-    """erf(a) for 1.25 <= a < 6: 1 - exp(-a**2 - 0.5625 + R/S) / a, with
-    R/S = r/s of 1 / a**2.  -a**2 is split as -z**2 + (z - a) * (z + a),
-    where z is a with its low 32 bits cleared, so z**2 is exact."""
-    t = 1.0 / (a * a)
-    z = (a.view(np.uint64) & _ERF_HIGH_WORD).view(np.float64)
-    q = _horner(t, r)
-    q /= _horner(t, s)
-    q += (z - a) * (z + a)
-    e = np.exp(-z * z - 0.5625)
-    e *= np.exp(q)
-    e /= a
-    return 1.0 - e
-
-
-_ERF_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
-# one function per region of _ERF_BOUNDS, in order
-_ERF_REGIONS = (lambda a: 0.125 * (8.0 * a + _ERF_EFX8 * a),
-                lambda a: a + _ERF_EFX * a,
-                _erf_near_zero,
-                _erf_near_one,
-                lambda a: _erf_tail(a, _ERF_RA, _ERF_SA),
-                lambda a: _erf_tail(a, _ERF_RB, _ERF_SB))
-
-
 def _erf(x):
-    """erf of a float64 array, elementwise: a numpy port of fdlibm's s_erf.c,
-    within 1 ulp of the exact value.  Each region is evaluated on |x| and
-    takes the sign of x (fdlibm's erf is exactly odd), so erf(-0.0) is -0.0;
-    NaN stays NaN."""
+    """erf of a float64 array, elementwise, from `math.erf`.  From |x| = 6
+    on, where erf rounds to +-1 (fdlibm's own cut), it is the sign of x, so
+    only the pixel edges near an emitter cost a Python call.  Odd, with
+    erf(-0.0) = -0.0; NaN stays NaN."""
     x = np.asarray(x, dtype=np.float64)
-    a = np.abs(x).ravel()
-    out = np.minimum(a, 1.0)  # 1 from |x| = 6 on
-    region = np.searchsorted(_ERF_BOUNDS, a, side="right")
-    for k, f in enumerate(_ERF_REGIONS):
-        at = np.flatnonzero(region == k)
-        if at.size:
-            out[at] = f(a[at])
-    return np.copysign(out.reshape(x.shape), x)
+    near = np.abs(x) < 6.0
+    out = np.sign(x, out=np.empty_like(x))
+    out[near] = np.fromiter(map(math.erf, x[near].tolist()), np.float64)
+    return out
 
 
 @dataclass(frozen=True)
@@ -311,17 +212,16 @@ def render_pl_image(x_um, y_um, counts, psf_sigma_um: float, pixel_um: float,
 
     Pixel values are exact Gaussian integrals (products of erf differences),
     so the total intensity equals the photon count for emitters away from the
-    image edges.  The erf is `_erf`, a numpy port of fdlibm's (within 1 ulp),
-    so rendering needs numpy alone.  The emitters are splatted in the order
-    given: one erf call per axis gives every edge of a chunk of emitters,
-    about SPLAT_BLOCK edges in all, and the chunk is splatted SPLAT_BLOCK
-    pixel values at a time, each emitter's count-weighted outer product
-    added to the image in turn, so the sums round as they would one emitter
-    at a time.  Temporaries stay within a chunk, however many emitters
-    there are.  Raises ValueError for a PSF sigma or `pixel_um` that is not
-    finite and > 0, a non-increasing extent axis, a `pixel_um` that does not
-    divide each axis into whole pixels (the last pixel would stop short of
-    the extent), columns that are not 1-d and of one length, a non-finite
+    image edges.  The erf is `math.erf` (`_erf`), so rendering needs numpy
+    alone.  The emitters are splatted in the order given, SPLAT_BLOCK //
+    (pixel count) at a time: each step takes the erf of its own emitters'
+    pixel edges and adds each emitter's count-weighted outer product to the
+    image in turn, so the sums round as they would one emitter at a time
+    and temporaries stay within a step, however many emitters there are.
+    Raises ValueError for a PSF sigma or `pixel_um` that is not finite and
+    > 0, a non-increasing extent axis, a `pixel_um` that does not divide
+    each axis into whole pixels (the last pixel would stop short of the
+    extent), columns that are not 1-d and of one length, a non-finite
     position or a count that is not finite and >= 0.
     """
     if not 0 < psf_sigma_um < math.inf:
@@ -346,19 +246,16 @@ def render_pl_image(x_um, y_um, counts, psf_sigma_um: float, pixel_um: float,
     img = np.zeros((ny, nx))
 
     root2s = math.sqrt(2.0) * psf_sigma_um
-    chunk = max(SPLAT_BLOCK // (x_edges.size + y_edges.size), 1)
     step = max(SPLAT_BLOCK // img.size, 1)
-    for a in range(0, x.size, chunk):
-        ex = _erf((x_edges - x[a:a + chunk, None]) / root2s)
-        ey = _erf((y_edges - y[a:a + chunk, None]) / root2s)
+    for a in range(0, x.size, step):
+        ex = _erf((x_edges - x[a:a + step, None]) / root2s)
+        ey = _erf((y_edges - y[a:a + step, None]) / root2s)
         gx = 0.5 * (ex[:, 1:] - ex[:, :-1])
         gy = 0.5 * (ey[:, 1:] - ey[:, :-1])
-        wa = w[a:a + chunk, None, None]
-        for b in range(0, len(wa), step):
-            terms = gy[b:b + step, :, None] * gx[b:b + step, None, :]
-            terms *= wa[b:b + step]
-            for term in terms:
-                img += term
+        terms = gy[:, :, None] * gx[:, None, :]
+        terms *= w[a:a + step, None, None]
+        for term in terms:
+            img += term
     return PlImage(x_edges, y_edges, img)
 
 
