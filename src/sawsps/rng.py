@@ -10,10 +10,10 @@ all distinct within one scenario run:
                          standard exponentials, one per load if `substreams`
                          one-level, else the event loop's block
     (2,)                 g2 per-cycle photon times              g2_antibunching
-    (3, variant)         device capture uniforms: pass k of     run_device
-                         pocket i is draw O_i + k, O_i the
-                         passes of the pockets born before
-                         it, read by offset
+    (3, variant)         device capture uniforms, one per       run_device
+                         pocket-site pass, site by site in
+                         encounter order, drawn a block of
+                         sites at a time
     (7, variant)         fig7 spectral frame of a SAW variant   fig7_remote
     (10 + gi, block)     fig3 start levels of pump index gi     fig3_power_series
     (99,)                fig5 dot field                         fig5_ensemble

@@ -9,19 +9,19 @@ runs its cascade (`_one_level_kept` for one level, else the emitter's sampler).
 The dots are one `SiteField`: a column per site property, a row per site,
 and the row is the site's id.  Pocket motion is ballistic and
 dispersionless, so geometry alone fixes which sites a pocket passes and
-when, and so the draw of the capture stream each pass reads (pocket by
-pocket in birth order).  Only the passes whose uniform succeeds (hits) can
-change a pocket or a site; `capture_pass` states the rule of one pass.  The
-device kernel takes the sites in encounter order (a stable sort of
-direction * x); a site's hits, in order of crossing time and pocket, walk
-its held carriers, and one clamp-add prefix scan resolves all of them, or
-all of a run of sites whose pocket counts are known at its start.  The
-kernel sweeps the sites in blocks of ranks: before each block a pocket
-that still holds carriers reads its passes at the block's ranks, by
-offset.  Only a draw below the largest capture probability can hit, so
-only those draws are given their site rank and compared with that site's
-probability.  With the wave off (amplitude 0) nothing is conveyed: each
-pair stays at its generation point and is captured there or recombines.
+when, and so the draw of the capture stream each pass reads (site by site
+in encounter order, `_rank_layout`).  Only the passes whose uniform
+succeeds (hits) can change a pocket or a site; `capture_pass` states the
+rule of one pass.  The device kernel takes the sites in encounter order (a
+stable sort of direction * x); a site's hits, in order of crossing time and
+pocket, walk its held carriers, and one clamp-add prefix scan resolves all
+of them, or all of a run of sites whose pocket counts are known at its
+start.  The kernel sweeps the sites in blocks of ranks, each drawing the
+next stretch of the stream, its ranks' passes, in one call.  Only a draw
+below the largest capture probability can hit, so only those draws are
+given their pocket and site and compared with that site's probability.
+With the wave off (amplitude 0) nothing is conveyed: each pair stays at its
+generation point and is captured there or recombines.
 """
 
 import functools
@@ -127,15 +127,12 @@ class SiteField:
 POCKET_DTYPE = np.dtype([("species", "i1"), ("count", "i8"),
                          ("position_um", "f8"), ("birth_time_ns", "f8")])
 
-# The device kernel sweeps the sites DRAW_WINDOW ranks at a time: before each
-# block a pocket that still holds carriers reads its passes at the block's
-# ranks, in calls over pockets that hold about DRAW_BLOCK passes, which bounds
-# memory.  Each pass reads its own draw of the stream by offset, so neither
-# size shows in the outputs.  `per_cycle_emission_times` draws and walks its
-# cycles DRAW_BLOCK at a time; consecutive draws continue one stream, so that
-# size does not show either.
+# The device kernel sweeps the sites in blocks of ranks whose passes number
+# at most DRAW_BLOCK (or of one rank), which bounds memory, and
+# `per_cycle_emission_times` draws and walks its cycles DRAW_BLOCK at a time.
+# Each draws the next stretch of one stream, so the size does not show in the
+# outputs.
 DRAW_BLOCK = 1 << 16
-DRAW_WINDOW = 256
 # The kernel resolves a run of sites in one scan, and looks for the run's end
 # at most SCAN_HITS hits past its first site, which bounds that search.  Any
 # run gives the same outputs.
@@ -246,28 +243,16 @@ def _one_level_kept(load_t, emit_t, site=None):
     return kept
 
 
-def _stream_reader(rng):
-    """`read(j, n)`: draws j to j + n - 1 of the stream of `rng`, a numpy
-    Philox generator, wherever it stands.  Philox makes block b of four
-    words at counter b + 1, and a double takes one word."""
-    bits, state = rng.bit_generator, rng.bit_generator.state
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+def _rank_layout(s0, sp, radius):
+    """`starts`, where the passes at each site rank begin in the capture
+    stream (and, last, their total), and `passer(j)`, the (pocket, rank) of
+    pass j, elementwise.
 
-    def read(j, n):
-        state["state"]["counter"][:] = (j // 4, 0, 0, 0)
-        bits.state = state
-        return rng.random(j % 4 + n)[j % 4:]
-    return read
-
-
-def _pass_layout(s0, sp, radius):
-    """The number of passes of each pocket, `rank(pk, k)`, the site rank of
-    pass k of pocket pk, and `below(pk, r)`, how many passes of pocket pk
-    lie at ranks below r (0 <= r <= the number of sites), elementwise.
-
-    A pocket passes, in rank order, the sites behind its birth point whose
-    window still covers it (s0 <= sp + radius), then every site from its
-    birth point on.
+    A pocket passes the sites behind its birth point whose window still
+    covers it (s0 <= sp + radius: its band), and every site from its birth
+    point on (rank >= m, m the number of sites strictly behind it).  At
+    rank r come first the pockets with m <= r, by (m, birth index), then
+    the pockets whose band holds r, by birth index.
     """
     m = np.searchsorted(sp, s0)
     # behind s0 only ranks past s0 - radius can cover it, each checked; the
@@ -277,21 +262,23 @@ def _pass_layout(s0, sp, radius):
     pk = np.repeat(np.arange(s0.size), size)
     back = np.arange(pk.size) + np.repeat(m - np.cumsum(size), size)
     ok = s0[pk] <= sp[back] + radius[back]
-    n_back = np.bincount(pk[ok], minlength=s0.size)
-    # the band's passes keyed by (pocket, rank), in order
-    key = pk[ok] * sp.size + back[ok]
-    # a pocket's band ends at stop in back; a pass past the band reads
-    # back[stop - 1] (a rank, or the trailing 0) and discards it
-    back, stop = np.append(back[ok], 0), np.cumsum(n_back)
+    # the band's pockets by (rank, pocket), and a trailing 0 that a pass
+    # outside the band reads and discards
+    back = back[ok]
+    band = np.append(pk[ok][np.argsort(back, kind="stable")], 0)
+    n_band = np.bincount(back, minlength=sp.size)
+    by_m = np.argsort(m, kind="stable")
+    n_on = np.searchsorted(m[by_m], np.arange(sp.size), side="right")
+    starts = np.append(0, np.cumsum(n_on + n_band))
+    band_at = np.cumsum(n_band) - n_band
 
-    def rank(pk, k):
-        k = k - n_back[pk]  # < 0 in the band behind s0
-        return np.where(k < 0, back[stop[pk] + np.minimum(k, -1)], m[pk] + k)
-
-    def below(pk, r):
-        return (np.searchsorted(key, pk * sp.size + r) - stop[pk] + n_back[pk]
-                + np.maximum(r - m[pk], 0))
-    return n_back + sp.size - m, rank, below
+    def passer(j):
+        r = np.searchsorted(starts, j, side="right") - 1
+        i = j - starts[r]
+        k = i - n_on[r]  # >= 0 in the band
+        return np.where(k < 0, by_m[np.minimum(i, s0.size - 1)],
+                        band[band_at[r] + np.maximum(k, 0)]), r
+    return starts, passer
 
 
 def _crossing(born, s0, sp, v):
@@ -321,7 +308,7 @@ def _clamp_add_scan(d, lo, hi):
 
 def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     """Conveyed pockets through the sites (columns in encounter order), a
-    block of DRAW_WINDOW ranks at a time, and in a block site by site.  A
+    block of ranks at a time, and in a block site by site.  A
     pocket's count changes only at its own hits (passes whose capture draw
     succeeds), which come in rank order, and a site's held carriers only at
     that site's hits, in (time, pocket) order; so the run is the one a
@@ -340,13 +327,14 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     carriers, and as many of them form excitons as the other species held
     before it.
 
-    Pass k of pocket i reads draw O_i + k of `rng`'s stream, where O_i
-    counts the passes of the pockets born before it.  Before each block, a
-    pocket that still holds carriers reads its passes at the block's ranks,
-    so every hit of a block is drawn in it, in (pocket, rank) order.  The
-    draws are first compared with the largest capture probability; only
-    those below it are ranked and compared with their site's, which gives
-    the same hits.
+    The passes take `rng`'s stream rank by rank (`_rank_layout`).  A block
+    is the run of ranks whose passes fit in DRAW_BLOCK, or one rank, and it
+    draws them in one call.  The draws are first compared with the largest
+    capture probability; only those below it are given their (pocket, rank)
+    and compared with their site's, which gives the same hits.  A hit of a
+    pocket run dry before the block changes nothing, so it is dropped, and
+    the sweep stops once no pocket holds carriers.  The block's hits, sorted
+    stably by pocket, come pocket by pocket, each pocket's in rank order.
 
     Returns the pocket counts left and the captures as columns (time,
     pocket, rank, carriers moved, excitons formed), in the order the blocks
@@ -363,31 +351,9 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     # (pocket, rank, carriers moved, excitons formed) of each capture, by block
     caps = [np.zeros((4, 0), np.int64)]
     if n and sp.size:  # else no pocket passes a site
-        passes, rank_at, below = _pass_layout(s0, sp, radius)
-        offset = np.cumsum(passes) - passes
-        read = _stream_reader(rng)
+        starts, passer = _rank_layout(s0, sp, radius)
         p_eff = prob * saw.amplitude
         p_max = p_eff.max()
-
-        def draw(pks, first, take):
-            """Draw passes first to first + take - 1 of each pocket of `pks`:
-            (pocket, rank) of their hits."""
-            at = offset[pks] + first  # where each pocket's draws start
-            # pockets whose draws follow on in the stream share one read
-            calls = np.flatnonzero(np.append(True, at[1:] != at[:-1] + take[:-1]))
-            u = np.concatenate([read(j, c) for j, c in zip(
-                at[calls].tolist(), np.add.reduceat(take, calls).tolist())])
-            # only a draw below the largest probability can hit: rank those
-            # (draw i of the read, of pocket w, is pass i + base[w])
-            ends = np.cumsum(take)
-            cand = np.flatnonzero(u < p_max)
-            w = np.searchsorted(ends, cand, side="right")
-            base = first - ends + take
-            pk = pks[w]
-            rank = rank_at(pk, cand + base[w])
-            hit = u[cand] < p_eff[rank]
-            return pk[hit], rank[hit]
-
         rank_type = np.min_scalar_type(sp.size)
 
         def resolve(pk, rank):
@@ -436,17 +402,20 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
             formed = np.minimum(moved, np.maximum(-step * before, 0))
             return np.stack([pk, rank, moved, formed])
 
-        for lo in range(0, sp.size, DRAW_WINDOW):
-            # a pocket that still holds carriers draws its passes in the block
-            pks = np.flatnonzero(counts > 0)
-            first = below(pks, lo)
-            take = below(pks, min(lo + DRAW_WINDOW, sp.size)) - first
-            some = take > 0
-            pks, first, take = pks[some], first[some], take[some]
-            groups = np.flatnonzero(np.diff(np.cumsum(take) // DRAW_BLOCK)) + 1
-            caps.append(resolve(*np.concatenate([np.zeros((2, 0), np.int64)] + [
-                draw(*group) for group in zip(*(np.split(c, groups) for c in (
-                    pks, first, take))) if group[0].size], axis=1)))
+        lo = 0
+        while lo < sp.size and counts.any():
+            # the block: the ranks whose passes fit in DRAW_BLOCK, at least one
+            hi = max(np.searchsorted(starts, starts[lo] + DRAW_BLOCK, "right") - 1,
+                     lo + 1)
+            u = rng.random(starts[hi] - starts[lo])
+            # only a draw below the largest probability can hit: look those up
+            cand = np.flatnonzero(u < p_max)
+            pk, rank = passer(cand + starts[lo])
+            hit = (u[cand] < p_eff[rank]) & (counts[pk] > 0)
+            pk, rank = pk[hit], rank[hit]
+            order = np.argsort(pk, kind="stable")
+            caps.append(resolve(pk[order], rank[order]))
+            lo = hi
     caps = np.concatenate(caps, axis=1)
     pk, rank = caps[:2]
     return counts, (_crossing(born[pk], s0[pk], sp[rank], v), *caps)

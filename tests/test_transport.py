@@ -2,6 +2,7 @@ import heapq
 import math
 import tracemalloc
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sawsps.transport import (ELECTRON, HOLE, SPECIES, LaserSpot, SawWave,
                               uniform_site_field)
 from oracles import arrival_delay, one_shot_emission_times, run_with_rows
 from test_emitter import CountingStream, reference_cascade
+from test_golden import output_hashes
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
 SAW = SawWave(193.0, 15.0)
@@ -563,12 +565,22 @@ class KeyedUniform:
 
 
 def reference_passes(pockets, sites, saw):
-    """Every (pocket, rank) pass the geometry allows, pocket by pocket in
-    birth order and by rank within a pocket: the order of the capture draws.
-    `sites` are in encounter order."""
+    """Every (pocket, rank) pass the geometry allows, in the order of the
+    capture draws: rank by rank, and at rank r first the pockets with
+    m <= r, by (m, birth index), m the number of sites strictly behind the
+    pocket's birth point, then the pockets born past the site whose window
+    covers them, by birth index.  `sites` are in encounter order."""
     d = saw.direction
-    return [(i, r) for i, pk in enumerate(pockets) for r, s in enumerate(sites)
-            if d * pk.position_um <= d * s.position_um + s.capture_radius_um]
+    s0 = [d * pk.position_um for pk in pockets]
+    sp = [d * s.position_um for s in sites]
+    m = [sum(x < s for x in sp) for s in s0]
+    passes = []
+    for r, site in enumerate(sites):
+        on = sorted((m[i], i) for i in range(len(pockets)) if m[i] <= r)
+        passes += [(i, r) for _, i in on]
+        passes += [(i, r) for i in range(len(pockets))
+                   if m[i] > r and s0[i] <= sp[r] + site.capture_radius_um]
+    return passes
 
 
 def reference_device(spot, sites, saw, period, num_pulses, seed, variant=0):
@@ -576,8 +588,8 @@ def reference_device(spot, sites, saw, period, num_pulses, seed, variant=0):
     `capture_pass` per pocket-site pass, pulses interleaved in time.  Ties
     between passes at one instant go by pocket birth index, then rank.
     Pair draws are `draw_pairs`' and `launch_pockets`'; the capture uniform
-    of a pass is the run's, laid out pocket by pocket in birth order, one per
-    pass the geometry allows.  Returns the run's outputs as plain values."""
+    of a pass is the run's, one per pass the geometry allows, in the order
+    of `reference_passes`.  Returns the run's outputs as plain values."""
     d, v = saw.direction, saw.velocity_um_per_ns
     sites = sorted(site_rows(sites), key=lambda s: d * s.position_um)
     s_pos = [d * s.position_um for s in sites]
@@ -718,12 +730,12 @@ def random_device(seed):
     return spot, sites, saw, period, pulses
 
 
-# at the default window a random layout's sites fit in one block; at 2 a
-# layout of more than two sites spans several blocks
-@pytest.mark.parametrize("window", [transport.DRAW_WINDOW, 2],
+# at the default block a random layout's passes fit in one block; at 2 a
+# layout of more than one site spans several blocks
+@pytest.mark.parametrize("block", [transport.DRAW_BLOCK, 2],
                          ids=["default", "2"])
-def test_kernel_matches_event_loop_oracle(window, monkeypatch):
-    monkeypatch.setattr(transport, "DRAW_WINDOW", window)
+def test_kernel_matches_event_loop_oracle(block, monkeypatch):
+    monkeypatch.setattr(transport, "DRAW_BLOCK", block)
     # the kernel's columns, which `run_device` hands on unsorted
     recorded, convey = [], transport._convey
 
@@ -896,13 +908,14 @@ def test_one_level_path_takes_one_wait_per_load(monkeypatch):
 
 
 def test_draw_block_never_shows(monkeypatch):
-    # blocks of 1, 2 or 7 ranks draw a pocket's passes block by block and
-    # split its hits over several scans, so a tie at a site that the pocket
-    # index does not break shows; SCAN_HITS 1 resolves one site per scan
+    # blocks of at most 1, 2, 7 or 30 passes (or of one rank) draw the
+    # stream in several calls and split a pocket's hits over several scans,
+    # so a tie at a site that the pocket index does not break shows;
+    # SCAN_HITS 1 resolves one site per scan
     runs = [random_device(seed) for seed in range(40)]
     default = [device_outputs(*run, 5) for run in runs]
-    for name, size in (("DRAW_BLOCK", 7), ("DRAW_WINDOW", 1),
-                       ("DRAW_WINDOW", 2), ("DRAW_WINDOW", 7),
+    for name, size in (("DRAW_BLOCK", 1), ("DRAW_BLOCK", 2),
+                       ("DRAW_BLOCK", 7), ("DRAW_BLOCK", 30),
                        ("SCAN_HITS", 1), ("SCAN_HITS", 5)):
         with monkeypatch.context() as patch:
             patch.setattr(transport, name, size)
@@ -912,65 +925,104 @@ def test_draw_block_never_shows(monkeypatch):
                 assert_same_photons(got[3], expected[3])
 
 
-# at the default window a random layout's sites fit in one block; at 2 a
-# layout of more than two sites spans several blocks
-@pytest.mark.parametrize("window", [transport.DRAW_WINDOW, 2],
+def test_draw_block_never_shows_in_presets(monkeypatch, tmp_path):
+    # fig5's field has about 3,000 sites, where the random devices have at
+    # most 8; at DRAW_BLOCK 1 every rank is a block of its own
+    configs = [{"scenario": "fig5_ensemble",
+                "params": {"num_pulses": 20, "write_photons": True}},
+               {"scenario": "fig7_remote", "params": {"num_pulses": 200}}]
+    manifests = []
+    for size in (transport.DRAW_BLOCK, 1, 7):
+        monkeypatch.setattr(transport, "DRAW_BLOCK", size)
+        manifests.append([output_hashes(config, tmp_path / f"{i}-{size}")
+                          for i, config in enumerate(configs)])
+    assert manifests[1] == manifests[0] and manifests[2] == manifests[0]
+
+
+def dry_device(seed):
+    """`random_device(seed)` with the wave at full amplitude, every capture
+    probability 1 and five pulses of one pair on average: its pockets often
+    run dry before the last site."""
+    spot, sites, saw, period, _ = random_device(seed)
+    return (LaserSpot(spot.center_um, spot.radius_um, 1.0),
+            SiteField(sites.x_um, sites.y_um, sites.capture_radius_um,
+                      np.ones(len(sites)), sites.models),
+            SawWave(saw.frequency_mhz, saw.wavelength_um, 1.0, saw.direction),
+            period, 5)
+
+
+class RecordingStream:
+    """Stands in for the kernel's generator: records the size of each
+    `random` call and draws it from the wrapped stream."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size):
+        self.sizes.append(int(size))
+        return self.rng.random(size)
+
+
+# at the default block a random layout's passes fit in one block; at 2
+# there are blocks of several ranks and blocks of one rank with more passes
+@pytest.mark.parametrize("block", [transport.DRAW_BLOCK, 2],
                          ids=["default", "2"])
-def test_each_block_reads_exactly_its_passes(window, monkeypatch):
-    """Every draw the kernel reads is a pass (pocket i, rank r) by the
-    oracle's enumeration of the stream, and each read lies in one block of
-    ranks, the blocks in sweep order.  The draws read are exactly the
-    passes whose pocket held carriers when their block started, and none
-    is read twice."""
-    monkeypatch.setattr(transport, "DRAW_WINDOW", window)
-    calls, convey, reader = [], transport._convey, transport._stream_reader
-
-    def recording_reader(rng):
-        read = reader(rng)
-
-        def recording_read(j, n):
-            calls[-1]["reads"].append((j, n))
-            return read(j, n)
-        return recording_read
+def test_each_block_reads_exactly_its_passes(block, monkeypatch):
+    """The kernel draws its capture uniforms in consecutive calls, one per
+    block: each takes exactly the passes at the block's ranks, by the
+    oracle's enumeration of the stream, and is the longest run of ranks
+    whose passes fit in DRAW_BLOCK, or one rank.  The blocks come in sweep
+    order from rank 0, a pocket holds carriers when each block starts, and
+    the sweep stops at the last rank or once no pocket holds carriers."""
+    monkeypatch.setattr(transport, "DRAW_BLOCK", block)
+    calls, convey = [], transport._convey
 
     def recording_convey(*args):
-        calls.append({"args": args, "reads": []})
-        calls[-1]["out"] = convey(*args)
+        stream = RecordingStream(args[-1])
+        calls.append({"args": args, "sizes": stream.sizes})
+        calls[-1]["out"] = convey(*args[:-1], stream)
         return calls[-1]["out"]
-    monkeypatch.setattr(transport, "_stream_reader", recording_reader)
     monkeypatch.setattr(transport, "_convey", recording_convey)
-    seen = {"blocks": 0, "unread": 0}
-    for seed in range(100):
+    seen = {"blocks": 0, "wide": 0, "single": 0, "stopped": 0}
+    for seed in range(140):
         calls.clear()
-        run_device(*random_device(seed), seed)
+        run_device(*(random_device(seed) if seed < 100 else dry_device(seed)),
+                   seed)
         for call in calls:
             pockets, pos, radius, _, _, saw, _ = call["args"]
             _, (_, pk, rank, moved, _) = call["out"]
-            d, pos, radius = saw.direction, pos.tolist(), radius.tolist()
-            # (pocket, rank) of each draw of the stream
-            passes = [(i, r)
-                      for i, x in enumerate(pockets["position_um"].tolist())
-                      for r in range(len(pos)) if d * x <= d * pos[r] + radius[r]]
-            # each pocket's count at the start of each block
-            n_blocks = -(-len(pos) // window)
-            taken = np.zeros((len(pockets), n_blocks + 1), np.int64)
-            np.add.at(taken, (pk, rank // window + 1), moved)
+            pos, radius = pos.tolist(), radius.tolist()
+            at_rank = np.bincount(
+                [r for _, r in reference_passes(
+                    [CarrierPocket(SPECIES[p["species"]], int(p["count"]),
+                                   float(p["position_um"]),
+                                   float(p["birth_time_ns"]))
+                     for p in pockets],
+                    [SimpleNamespace(position_um=x, capture_radius_um=c)
+                     for x, c in zip(pos, radius)], saw)],
+                minlength=len(pos)).tolist()
+            # each pocket's count before each rank
+            taken = np.zeros((len(pockets), len(pos) + 1), np.int64)
+            np.add.at(taken, (pk, rank + 1), moved)
             held = pockets["count"][:, None] - np.cumsum(taken, axis=1)
-            expected = [j for j, (i, r) in enumerate(passes)
-                        if held[i, r // window] > 0]
-            drawn = [k for j, n in call["reads"] for k in range(j, j + n)]
-            assert sorted(drawn) == expected, seed
-            read_blocks = [{passes[k][1] // window for k in range(j, j + n)}
-                           for j, n in call["reads"]]
-            assert all(len(b) == 1 for b in read_blocks), seed
-            order = [min(b) for b in read_blocks]
-            assert order == sorted(order), seed
-            seen["blocks"] += len(set(order)) > 1
-            seen["unread"] += len(expected) < len(passes)
-    # reads in several blocks, and passes of pockets run dry left unread
-    if window == 2:
-        assert seen["blocks"] >= 10
-        assert seen["unread"] >= 10
+            lo = 0
+            for size in call["sizes"]:
+                assert lo < len(pos) and held[:, lo].any(), seed
+                hi = lo + 1
+                while hi < len(pos) and sum(at_rank[lo:hi + 1]) <= block:
+                    hi += 1
+                assert size == sum(at_rank[lo:hi]), seed
+                assert size <= block or hi == lo + 1, seed
+                seen["wide"] += hi > lo + 1
+                seen["single"] += size > block
+                lo = hi
+            assert lo == len(pos) or not held[:, lo].any(), seed
+            seen["blocks"] += len(call["sizes"]) > 1
+            seen["stopped"] += 0 < lo < len(pos)
+    # several blocks, of several ranks and of one, and sweeps stopped early
+    if block == 2:
+        assert seen["blocks"] >= 10 and seen["wide"] >= 10
+        assert seen["single"] >= 10 and seen["stopped"] >= 10
 
 
 @settings(max_examples=60, deadline=None)
@@ -986,41 +1038,7 @@ def test_clamp_add_scan_matches_sequential_clamp(length, scale, seed):
     assert transport._clamp_add_scan(d, lo, hi).tolist() == expected
 
 
-def test_stream_reader_reads_any_offset():
-    # reads by offset rely on a fresh Philox stream starting at counter 0
-    # with an empty buffer; a numpy that changes this fails here
-    state = substream(12345, 3, 0).bit_generator.state
-    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
-    assert state["buffer_pos"] == 4
-    for variant in range(3):
-        stream = substream(12345, 3, variant).random(4200)
-        read = transport._stream_reader(substream(12345, 3, variant))
-        # every residue mod 4, reads that start, end on and cross Philox
-        # blocks of four draws, empty reads, in no particular order
-        for j in [4093, 4099] + list(range(40, -1, -1)):
-            for n in (0, 1, 3, 4, 5, 17):
-                assert np.array_equal(read(j, n), stream[j:j + n]), (j, n)
-
-
-def layouts(pockets, sites, saw):
-    """Each pocket's pass ranks from `_pass_layout` and from the oracle's
-    enumeration, and `_pass_layout`'s `below` of each pocket at every rank
-    0..len(sites); `sites` are in encounter order."""
-    d = saw.direction
-    passes, rank, below = transport._pass_layout(
-        np.array([d * p.position_um for p in pockets]),
-        np.array([d * s.position_um for s in sites]),
-        np.array([s.capture_radius_um for s in sites]))
-    expected = [[] for _ in pockets]
-    for i, r in reference_passes(pockets, sites, saw):
-        expected[i].append(r)
-    ends = np.arange(len(sites) + 1)
-    return ([rank(i, np.arange(n)).tolist() for i, n in enumerate(passes)],
-            expected, [below(np.full(ends.size, i), ends).tolist()
-                       for i in range(len(pockets))])
-
-
-def test_pass_layout_matches_oracle_enumeration():
+def test_rank_layout_matches_oracle_enumeration():
     behind = 0
     for seed in range(100):
         spot, sites, saw, period, pulses = random_device(seed)
@@ -1031,50 +1049,57 @@ def test_pass_layout_matches_oracle_enumeration():
                    for p in launch_pockets(*draw_pairs(
                        spot, saw, np.arange(pulses) * period,
                        substream(seed, 0, 0)), saw)]
-        got, expected, below = layouts(pockets, sites, saw)
-        assert got == expected, seed
-        # below(i, r) counts the oracle's ranks of pocket i under r
-        assert below == [[sum(k < r for k in ranks)
-                          for r in range(len(sites) + 1)]
-                         for ranks in expected], seed
+        starts, passer = transport._rank_layout(
+            np.array([d * p.position_um for p in pockets]),
+            np.array([d * s.position_um for s in sites]),
+            np.array([s.capture_radius_um for s in sites]))
+        expected = reference_passes(pockets, sites, saw)
+        ranks = [r for _, r in expected]
+        assert starts.tolist() == [sum(r < k for r in ranks)
+                                   for k in range(len(sites) + 1)], seed
+        pk, rank = passer(np.arange(len(expected)))
+        assert list(zip(pk.tolist(), rank.tolist())) == expected, seed
         sp = [d * s.position_um for s in sites]
-        for pk, ranks in zip(pockets, expected):
-            behind += any(sp[r] < d * pk.position_um for r in ranks)
+        behind += any(sp[r] < d * pockets[i].position_um for i, r in expected)
     # pockets born inside the window past a site
     assert behind >= 10
 
 
 def test_capture_draws_stay_lazy(monkeypatch, tmp_path):
-    """fig5 at its defaults draws a small share of its pockets' passes: a
-    pocket that runs dry draws no passes of a later block.  Of the drawn
-    passes only those whose draw is below the capture probability look up
-    their rank."""
-    count = {"passes": 0, "draws": 0, "lookups": 0}
-    layout, reader = transport._pass_layout, transport._stream_reader
+    """fig5 at its defaults draws its passes up to the end of the block in
+    which its last pocket runs dry, and no further.  Of the drawn passes
+    only those whose draw is below the capture probability look up their
+    pocket and rank."""
+    count = {"lookups": 0}
+    layout, convey = transport._rank_layout, transport._convey
 
     def counting_layout(*args):
-        passes, rank, below = layout(*args)
-        count["passes"] += int(passes.sum())
+        count["starts"], passer = layout(*args)
 
-        def counting_rank(pk, k):
-            count["lookups"] += np.size(pk)
-            return rank(pk, k)
-        return passes, counting_rank, below
+        def counting_passer(j):
+            count["lookups"] += np.size(j)
+            return passer(j)
+        return count["starts"], counting_passer
 
-    def counting_reader(rng):
-        read = reader(rng)
+    def counting_convey(*args):
+        stream = RecordingStream(args[-1])
+        count["sizes"] = stream.sizes
+        count["out"] = convey(*args[:-1], stream)
+        return count["out"]
 
-        def counting_read(j, n):
-            count["draws"] += n
-            return read(j, n)
-        return counting_read
-
-    monkeypatch.setattr(transport, "_pass_layout", counting_layout)
-    monkeypatch.setattr(transport, "_stream_reader", counting_reader)
+    monkeypatch.setattr(transport, "_rank_layout", counting_layout)
+    monkeypatch.setattr(transport, "_convey", counting_convey)
     config = ScenarioConfig.from_dict({"scenario": "fig5_ensemble",
                                        "params": {"num_pulses": 200}})
     run_scenario(config, tmp_path / "out")
-    assert count["passes"] > 10 ** 6
-    assert count["draws"] <= 0.25 * count["passes"]
+    starts, sizes = count["starts"], count["sizes"]
+    left, (_, _, rank, _, _) = count["out"]
+    draws = sum(sizes)
+    assert starts[-1] > 10 ** 6
+    # every pocket runs dry at the last capture, and the passes of its rank
+    # lie in the last block drawn
+    top = rank.max()
+    assert not left.any() and draws < starts[-1]
+    assert draws - sizes[-1] <= starts[top] < starts[top + 1] <= draws
     # fig5 captures with probability 0.2: about a fifth of the draws
-    assert count["lookups"] <= 0.3 * count["draws"]
+    assert count["lookups"] <= 0.3 * draws
