@@ -15,7 +15,8 @@ all distinct within one scenario run:
                          encounter order, drawn a block of
                          sites at a time
     (7, variant)         fig7 spectral frame of a SAW variant   fig7_remote
-    (10 + gi, block)     fig3 start levels of pump index gi     fig3_power_series
+    (10, gi)             fig3 level counts of pump index gi,    fig3_power_series
+                         one multinomial
     (99,)                fig5 dot field                         fig5_ensemble
 
 `variant` is fig7's SAW variant (0 saw_off, 1 idt1, 2 idt2) and 0 in every
@@ -45,10 +46,9 @@ def _map_blocks(func, num_blocks: int, threads: int) -> list:
 
     At threads=1 the blocks run in the calling thread in index order, and
     no pool is built or imported: importing `concurrent.futures` adds about
-    0.5 MB to a run's peak memory.  Results do not depend on the thread
-    count: a block that draws owns a substream keyed by its index, and g2's
-    pair chunks share no stream and return integer counts, whose sum does
-    not depend on order.
+    0.5 MB to a run's peak memory.  Its one caller is g2's pair walk, whose
+    chunks draw nothing and return integer counts, so their sum does not
+    depend on the thread count or order.
     """
     if threads <= 1:
         return [func(b) for b in range(num_blocks)]

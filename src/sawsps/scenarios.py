@@ -23,12 +23,12 @@ from . import __version__
 from ._csvfile import write_csv
 from .analysis import (g2_histogram, onset_delay_curve, powerlaw_exponent,
                        pumped_traces)
-from .cascade import CascadeModel, time_integrated_intensity
+from .cascade import CascadeModel, initial_loading, time_integrated_intensity
 from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
                        render_spatial_spectral, whole_bins, write_axes_csv,
                        write_pgm, write_transient_csv)
-from .emitter import sample_start_levels, write_photon_csv
-from .rng import _map_blocks, substream
+from .emitter import write_photon_csv
+from .rng import substream
 from .transport import (LaserSpot, SawWave, SiteField,
                         per_cycle_emission_times, run_device,
                         uniform_site_field)
@@ -128,7 +128,6 @@ _PRESETS: dict[str, dict] = {
     },
 }
 
-_MC_BLOCKS = 16
 # fig7's spectral lines, by transition label, and its default emitter shifts
 _LINES = TransitionSpectrum.default().lines
 _SHIFTS = _PRESETS["fig7_remote"]["params"]["emitter_shifts_nm"]
@@ -151,7 +150,7 @@ _BOUNDS: dict[str, tuple] = {
     **dict.fromkeys(("amplitude", "capture_prob"),
                     ("a value in [0, 1]", lambda x: 0 <= x <= 1)),
     **dict.fromkeys(("num_pulses", "mc_pulses_per_point", "num_cycles"),
-                    ("an integer >= 1", lambda n: n >= 1)),
+                    ("an integer in [1, 2**63)", lambda n: 1 <= n < 2 ** 63)),
     **dict.fromkeys(("row_extent_um", "col_extent_nm"),
                     ("an increasing [low, high] pair", lambda v: v[0] < v[1])),
     **dict.fromkeys(("lifetimes_ns", "g_values"),
@@ -315,13 +314,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _block_sizes(total: int, blocks: int) -> list[int]:
-    base = total // blocks
-    sizes = [base] * blocks
-    sizes[-1] += total - base * blocks
-    return sizes
-
-
 # ---------------------------------------------------------------------------
 # Scenario runners: they read the typed, validated `cfg.params` and write
 # their files into `out`, all of which the manifest lists
@@ -333,20 +325,14 @@ def _run_fig3(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     g_values = p["g_values"]
     pulses = p["mc_pulses_per_point"]
     nlev = model.num_levels
-
-    def mc_counts(gi: int) -> np.ndarray:
-        g = g_values[gi]
-        sizes = _block_sizes(pulses, _MC_BLOCKS)
-
-        def block(b: int) -> np.ndarray:
-            rng = substream(cfg.master_seed, 10 + gi, b)
-            levels = sample_start_levels(g, sizes[b], nlev, rng)
-            return np.array([np.count_nonzero(levels >= i)
-                             for i in range(1, nlev + 1)])
-
-        return np.sum(_map_blocks(block, _MC_BLOCKS, threads), axis=0)
-
-    mc_rates = [mc_counts(gi) / pulses for gi in range(len(g_values))]
+    # the pulses of `pulses` that load each start level 0..nlev are one
+    # multinomial draw; those loading at least i excitons are its reversed
+    # cumulative sum
+    mc_rates = []
+    for gi, g in enumerate(g_values):
+        loads = substream(cfg.master_seed, 10, gi).multinomial(
+            pulses, initial_loading(g, nlev))
+        mc_rates.append(np.cumsum(loads[:0:-1])[::-1] / pulses)
     header = (["g"] + [f"model_{lab}" for lab in model.labels]
               + [f"mc_{lab}" for lab in model.labels])
     write_csv(out / "intensity_vs_g.csv", header,

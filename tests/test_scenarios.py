@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -214,6 +215,26 @@ class TestRunScenario:
         assert ratio == "nan"
         with pytest.raises(ConfigError, match="num_cycles"):
             ScenarioConfig.preset("g2_antibunching", {"num_cycles": 0})
+
+    def test_fig3_counts_1e12_pulses_per_point(self, tmp_path):
+        # a pump value's counts are one draw, whatever the pulse count: each
+        # rate lies within 5 binomial standard errors of its model column,
+        # and no level is loaded by more pulses than the level below it
+        pulses = 10 ** 12
+        run_scenario(ScenarioConfig.preset("fig3_power_series",
+                                           {"mc_pulses_per_point": pulses}),
+                     tmp_path / "fig3")
+        with open(tmp_path / "fig3" / "intensity_vs_g.csv",
+                  newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 10
+        labels = scenarios._CASCADE_DEFAULTS["labels"]
+        for row in rows:
+            model = np.array([float(row[f"model_{lab}"]) for lab in labels])
+            mc = np.array([float(row[f"mc_{lab}"]) for lab in labels])
+            se = np.sqrt(model * (1 - model) / pulses)
+            assert np.all(np.abs(mc - model) <= 5 * se), row
+            assert np.all(np.diff(mc) <= 0), row
 
     def test_seed_changes_outputs(self, tmp_path):
         over = {"num_cycles": 50000}
@@ -444,6 +465,10 @@ BAD_CONFIGS = [
     ({"scenario": "fig5_ensemble", "params": {"write_photons": "yes"}},
      "fig5_ensemble.write_photons"),
     ({"scenario": "fig3_power_series", "params": {"mc_pulses_per_point": 0}},
+     "fig3_power_series.mc_pulses_per_point"),
+    # numpy's counts are int64; 10**20 failed mid-run with exit 1
+    ({"scenario": "fig3_power_series",
+      "params": {"mc_pulses_per_point": 2 ** 63}},
      "fig3_power_series.mc_pulses_per_point"),
     ({"scenario": "fig7_remote", "params": {"num_pulses": True}},
      "fig7_remote.num_pulses"),
