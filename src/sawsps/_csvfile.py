@@ -38,12 +38,28 @@ def write_csv(path, header, columns) -> None:
             bad = next(c for c in cells if _UNSAFE.search(c))
             raise ValueError(f"CSV cell {bad!r} holds ',', '\"', CR or LF; "
                              f"the format does not quote")
-    line = ",".join(["%s"] * len(arrays)) + "\r\n"
+    write_rows(path, header, arrays)
+
+
+def cell_text(column: np.ndarray) -> list[str]:
+    """The cells of a 1-d numeric array as `write_csv` writes them, none
+    of them unsafe.  A column that several files share is rendered once and
+    passed to `write_rows` for each file."""
+    return list(map(str, column.tolist()))
+
+
+def write_rows(path, header, columns) -> None:
+    """Write `header` and the rows of `columns`, unchecked: each column is
+    an array or a list of `cell_text`, all of one length, and no cell
+    holds an unsafe character."""
+    line = ",".join(["%s"] * len(columns)) + "\r\n"
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, rows, _CHUNK_ROWS):
             # the cells row by row, formatted by one `%` of the whole chunk
-            chunk = [a[start:start + _CHUNK_ROWS].tolist() for a in arrays]
+            chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
+            chunk = [c if isinstance(c, list) else c.tolist() for c in chunk]
             cells = [None] * (len(chunk[0]) * len(chunk))
             for i, column in enumerate(chunk):
                 cells[i::len(chunk)] = column

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csvfile import write_csv
+from ._csvfile import cell_text, write_csv, write_rows
 from .cascade import Transient
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # = 2.3548...
@@ -288,6 +288,12 @@ def write_axes_csv(path, row_centers, col_centers,
                np.concatenate((row_centers, col_centers), dtype=float)])
 
 
-def write_transient_csv(path, transient: Transient) -> None:
-    write_csv(path, ["t_ns", "intensity"],
-              [transient.time_ns, transient.intensity])
+def write_transient_csv(path, transient: Transient, time_text=None) -> None:
+    """Write a trace as (t_ns, intensity) rows.  `time_text`, if given, is
+    `cell_text(transient.time_ns)`: traces that share one time axis render
+    it once."""
+    if time_text is None:
+        time_text = cell_text(transient.time_ns)
+    elif len(time_text) != transient.time_ns.size:
+        raise ValueError("need one time cell per sample")
+    write_rows(path, ["t_ns", "intensity"], [time_text, transient.intensity])

@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._csvfile import write_csv
+from ._csvfile import cell_text, write_csv
 from .analysis import (g2_histogram, onset_delay_curve, powerlaw_exponent,
                        pumped_traces)
-from .cascade import CascadeModel, initial_loading, time_integrated_intensity
+from .cascade import (CascadeModel, NoSignalError, initial_loading,
+                      time_integrated_intensity)
 from .detector import (Irf, TransitionSpectrum, convolve_irf, render_pl_image,
                        render_spatial_spectral, whole_bins, write_axes_csv,
                        write_pgm, write_transient_csv)
@@ -358,18 +359,32 @@ def _run_fig4(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     model = CascadeModel(**p["cascade"])
     irf = Irf(p["irf_fwhm_ns"])
     grid = np.arange(0.0, p["horizon_ns"], p["step_ns"])
+    # every raw trace has the grid as its time axis and every IRF trace the
+    # same extended grid, so each axis is rendered to text once per run
+    axis_text = {}  # time axis bytes -> its cells
+
+    def write(name, trace):
+        key = trace.time_ns.tobytes()
+        if key not in axis_text:
+            axis_text[key] = cell_text(trace.time_ns)
+        write_transient_csv(out / name, trace, axis_text[key])
+
     for g, _, level, trace in pumped_traces(model, p["g_values"], grid):
         label = model.labels[level - 1]
-        write_transient_csv(out / f"transient_g{g:g}_{label}.csv", trace)
-        write_transient_csv(out / f"transient_g{g:g}_{label}_irf.csv",
-                            convolve_irf(trace, irf))
+        write(f"transient_g{g:g}_{label}.csv", trace)
+        write(f"transient_g{g:g}_{label}_irf.csv", convolve_irf(trace, irf))
 
 
 def _run_fig4c(cfg: ScenarioConfig, out: Path, threads: int) -> None:
     p = cfg.params
     model = CascadeModel(**p["cascade"])
-    curve = onset_delay_curve(model, p["g_values"],
-                              threshold_fraction=p["onset_threshold"])
+    # a pump so weak that a loading weight, or its product with the basis,
+    # underflows leaves a transition dark: a bad value, not a failed run
+    try:
+        curve = onset_delay_curve(model, p["g_values"],
+                                  threshold_fraction=p["onset_threshold"])
+    except NoSignalError as err:
+        raise ConfigError(f"fig4c_delays.g_values: {err}") from err
     header = (["g"] + [f"onset_{lab}" for lab in model.labels]
               + [f"mean_{lab}" for lab in model.labels])
     write_csv(out / "delays.csv", header,

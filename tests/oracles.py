@@ -1,8 +1,9 @@
 """Oracles that only the tests use: a fixed-step solution of the cascade
-rate equations, a folded photon histogram, the ballistic conveyance delay,
-the per-cycle photon train drawn in one piece, and the capture and load
-rows of a device run, which `run_device` does not keep.  Test modules
-import them by name (`from oracles import ...`)."""
+rate equations, the onset-delay curve read trace by trace, a folded photon
+histogram, the ballistic conveyance delay, the per-cycle photon train
+drawn in one piece, and the capture and load rows of a device run, which
+`run_device` does not keep.  Test modules import them by name
+(`from oracles import ...`)."""
 
 import math
 from dataclasses import dataclass
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from sawsps import transport
-from sawsps.cascade import CascadeModel, Transient
+from sawsps.cascade import (CascadeModel, NoSignalError, Transient,
+                           initial_loading, onset_time,
+                           solve_cascade_analytic)
 from sawsps.transport import SawWave
 
 
@@ -103,6 +106,44 @@ def solve_cascade_numeric(model: CascadeModel, start_level: int,
         n = step_m @ n
         occ[s + 1] = n
     return OccupancyTrace(times, occ.T)
+
+
+# ---------------------------------------------------------------------------
+# Onset-delay curve, one trace at a time
+# ---------------------------------------------------------------------------
+
+def per_trace_delay_curve(model: CascadeModel, g_values,
+                          threshold_fraction: float = 0.1):
+    """`analysis.onset_delay_curve` as one `Transient` per (g, transition):
+    each trace is the sum in ascending k of its loaded levels' closed-form
+    emission rates, its onset is `onset_time` and its mean emission time a
+    sum over the loaded levels.  Returns the (onset, mean) arrays, each of
+    shape (len(g), num_levels)."""
+    g_arr = np.asarray(list(g_values), dtype=float)
+    lifetimes = model.lifetimes_ns
+    nlev = model.num_levels
+    t = np.arange(0.0, 8.0 * sum(lifetimes), min(lifetimes) / 50.0)
+    basis = {(k, level): solve_cascade_analytic(model, k)
+             .emission_rate(level, t)
+             for k in range(1, nlev + 1) for level in range(1, k + 1)}
+    delays = []
+    for g in g_arr:
+        weights = initial_loading(g, nlev)
+        for level in range(1, nlev + 1):
+            y = np.zeros_like(t)
+            num = den = 0.0
+            for k in range(level, nlev + 1):
+                if weights[k] > 0:
+                    y += weights[k] * basis[k, level]
+                    num += weights[k] * sum(lifetimes[level - 1:k])
+                    den += weights[k]
+            onset = onset_time(Transient(t, y), threshold_fraction)
+            if den == 0:
+                raise NoSignalError(f"transition {level} never fires at "
+                                    f"g = {g}")
+            delays.append((onset, num / den))
+    delays = np.array(delays).reshape(g_arr.size, nlev, 2)
+    return delays[..., 0], delays[..., 1]
 
 
 # ---------------------------------------------------------------------------

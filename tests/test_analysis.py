@@ -10,13 +10,18 @@ from sawsps import analysis
 from sawsps.analysis import (InsufficientSignalError, expected_emission_trace,
                              fit_rise_fall, g2_histogram, onset_delay_curve,
                              powerlaw_exponent, pumped_traces)
-from sawsps.cascade import (CascadeModel, Transient, initial_loading,
-                           onset_time, poisson_tail, solve_cascade_analytic)
+from sawsps.cascade import (CascadeModel, NoSignalError, Transient,
+                           initial_loading, onset_time, poisson_tail,
+                           solve_cascade_analytic)
 from sawsps.emitter import PHOTON_DTYPE
 from sawsps.rng import substream
 from sawsps.transport import SawWave, per_cycle_emission_times
 
+from oracles import per_trace_delay_curve
+
 MODEL = CascadeModel((1.5, 1.4, 0.9))
+# The benchmark's pump grid (perfbench/workloads.py DENSE_G), recomputed here.
+DENSE_G = [round(float(g), 6) for g in np.geomspace(0.05, 20.0, 400)]
 
 
 def difference_trace(t_rise, t_fall, t=None, amplitude=1.0, t0=0.0):
@@ -151,6 +156,17 @@ class TestOnsetDelayCurve:
         with pytest.raises(ValueError):
             onset_delay_curve(MODEL, [0.5, 0.1])
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            onset_delay_curve(MODEL, [1.0], threshold_fraction=threshold)
+
+    def test_dark_transition_names_g_and_transition(self):
+        # at 1e-300 the 2X and 3X loading weights underflow to 0
+        with pytest.raises(NoSignalError, match="2X emits nothing at "
+                                                r"g = 1e-300"):
+            onset_delay_curve(MODEL, [1e-300, 1.0])
+
     @pytest.mark.parametrize("lifetimes", [(1.5, 1.4, 0.9),
                                            (1.0, 1.0 + 1e-10, 1.0 - 1e-9)])
     def test_mean_delay_matches_closed_form(self, lifetimes):
@@ -232,6 +248,27 @@ class TestPumpedTraceBasis:
             for level in range(1, model.num_levels + 1):
                 trace = Transient(t, term_by_term_trace(model, g, level, t))
                 assert curve.onset_ns[i, level - 1] == onset_time(trace, 0.1)
+
+    @pytest.mark.parametrize("threshold", [0.05, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("lifetimes", LIFETIMES)
+    def test_onset_delay_curve_matches_per_trace_oracle(self, lifetimes,
+                                                         threshold,
+                                                         monkeypatch):
+        # at 1e-6 every 1X trace peaks at its first sample, which is then
+        # its onset; the dense grid's onsets are interpolated, and at 800
+        # the weights of 1 and 2 excitons underflow to 0 while the other
+        # pumps' do not.  The pump block size does not show: one pump, the
+        # default, all at once.
+        model = CascadeModel(lifetimes)
+        g_values = [1e-6, *DENSE_G, 800.0]
+        onset, mean = per_trace_delay_curve(model, g_values, threshold)
+        assert onset[0, 0] == 0.0 and (onset[:, 0] > 0).any()
+        for block in (1, analysis._ONSET_BLOCK, 1 << 30):
+            monkeypatch.setattr(analysis, "_ONSET_BLOCK", block)
+            curve = onset_delay_curve(model, g_values,
+                                      threshold_fraction=threshold)
+            assert curve.onset_ns.tobytes() == onset.tobytes(), block
+            assert curve.mean_time_ns.tobytes() == mean.tobytes(), block
 
     def test_expected_trace_superposition(self):
         t = np.arange(0.0, 10.0, 0.01)

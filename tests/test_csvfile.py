@@ -6,7 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from sawsps._csvfile import write_csv
+from sawsps._csvfile import cell_text, write_csv
 from sawsps.cascade import CascadeModel, Transient
 from sawsps.detector import write_axes_csv, write_transient_csv
 from sawsps.emitter import (PHOTON_CSV_HEADER, PHOTON_DTYPE, read_photon_csv,
@@ -41,6 +41,27 @@ def test_transient_rows(tmp_path):
     assert_same_bytes(tmp_path,
                       lambda p: write_transient_csv(p, Transient(t, y)),
                       ["t_ns", "intensity"], zip(t.tolist(), y.tolist()))
+
+
+def test_transients_sharing_a_time_axis(tmp_path):
+    # as fig4 writes them: several traces on one axis, rendered once, and
+    # one on its own axis, each file as if written alone
+    t = np.array([-5.0, -0.0, 5e-324, 0.1, 1e300])
+    own = np.array(sorted(v for v in EDGE_FLOATS if np.isfinite(v)))
+    shared = cell_text(t)
+    for time, y, text in [(t, t[::-1], shared),
+                          (own, own[::-1], cell_text(own)),
+                          (t, -0.5 * t, shared), (t, 1e-300 * t, shared)]:
+        assert_same_bytes(tmp_path,
+                          lambda p: write_transient_csv(p, Transient(time, y),
+                                                        text),
+                          ["t_ns", "intensity"],
+                          zip(time.tolist(), y.tolist()))
+    assert shared == cell_text(t)
+    with pytest.raises(ValueError, match="one time cell per sample"):
+        write_transient_csv(tmp_path / "short.csv", Transient(own, own),
+                            shared[:-1])
+    assert not (tmp_path / "short.csv").exists()
 
 
 def test_axes_rows(tmp_path):

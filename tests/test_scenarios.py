@@ -571,6 +571,21 @@ class TestCli:
             assert dir_digest(out) == {"f": hashlib.sha256(b"x").hexdigest()}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["busy", "cfg.json"]
 
+    def test_dark_fig4c_pump_exits_two(self, tmp_path, capsys):
+        # g passes the bounds, but a loading weight underflows to 0 there
+        # and leaves 2X dark: a bad value, reported as one, with no output
+        cfg_file = tmp_path / "cfg.json"
+        for g in (1e-300, 5e-324):
+            cfg_file.write_text(json.dumps(
+                {"scenario": "fig4c_delays", "params": {"g_values": [g, 1.0]}}))
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert f"fig4c_delays.g_values: transition 2X emits nothing " \
+                   f"at g = {g!r}" in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
