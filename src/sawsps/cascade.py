@@ -46,8 +46,9 @@ class CascadeModel:
         lifetimes = tuple(float(t) for t in self.lifetimes_ns)
         if not lifetimes:
             raise ValueError("need at least one level")
-        if any(t <= 0 or not math.isfinite(t) for t in lifetimes):
-            raise ValueError("all lifetimes must be positive and finite")
+        if any(not (0 < t < math.inf and 1.0 / t < math.inf) for t in lifetimes):
+            raise ValueError("all lifetimes must be positive and finite, "
+                             "with finite rates 1/tau")
         labels = tuple(self.labels) or _default_labels(len(lifetimes))
         if len(labels) != len(lifetimes):
             raise ValueError("labels must match the number of levels")
@@ -100,199 +101,11 @@ class Transient:
 
 
 # ---------------------------------------------------------------------------
-# Regularized lower incomplete gamma
-# ---------------------------------------------------------------------------
-
-# _igam ports Cephes igam.c (S. L. Moshier, in its 2016 form with the DLMF
-# series and the Lanczos prefactor igam_fac), on the same libm through
-# `math`.  For a <= 20 it returns the compiled igam's double bit for bit,
-# except at a = 1 with 1 < x <= 1.1 (the DLMF 8.7.3 series), where it may
-# differ by 1 ulp.  For a > 20 with |x - a| < 0.3 a, and for a > 200 with
-# |x - a| < 4.5 sqrt(a), Cephes switches to Temme's uniform asymptotic
-# expansion (DLMF 8.12.3); the port keeps the series and the continued
-# fraction there, which are within about a ulp of the exact value and 2a
-# ulp of Cephes'.  tests/test_cascade.py holds it to all of this.
-_IGAM_EPS = 1.11022302462515654042e-16  # 2**-53, Cephes MACHEP
-_IGAM_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
-_IGAM_MAXITER = 2000
-_IGAM_BIG = 4.503599627370496e15
-_IGAM_BIGINV = 2.22044604925031308085e-16
-# boost's 13-term Lanczos approximation (lanczos13m53), as Cephes lanczos.c
-# takes it: lanczos_sum_expg_scaled = num(a) / den(a), highest power first
-_LANCZOS_G = 6.024680040776729583740234375
-_LANCZOS_NUM = (
-    0.006061842346248906525783753964555936883222,
-    0.5098416655656676188125178644804694509993,
-    19.51992788247617482847860966235652136208,
-    449.9445569063168119446858607650988409623,
-    6955.999602515376140356310115515198987526,
-    75999.29304014542649875303443598909137092,
-    601859.6171681098786670226533699352302507,
-    3481712.15498064590882071018964774556468,
-    14605578.08768506808414169982791359218571,
-    43338889.32467613834773723740590533316085,
-    86363131.28813859145546927288977868422342,
-    103794043.1163445451906271053616070238554,
-    56906521.91347156388090791033559122686859)
-_LANCZOS_DEN = (1.0, 66.0, 1925.0, 32670.0, 357423.0, 2637558.0, 13339535.0,
-                45995730.0, 105258076.0, 150917976.0, 120543840.0,
-                39916800.0, 0.0)
-# Cephes lgam's Stirling correction for 13 <= a < 1000, highest power first
-_LGAM_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
-                  8.33333333333331927722e-2)
-_LGAM_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-
-
-def _lgam(a: float) -> float:
-    """Cephes lgam for an integer a >= 1: log((a - 1)!) from the exact
-    product below 13, Stirling's series with its correction from 13 on."""
-    if a < 13.0:
-        z, u = 1.0, a
-        while u >= 3.0:
-            u -= 1.0
-            z *= u
-        return math.log(z)
-    q = (a - 0.5) * math.log(a) - a + _LGAM_LS2PI
-    if a > 1e8:
-        return q
-    p = 1.0 / (a * a)
-    if a >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p
-                     - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / a
-    s = 0.0
-    for c in _LGAM_STIRLING:
-        s = s * p + c
-    return q + s / a
-
-
-def _lanczos_sum_expg_scaled(a: float) -> float:
-    """Cephes ratevl of the Lanczos sum: in 1/a when a > 1."""
-    num, den, y = _LANCZOS_NUM, _LANCZOS_DEN, a
-    if a > 1.0:
-        num, den, y = num[::-1], den[::-1], 1.0 / a
-    n = d = 0.0
-    for c in num:
-        n = n * y + c
-    for c in den:
-        d = d * y + c
-    return n / d
-
-
-def _log1pmx(x: float) -> float:
-    """log(1 + x) - x, by its Taylor series when |x| < 0.5."""
-    if abs(x) >= 0.5:
-        return math.log1p(x) - x
-    xfac, res = x, 0.0
-    for n in range(2, 500):
-        xfac *= -x
-        term = xfac / n
-        res += term
-        if abs(term) < _IGAM_EPS * abs(res):
-            break
-    return res
-
-
-def _igam_fac(a: float, x: float) -> float:
-    """x**a * exp(-x) / Gamma(a), through the Lanczos approximation when x
-    is within 0.4 a of a."""
-    if abs(a - x) > 0.4 * a:
-        ax = a * math.log(x) - x - _lgam(a)
-        return 0.0 if ax < -_IGAM_MAXLOG else math.exp(ax)
-    fac = a + _LANCZOS_G - 0.5
-    res = math.sqrt(fac / math.e) / _lanczos_sum_expg_scaled(a)
-    if a < 200 and x < 200:
-        return res * (math.exp(a - x) * math.pow(x / fac, a))
-    num = x - a - _LANCZOS_G + 0.5
-    return res * math.exp(a * _log1pmx(num / fac)
-                          + x * (0.5 - _LANCZOS_G) / fac)
-
-
-def _igam_series(a: float, x: float) -> float:
-    """P(a, x) by DLMF 8.11.4."""
-    ax = _igam_fac(a, x)
-    if ax == 0.0:
-        return 0.0
-    r, c, ans = a, 1.0, 1.0
-    for _ in range(_IGAM_MAXITER):
-        r += 1.0
-        c *= x / r
-        ans += c
-        if c <= _IGAM_EPS * ans:
-            break
-    return ans * ax / a
-
-
-def _igamc_continued_fraction(a: float, x: float) -> float:
-    """Q(a, x) by DLMF 8.9.2, with Cephes' rescaling of the convergents."""
-    ax = _igam_fac(a, x)
-    if ax == 0.0:
-        return 0.0
-    y = 1.0 - a
-    z = x + y + 1.0
-    c = 0.0
-    pkm2, qkm2 = 1.0, x
-    pkm1, qkm1 = x + 1.0, z * x
-    ans = pkm1 / qkm1
-    for _ in range(_IGAM_MAXITER):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        pk = pkm1 * z - pkm2 * yc
-        qk = qkm1 * z - qkm2 * yc
-        t = 1.0
-        if qk != 0:
-            r = pk / qk
-            t = abs((ans - r) / r)
-            ans = r
-        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
-        if abs(pk) > _IGAM_BIG:
-            pkm2 *= _IGAM_BIGINV
-            pkm1 *= _IGAM_BIGINV
-            qkm2 *= _IGAM_BIGINV
-            qkm1 *= _IGAM_BIGINV
-        if t <= _IGAM_EPS:
-            break
-    return ans * ax
-
-
-def _igamc_series(a: float, x: float) -> float:
-    """Q(a, x) by DLMF 8.7.3, for x near 1.  Cephes' lgam1p(a) is
-    lgam(a + 1) for an integer a."""
-    fac, total = 1.0, 0.0
-    for n in range(1, _IGAM_MAXITER):
-        fac *= -x / n
-        term = fac / (a + n)
-        total += term
-        if abs(term) <= _IGAM_EPS * abs(total):
-            break
-    logx = math.log(x)
-    term = -math.expm1(a * logx - _lgam(a + 1.0))
-    return term - math.exp(a * logx - _lgam(a)) * total
-
-
-def _igam(a: int, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for an integer a >= 1 and
-    0 <= x <= inf.  For x > max(a, 1), Cephes takes 1 - Q(a, x); with an
-    integer a its igamc then reaches only the DLMF 8.7.3 series (x <= 1.1,
-    so a = 1) and the continued fraction."""
-    a, x = float(a), float(x)
-    if x == 0.0:
-        return 0.0
-    if x == math.inf:
-        return 1.0
-    if x > 1.0 and x > a:
-        if x <= 1.1:
-            return 1.0 - _igamc_series(a, x)
-        return 1.0 - _igamc_continued_fraction(a, x)
-    return _igam_series(a, x)
-
-
-# ---------------------------------------------------------------------------
 # Poisson loading
 # ---------------------------------------------------------------------------
+
+_EPS = 2.0 ** -53  # where the tail's walk stops
+
 
 def _poisson_count(g: float, i: int) -> int:
     """Check a Poisson mean and count; return the count as an int."""
@@ -304,20 +117,49 @@ def _poisson_count(g: float, i: int) -> int:
 
 
 def poisson_pmf(g: float, i: int) -> float:
-    """P(count == i) for a Poisson distribution with mean g."""
+    """P(count == i) for a Poisson distribution with mean g.
+
+    It is e^-g times the product of g/k for k = 1..i, within a few ulp of the
+    exact value.  Where e^-g is below 1e-300 (g above about 690), and so
+    subnormal or 0, the product would lose its bits, and the pmf is taken in
+    logs instead, to a relative error of about 1e-12.
+    """
     i = _poisson_count(g, i)
-    if g == 0:
-        return 1.0 if i == 0 else 0.0
-    return math.exp(-g + i * math.log(g) - math.lgamma(i + 1))
+    p = math.exp(-g)
+    if p < 1e-300:
+        return math.exp(-g + i * math.log(g) - math.lgamma(i + 1))
+    for k in range(1, i + 1):
+        p *= g / k
+    return p
 
 
 def poisson_tail(g: float, i: int) -> float:
-    """P(count >= i) for a Poisson distribution with mean g."""
+    """P(count >= i) for a Poisson distribution with mean g.
+
+    An exact finite sum that starts at the pmf next to the boundary and walks
+    away from it, so every term ratio is below 1.  For g <= i it is
+    pmf(i) * sum_j g^j i!/(i+j)!, stopped once a term is below 2**-53 of the
+    sum.  For g > i it is 1 - P(count < i), with P(count < i) =
+    pmf(i-1) * (1 + (i-1)/g + (i-1)(i-2)/g^2 + ...), which is at most about
+    1/2 there.  The tests hold both walks to mpmath.
+    """
     i = _poisson_count(g, i)
     if i == 0:
         return 1.0
-    # Poisson upper tail equals the regularized lower incomplete gamma.
-    return _igam(i, g)
+    term = total = 1.0
+    if g <= i:
+        k = i
+        while term >= _EPS * total:
+            k += 1
+            term *= g / k
+            total += term
+        return poisson_pmf(g, i) * total
+    for k in range(i - 1, 0, -1):
+        term *= k / g
+        total += term
+        if term < _EPS * total:
+            break
+    return 1.0 - poisson_pmf(g, i - 1) * total
 
 
 def initial_loading(g: float, num_levels: int, overflow: str = "fold") -> np.ndarray:

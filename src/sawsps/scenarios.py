@@ -154,9 +154,13 @@ _BOUNDS: dict[str, tuple] = {
                     ("an integer in [1, 2**63)", lambda n: 1 <= n < 2 ** 63)),
     **dict.fromkeys(("row_extent_um", "col_extent_nm"),
                     ("an increasing [low, high] pair", lambda v: v[0] < v[1])),
-    **dict.fromkeys(("lifetimes_ns", "g_values"),
-                    ("a non-empty list of values > 0",
-                     lambda v: len(v) > 0 and min(v) > 0)),
+    "g_values": ("a non-empty list of values > 0",
+                 lambda v: len(v) > 0 and min(v) > 0),
+    # a rate 1/tau that overflows leaves the cascade no finite solution
+    "lifetimes_ns": ("a non-empty list of values > 0 with finite rates "
+                     "1/value",
+                     lambda v: len(v) > 0 and min(v) > 0
+                     and 1.0 / min(v) < math.inf),
     "master_seed": ("an integer >= 0", lambda n: n >= 0),
     "direction": ("+1 or -1", lambda d: d in (-1, 1)),
     "onset_threshold": ("a fraction in (0, 1)", lambda x: 0 < x < 1),

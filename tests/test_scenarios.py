@@ -497,6 +497,13 @@ BAD_CONFIGS = [
     ({"scenario": "fig4_transients",
       "params": {"cascade": {"lifetimes_ns": [1.5], "labels": ["a/b"]}}},
      "fig4_transients.cascade.labels"),
+    # a lifetime whose rate 1/tau overflows to inf failed mid-run with exit 1
+    ({"scenario": "fig4_transients",
+      "params": {"cascade": {"lifetimes_ns": [1.5, 1.4, 5e-324]}}},
+     "fig4_transients.cascade.lifetimes_ns"),
+    ({"scenario": "fig4c_delays",
+      "params": {"cascade": {"lifetimes_ns": [1.5, 1.4, 5e-324]}}},
+     "fig4c_delays.cascade.lifetimes_ns"),
     # a frame bin wider than its extent leaves fewer than two bin edges
     ({"scenario": "fig7_remote", "params": {"frame": {"row_bin_um": 45}}},
      "fig7_remote.frame"),
