@@ -200,11 +200,21 @@ _BOUNDS: dict[str, tuple] = {
                     and all(_LINES[label].center_nm + shift > 0
                             for label in p["cascade"]["labels"]
                             for shift in p["emitter_shifts_nm"].values())),
-    # the PL image spans field.extent_um in whole pixels, as a frame does
+    # the PL image spans field.extent_um in whole pixels, as a frame does;
+    # the pulse period is the run's, as SawWave.period_ns gives it
     "fig5_ensemble": ("image.pixel_um dividing each axis of field.extent_um "
-                      "into whole pixels",
+                      "into whole pixels, and a pulse period "
+                      "1e3 / saw.frequency_mhz / pulses_per_saw_cycle "
+                      "finite and > 0",
                       lambda p: all(whole_bins(axis, p["image"]["pixel_um"])
-                                    for axis in p["field"]["extent_um"])),
+                                    for axis in p["field"]["extent_um"])
+                      and 0 < 1e3 / p["saw"]["frequency_mhz"]
+                      / p["pulses_per_saw_cycle"] < math.inf),
+    # a period or velocity that overflows or underflows failed mid-run
+    "saw": ("a finite period 1e3 / frequency_mhz and a finite velocity "
+            "frequency_mhz * 1e-3 * wavelength_um > 0",
+            lambda w: 1e3 / w["frequency_mhz"] < math.inf
+            and 0 < w["frequency_mhz"] * 1e-3 * w["wavelength_um"] < math.inf),
 }
 
 # What a scalar key accepts, by the type of its default; only a bool key

@@ -57,6 +57,9 @@ class SawWave:
         if not (0 < self.frequency_mhz < math.inf
                 and 0 < self.wavelength_um < math.inf):
             raise ValueError("frequency and wavelength must be finite and > 0")
+        if not (self.period_ns < math.inf
+                and 0 < self.velocity_um_per_ns < math.inf):
+            raise ValueError("period and velocity must be finite and > 0")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be in [0, 1]")
         if self.direction not in (-1, 1):
@@ -336,11 +339,14 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     the sweep stops once no pocket holds carriers.  The block's hits, sorted
     stably by pocket, come pocket by pocket, each pocket's in rank order.
 
-    Returns the pocket counts left and the captures as columns (time,
-    pocket, rank, carriers moved, excitons formed), in the order the blocks
-    resolve them: by rank, then (time, pocket), so each site's captures are
-    contiguous and in time order.  The captures that formed excitons are
-    the loads.
+    Returns the pocket counts left and the captures as columns (pocket,
+    rank, carriers moved, excitons formed), in the order the blocks resolve
+    them: by rank, then (crossing time, pocket), so each site's captures
+    are contiguous and in time order.  Each column has its narrowest type:
+    pockets int32 (int64 from 2**31 pockets), ranks the smallest unsigned
+    type of the number of sites, and carriers that of the largest capacity
+    (a capture moves at most its site's capacity).  The captures that formed
+    excitons are the loads; `_crossing` gives their times.
     """
     d, v = saw.direction, saw.velocity_um_per_ns
     sp, s0 = d * pos, d * pockets["position_um"]
@@ -348,13 +354,15 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
     counts = pockets["count"].copy()
     sign = 1 - 2 * pockets["species"].astype(np.int64)  # +1 electron, -1 hole
     c_max = capacity.max(initial=0)
+    rank_type = np.min_scalar_type(sp.size)
+    types = (np.int32 if n < 2 ** 31 else np.int64, rank_type,
+             *[np.min_scalar_type(c_max)] * 2)
     # (pocket, rank, carriers moved, excitons formed) of each capture, by block
-    caps = [np.zeros((4, 0), np.int64)]
+    caps = [tuple(np.zeros(0, t) for t in types)]
     if n and sp.size:  # else no pocket passes a site
         starts, passer = _rank_layout(s0, sp, radius)
         p_eff = prob * saw.amplitude
         p_max = p_eff.max()
-        rank_type = np.min_scalar_type(sp.size)
 
         def resolve(pk, rank):
             """Resolve the hits (pocket, rank) of a block: (pocket, rank,
@@ -400,7 +408,8 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
             pk, rank, moved, before, step = (
                 c[kept] for c in (pk, rank, moved, before, step))
             formed = np.minimum(moved, np.maximum(-step * before, 0))
-            return np.stack([pk, rank, moved, formed])
+            return tuple(c.astype(t) for c, t in
+                         zip((pk, rank, moved, formed), types))
 
         lo = 0
         while lo < sp.size and counts.any():
@@ -416,9 +425,12 @@ def _convey(pockets, pos, radius, prob, capacity, saw, rng):
             order = np.argsort(pk, kind="stable")
             caps.append(resolve(pk[order], rank[order]))
             lo = hi
-    caps = np.concatenate(caps, axis=1)
-    pk, rank = caps[:2]
-    return counts, (_crossing(born[pk], s0[pk], sp[rank], v), *caps)
+    # one list of blocks per column, each freed once it is concatenated
+    columns = list(zip(*caps))
+    del caps
+    for i, blocks in enumerate(columns):
+        columns[i] = np.concatenate(blocks)
+    return counts, tuple(columns)
 
 
 def _nearest_covering(xs, pos, radius):
@@ -461,7 +473,9 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
     generation point, or else recombines there.  Each photon carries its
     emitting site's row as its id and the site's (x, y) as its position.
     The loads (captures that form excitons) come site by site in encounter
-    order, each site's in time order, as the kernel resolves them.  If every
+    order, each site's in time order, as the kernel resolves them; the
+    kernel returns its captures in narrow columns without times, and only
+    the loads' crossing times are computed.  If every
     loaded site has one level, each takes one wait per load from its stream
     and `_one_level_kept` picks the loads that emit, the sampler's photons
     bit for bit, built on first read; else `sample_cascade_from_loads` runs.
@@ -502,7 +516,8 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
         load_n = np.ones(pair.size, np.int64)
     else:
         pockets = launch_pockets(pair_t, pair_x, saw)
-        counts, (t, pk, rank, moved, formed) = _convey(
+        del pair_t, pair_x
+        counts, (pk, rank, moved, formed) = _convey(
             pockets, pos, radius, prob, capacity, saw, rng)
         species = pockets["species"]
         captured = np.bincount(species[pk], moved, minlength=2)
@@ -512,9 +527,13 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
             log.captured[sp] = int(captured[code])
             log.exited[sp] = int(counts[mine].sum())
         load = formed > 0
-        load_time, load_rank, load_n = t[load], rank[load], formed[load]
+        pk, load_rank, load_n = pk[load], rank[load], formed[load]
         # freed before the sampler runs: its peak does not add to theirs
-        del t, pk, rank, moved, formed, load
+        del rank, moved, formed, load
+        # the loads' crossing times, the only capture times read
+        d, v = saw.direction, saw.velocity_um_per_ns
+        load_time = _crossing(pockets["birth_time_ns"][pk],
+                              d * pockets["position_um"][pk], d * pos[load_rank], v)
 
     # the loads come in rank order: a site's loads are one run of its rank
     head = np.diff(load_rank, prepend=-1) != 0

@@ -187,6 +187,16 @@ def one_shot_emission_times(num_cycles: int, period_ns: float,
     return times[kept]
 
 
+def capture_times(pockets, pk, x_site, saw):
+    """When pocket pk (a row of `pockets`) is captured at the site at
+    x_site, elementwise: born + max(d * x_site - d * x_pocket, 0) / v, at
+    the site's center, or at birth if born past it (d the direction, v the
+    velocity)."""
+    d = saw.direction
+    return pockets["birth_time_ns"][pk] + np.maximum(
+        d * x_site - d * pockets["position_um"][pk], 0.0) / saw.velocity_um_per_ns
+
+
 def run_with_rows(spot, sites, saw, *args):
     """`run_device(spot, sites, saw, *args)` and the rows of its captures
     and loads, rebuilt from what the kernel `transport._convey` was given
@@ -194,9 +204,10 @@ def run_with_rows(spot, sites, saw, *args):
 
     A capture row is (time, site id, species code, carriers moved, pocket
     birth time, pocket birth position) and a load row (time, site id,
-    excitons formed).  The kernel returns its captures site by site; the
-    rows are sorted into event order, by (time, pocket, rank).  With the
-    wave off nothing is conveyed, and both are None.
+    excitons formed).  The kernel returns its captures site by site without
+    times (`capture_times` gives them); the rows are sorted into event
+    order, by (time, pocket, rank).  With the wave off nothing is conveyed,
+    and both are None.
     """
     calls = []
     convey = transport._convey
@@ -211,12 +222,13 @@ def run_with_rows(spot, sites, saw, *args):
         result = transport.run_device(spot, sites, saw, *args)
     if not calls:
         return result, None, None
-    [(pockets, columns)] = calls
-    # a pocket passes a rank once, so (time, pocket, rank) orders every row
-    order = np.lexsort(columns[2::-1])
-    t, pk, rank, moved, formed = (c[order] for c in columns)
+    [(pockets, (pk, rank, moved, formed))] = calls
     # the sites in encounter order: a stable sort of direction * x
     site = np.argsort(saw.direction * sites.x_um, kind="stable")[rank]
+    t = capture_times(pockets, pk, sites.x_um[site], saw)
+    # a pocket passes a rank once, so (time, pocket, rank) orders every row
+    order = np.lexsort((rank, pk, t))
+    t, site, pk, moved, formed = (c[order] for c in (t, site, pk, moved, formed))
     captures = list(zip(t.tolist(), site.tolist(),
                         pockets["species"][pk].tolist(), moved.tolist(),
                         pockets["birth_time_ns"][pk].tolist(),

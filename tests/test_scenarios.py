@@ -530,6 +530,17 @@ BAD_CONFIGS = [
     # a shift of a site that does not exist changed no output
     ({"scenario": "fig7_remote", "params": {"emitter_shifts_nm": {"7": 5.0}}},
      "fig7_remote"),
+    # a pulse period that overflows, or a velocity that underflows to 0,
+    # failed mid-run with exit 1
+    ({"scenario": "fig5_ensemble", "params": {"saw": {"frequency_mhz": 5e-324}}},
+     "fig5_ensemble.saw"),
+    ({"scenario": "g2_antibunching",
+      "params": {"saw": {"frequency_mhz": 5e-324}}},
+     "g2_antibunching.saw"),
+    ({"scenario": "fig5_ensemble", "params": {"pulses_per_saw_cycle": 5e-324}},
+     "fig5_ensemble"),
+    ({"scenario": "fig7_remote", "params": {"saw": {"wavelength_um": 5e-324}}},
+     "fig7_remote.saw"),
 ]
 
 

@@ -108,6 +108,19 @@ def test_script_writes_csv(tmp_path, name, args, header):
     assert len(rows) > 1
 
 
+def test_fig5_scale_prints_one_json_line():
+    # the preset's default 200 pulses meet criterion 8 as the full run does
+    proc = run_script("fig5_scale.py", "--pulses", "200")
+    assert proc.returncode == 0, proc.stderr
+    [line] = proc.stdout.splitlines()
+    report = json.loads(line)
+    assert report["pulses"] == 200 and report["photons"] > 0
+    assert report["wall_s"] > 0 and report["peak_rss_mb"] > 0
+    assert report["upstream_fraction"] >= 0.6
+    assert 0.12 <= report["illuminated_fraction"] <= 0.50
+    assert run_script("fig5_scale.py", "--pulses", "0").returncode == 2
+
+
 def test_run_all_scenarios_writes_every_manifest(tmp_path):
     proc = run_script("run_all_scenarios.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

@@ -19,7 +19,8 @@ from sawsps.transport import (ELECTRON, HOLE, SPECIES, LaserSpot, SawWave,
                               launch_pockets, per_cycle_emission_times,
                               pocket_lattice_position, run_device,
                               uniform_site_field)
-from oracles import arrival_delay, one_shot_emission_times, run_with_rows
+from oracles import (arrival_delay, capture_times, one_shot_emission_times,
+                     run_with_rows)
 from test_emitter import CountingStream, reference_cascade
 from test_golden import output_hashes
 
@@ -65,6 +66,12 @@ class TestSawWave:
         for frequency, wavelength in [(0.0, 15.0), (nan, 15.0), (inf, 15.0),
                                       (193.0, nan), (193.0, inf)]:
             with pytest.raises(ValueError):
+                SawWave(frequency, wavelength)
+        # a period 1e3 / f that overflows, or a velocity f * 1e-3 * lambda
+        # that underflows to 0 or overflows, failed mid-run
+        for frequency, wavelength in [(5e-324, 15.0), (193.0, 5e-324),
+                                      (1e308, 1e10)]:
+            with pytest.raises(ValueError, match="period and velocity"):
                 SawWave(frequency, wavelength)
         with pytest.raises(ValueError):
             SawWave(193.0, 15.0, amplitude=1.5)
@@ -740,8 +747,8 @@ def test_kernel_matches_event_loop_oracle(block, monkeypatch):
     recorded, convey = [], transport._convey
 
     def recording(*args):
-        recorded.append(convey(*args))
-        return recorded[-1]
+        recorded.append((args, convey(*args)))
+        return recorded[-1][1]
     monkeypatch.setattr(transport, "_convey", recording)
     seen = {"amplitude": set(), "direction": set(), "capacity": set(),
             "exited": 0, "inside_before": 0, "inside_past": 0, "ties": 0,
@@ -751,7 +758,8 @@ def test_kernel_matches_event_loop_oracle(block, monkeypatch):
         _, sites, saw = run[:3]
         recorded.clear()
         got = device_outputs(*run, seed)
-        for _, (t, pk, rank, _, _) in recorded:
+        for (pockets, pos, *_), (_, (pk, rank, _, _)) in recorded:
+            t = capture_times(pockets, pk, pos[rank], saw)
             # by (rank, time, pocket): the sampler's site-by-site order
             assert np.array_equal(np.lexsort((pk, t, rank)), np.arange(t.size))
             # which differs from event order when a later site captures first
@@ -812,6 +820,27 @@ def test_kernel_matches_event_loop_oracle_on_fig7_device(direction):
     assert_same_photons(got[3], photons)
     per_site = np.bincount([c[1] for c in captures], minlength=len(sites))
     assert per_site.max() > 1024
+
+
+def test_wide_captures_match_event_loop_oracle():
+    # the kernel keeps ranks and carriers in their narrowest types: 300
+    # sites need two-byte ranks, and a 300-level site filled whole by
+    # pockets of about 400 carriers needs two-byte carriers moved and formed
+    saw = SawWave(193.0, 15.0)
+    n = 300
+    prob = np.zeros(n)
+    prob[[100, 260, 280, n - 1]] = 0.5, 1.0, 0.5, 1.0
+    models = [MODEL] * (n - 1) + [CascadeModel(np.linspace(1.5, 0.5, 300))]
+    sites = SiteField(0.1 * np.arange(n), np.zeros(n), np.full(n, 0.04), prob,
+                      models)
+    run = (LaserSpot(-20.0, 0.1, 400.0), sites, saw, saw.period_ns, 3, 7)
+    got = device_outputs(*run)
+    tallies, captures, loads, photons = reference_device(*run)
+    assert_same_rows(got, tallies, captures, loads, saw.amplitude)
+    assert_same_photons(got[3], photons)
+    assert max(c[1] for c in captures) == n - 1
+    assert min(c[3] for c in captures if c[1] == n - 1) == 300
+    assert [load[2] for load in loads if load[1] == n - 1] == [300] * 3
 
 
 def test_site_photons_count_the_photons(monkeypatch):
@@ -990,7 +1019,7 @@ def test_each_block_reads_exactly_its_passes(block, monkeypatch):
                    seed)
         for call in calls:
             pockets, pos, radius, _, _, saw, _ = call["args"]
-            _, (_, pk, rank, moved, _) = call["out"]
+            _, (pk, rank, moved, _) = call["out"]
             pos, radius = pos.tolist(), radius.tolist()
             at_rank = np.bincount(
                 [r for _, r in reference_passes(
@@ -1093,7 +1122,7 @@ def test_capture_draws_stay_lazy(monkeypatch, tmp_path):
                                        "params": {"num_pulses": 200}})
     run_scenario(config, tmp_path / "out")
     starts, sizes = count["starts"], count["sizes"]
-    left, (_, _, rank, _, _) = count["out"]
+    left, (_, rank, _, _) = count["out"]
     draws = sum(sizes)
     assert starts[-1] > 10 ** 6
     # every pocket runs dry at the last capture, and the passes of its rank
