@@ -14,7 +14,6 @@ import numpy as np
 
 from .cascade import (CascadeModel, NoSignalError, Transient, initial_loading,
                       solve_cascade_analytic)
-from .rng import _map_blocks
 
 # g2_histogram walks the pairs G2_CHUNK photons at a time and bins at most
 # about G2_CHUNK * G2_LAGS delays at once per thread, which bounds its
@@ -327,6 +326,20 @@ class G2Histogram:
     peak_areas: dict  # peak index m -> coincidences in [mT - T/2, mT + T/2)
 
 
+def _map_blocks(func, num_blocks: int, threads: int) -> list:
+    """`[func(b) for b in range(num_blocks)]`, on `threads` worker threads.
+
+    At threads=1 the blocks run in the calling thread in index order, and
+    no pool is built or imported: importing `concurrent.futures` adds about
+    0.5 MB to a run's peak memory.
+    """
+    if threads <= 1:
+        return [func(b) for b in range(num_blocks)]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(func, range(num_blocks)))
+
+
 def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
                  pulse_period_ns: float, threads: int = 1) -> G2Histogram:
     """All-pairs coincidence histogram and the pulsed zero-peak ratio.
@@ -346,7 +359,7 @@ def g2_histogram(times_or_records, max_delay_ns: float, bin_ns: float,
     G2_CHUNK * G2_LAGS, so the temporaries stay bounded however dense the
     stream and no array of all pairs is built.  Each block returns its own
     integer cell counts and the blocks run on `threads` worker threads
-    (`rng._map_blocks`; at threads=1 in the calling thread, in order); their
+    (`_map_blocks`; at threads=1 in the calling thread, in order); their
     sum does not depend on order, so the result is the same at any thread
     count.  Memory is O(photons + cells + threads * G2_CHUNK * G2_LAGS).
     Pairs are binned at +delay and mirrored to -delay, so the histogram is

@@ -1,13 +1,13 @@
 """Counter-based random streams for reproducible parallel sampling.
 
-Every stream is `substream(master_seed, purpose, *index)`.  The keys in use,
-all distinct within one scenario run:
+Every stream is `substream(master_seed, purpose, *index)` or one of its
+counter blocks.  The keys in use, all distinct within one scenario run:
 
     key                  draws                                  opened by
     (0, variant)         device pair counts and positions       run_device
-    (1, variant, rank)   cascade waits of the device site at    run_device,
-                         encounter rank `rank`: one block of    through
-                         standard exponentials, one per load if `substreams`
+    (1, variant)         cascade waits, counter block r for     run_device,
+                         the site at encounter rank r: one      through
+                         standard exponential per load if       `substreams`
                          one-level, else the event loop's block
     (2,)                 g2 per-cycle photon times              g2_antibunching
     (3, variant)         device capture uniforms, one per       run_device
@@ -23,11 +23,7 @@ all distinct within one scenario run:
 other device run, so no two variants or seeds share a stream.
 """
 
-import itertools
-
 import numpy as np
-
-_M32 = 0xFFFFFFFF
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -41,69 +37,24 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _map_blocks(func, num_blocks: int, threads: int) -> list:
-    """`[func(b) for b in range(num_blocks)]`, on `threads` worker threads.
+def substreams(master_seed: int, *key: int, blocks):
+    """`substream(master_seed, *key)` at Philox counter (0, b, 0, 0), with an
+    empty buffer, for each counter block b of `blocks`, in order.
 
-    At threads=1 the blocks run in the calling thread in index order, and
-    no pool is built or imported: importing `concurrent.futures` adds about
-    0.5 MB to a run's peak memory.  Its one caller is g2's pair walk, whose
-    chunks draw nothing and return integer counts, so their sum does not
-    depend on the thread count or order.
+    A block holds 2**64 four-word draws that no other block reaches, so each
+    stream is a pure function of (master_seed, key, b), and block 0 is the
+    substream itself.  One generator is re-positioned in place for each
+    block: draw from a stream before taking the next.  Raises ValueError for
+    a block that is not an integer in [0, 2**64).
     """
-    if threads <= 1:
-        return [func(b) for b in range(num_blocks)]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, range(num_blocks)))
+    blocks = np.asarray(blocks)  # checked uncast: uint64 wraps -1, floors 0.5
+    if blocks.size and (blocks.dtype.kind not in "iu" or blocks.min() < 0):
+        raise ValueError("counter blocks must be integers in [0, 2**64)")
+    rng = substream(master_seed, *key)
+    state = rng.bit_generator.state
 
-
-def _hasher(const: int, mult: int):
-    """numpy `SeedSequence`'s hashmix, with its running hash constant, on a
-    Python int or a uint64 array of 32-bit words."""
-    def hashmix(value):
-        nonlocal const
-        value = (value ^ const) * (const := const * mult & _M32) & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def substreams(master_seed: int, *key):
-    """`substream(master_seed, *key)` for every key of a batch, in order; an
-    entry of `key` may be a 1-d int array, one stream per element.
-
-    The Philox keys come from one vectorised pass of numpy's `SeedSequence`
-    hash (`mix_entropy`, then `generate_state(2, np.uint64)`).  One generator
-    is re-keyed in place for each stream (key, counter 0, empty buffer), so
-    draw from a stream before taking the next.
-    """
-    seed = int(master_seed)
-    if seed < 0:
-        raise ValueError("master seed must be >= 0")
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) * bool(key)  # numpy pads spawned entropy
-    for k in key:
-        a = np.asarray(k)
-        if a.dtype.kind not in "iu" or ((a < 0) | (a > _M32)).any():
-            raise ValueError("key entries must be integers in [0, 2**32)")
-        words.append(int(k) if a.ndim == 0 else a.astype(np.uint64))
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
-
-    def mix_in(dst, value):  # numpy's mix(pool[dst], hashmix(value))
-        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & _M32
-        pool[dst] = mixed ^ mixed >> 16
-    for src, dst in itertools.permutations(range(4), 2):
-        mix_in(dst, pool[src])
-    for w, dst in itertools.product(words[4:], range(4)):
-        mix_in(dst, w)
-    state = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool))
-    keys = np.empty((np.broadcast(0, *key).size, 2), np.uint64)
-    keys[:, 0], keys[:, 1] = state[0] | state[1] << 32, state[2] | state[3] << 32
-    bits = np.random.Philox(0)
-    rng, fresh = np.random.Generator(bits), bits.state
-
-    def rekey(row):
-        fresh["state"]["key"] = row
-        bits.state = fresh
+    def at(block):
+        state["state"]["counter"][1] = block
+        rng.bit_generator.state = state
         return rng
-    return map(rekey, keys)
+    return map(at, blocks)

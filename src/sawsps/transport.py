@@ -540,7 +540,7 @@ def run_device(spot: LaserSpot, sites: SiteField, saw: SawWave,
     ranks, load_site = load_rank[head], np.cumsum(head) - 1
     loaded = site_ids[ranks]
     models = [sites.models[i] for i in loaded.tolist()]
-    streams = substreams(master_seed, 1, variant, ranks)
+    streams = substreams(master_seed, 1, variant, blocks=ranks)
     if any(m.num_levels > 1 for m in models):
         photons = sample_cascade_from_loads(
             models, load_time, load_n, streams, load_site, emitter_ids=loaded,

@@ -15,7 +15,7 @@ from sawsps.analysis import fit_rise_fall, g2_histogram
 from sawsps.cascade import CascadeModel, Transient, solve_cascade_analytic
 from sawsps.detector import Irf, convolve_irf
 from sawsps.emitter import sample_cascade_from_loads, sample_start_levels
-from sawsps.rng import substream, substreams
+from sawsps.rng import substream
 from sawsps.scenarios import ScenarioConfig, run_scenario
 from sawsps.transport import (LaserSpot, SawWave, SiteField,
                               per_cycle_emission_times, run_device)
@@ -65,7 +65,7 @@ def test_criterion_2_mc_ode_convergence():
     bin_ns = 0.2
     photons = sample_cascade_from_loads(
         [THREE_LEVEL] * num, np.zeros(num), np.full(num, 3),
-        substreams(777, np.arange(num)), np.arange(num))
+        (substream(777, i) for i in range(num)), np.arange(num))
     sol = solve_cascade_analytic(THREE_LEVEL, 3)
     worst_z = 0.0
     for level, label in enumerate(THREE_LEVEL.labels, start=1):

@@ -9,7 +9,7 @@ from sawsps.cascade import CascadeModel, poisson_tail
 from sawsps.emitter import (PHOTON_DTYPE, read_photon_csv,
                             sample_cascade_from_loads, sample_start_levels,
                             write_photon_csv)
-from sawsps.rng import substream, substreams
+from sawsps.rng import substream
 from oracles import ensemble_histogram
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
@@ -184,10 +184,11 @@ class TestEventDrivenLoads:
         assert seen["empty"] >= 5
         for case in ("zero", "above_top", "equal_times", "reload", "long_gap"):
             assert seen[case] >= 20, case
-        # all schedules in one call: site i draws from substreams(1, i),
+        # all schedules in one call: site i draws from substream(1, i),
         # and its photons are the oracle's on substream(1, i)
         models, schedules, kws = zip(*sites)
-        got = sample_sites(models, schedules, substreams(1, np.arange(250)),
+        got = sample_sites(models, schedules,
+                           (substream(1, i) for i in range(250)),
                            emitter_ids=[kw["emitter_id"] for kw in kws],
                            positions_um=[kw["position_um"] for kw in kws])
         expected = np.concatenate([
@@ -200,11 +201,11 @@ class TestEventDrivenLoads:
     @staticmethod
     def assert_matches_oracle(models, schedules, seed):
         """One call over all sites against `reference_cascade` site by site;
-        site i draws from substreams(seed, i)."""
+        site i draws from substream(seed, i)."""
         kws = [{"emitter_id": 10 * i, "position_um": (float(i), -0.5 * i)}
                for i in range(len(models))]
         got = sample_sites(models, schedules,
-                           substreams(seed, np.arange(len(models))),
+                           (substream(seed, i) for i in range(len(models))),
                            emitter_ids=[kw["emitter_id"] for kw in kws],
                            positions_um=[kw["position_um"] for kw in kws])
         expected = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
@@ -267,7 +268,7 @@ class TestEventDrivenLoads:
         num = 20000
         recs = sample_cascade_from_loads(
             [MODEL] * num, np.full(num, 5.0), np.full(num, 3),
-            substreams(5, np.arange(num)), np.arange(num))
+            (substream(5, i) for i in range(num)), np.arange(num))
         ones = recs["time_ns"][recs["transition"] == "1X"] - 5.0
         se = ones.std() / np.sqrt(ones.size)
         assert abs(ones.mean() - 3.8) < 3.0 * se
@@ -286,7 +287,7 @@ class TestEventDrivenLoads:
     def test_empty_loads(self):
         recs = sample_cascade_from_loads([MODEL], [], [], [substream(8, 0)])
         assert recs.dtype == PHOTON_DTYPE and len(recs) == 0
-        recs = sample_cascade_from_loads([], [], [], substreams(8, np.arange(0)))
+        recs = sample_cascade_from_loads([], [], [], [])
         assert recs.dtype == PHOTON_DTYPE and len(recs) == 0
 
     @pytest.mark.parametrize("loads", [

@@ -305,20 +305,29 @@ SMALL = {
 }
 
 
+def first_draws(master_seed, *key_and_block):
+    """The first four uniforms of a stream `streams_used` recorded."""
+    *key, block = key_and_block
+    stream = (rng.substream(master_seed, *key) if block is None else
+              next(rng.substreams(master_seed, *key, blocks=[block])))
+    return tuple(stream.random(4))
+
+
 def streams_used(monkeypatch, tmp_path, name, seed, **changed):
-    """(master_seed, *key) of every substream one run of a preset opens, on
-    its own or in a batch; `changed` overrides keys of its SMALL config."""
+    """(master_seed, *key, block) of every stream one run of a preset opens:
+    block is None for a `substream` of its own, else the counter block that
+    `substreams` yields; `changed` overrides keys of its SMALL config."""
     keys = []
 
     def recording(master_seed, *key):
-        keys.append((master_seed, *key))
+        keys.append((master_seed, *key, None))
         return rng.substream(master_seed, *key)
 
-    def recording_batch(master_seed, *key):
-        each = zip(*(np.ravel(k).tolist() for k in np.broadcast_arrays(*key)))
-        for one, stream in zip(each, rng.substreams(master_seed, *key),
-                               strict=True):
-            keys.append((master_seed, *one))
+    def recording_batch(master_seed, *key, blocks):
+        for block, stream in zip(np.ravel(blocks).tolist(),
+                                 rng.substreams(master_seed, *key,
+                                                blocks=blocks), strict=True):
+            keys.append((master_seed, *key, block))
             yield stream
 
     for module in (scenarios, transport):
@@ -337,6 +346,9 @@ class TestStreamKeys:
         for name in SMALL:
             keys = opened[name] = streams_used(monkeypatch, tmp_path, name, 7)
             assert len(keys) == len(set(keys)), name
+            # a counter block of one key is not the substream of another
+            draws = [first_draws(*key) for key in keys]
+            assert len(draws) == len(set(draws)), name
         # fig5's photons are stamped from its kept loads when they are
         # written: reading them opens no stream
         assert streams_used(monkeypatch, tmp_path, "fig5_ensemble", 7,
@@ -380,9 +392,8 @@ class TestStreamKeys:
         at_7 = streams_used(monkeypatch, tmp_path, "fig7_remote", 7)
         at_8 = streams_used(monkeypatch, tmp_path, "fig7_remote", 8)
         assert at_7 and not set(at_7) & set(at_8)
-        first_8 = {tuple(rng.substream(*k).random(4)) for k in at_8}
-        assert not any(tuple(rng.substream(*k).random(4)) in first_8
-                       for k in at_7)
+        first_8 = {first_draws(*k) for k in at_8}
+        assert not any(first_draws(*k) in first_8 for k in at_7)
 
 
 def read_pgm(path):

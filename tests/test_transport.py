@@ -23,6 +23,7 @@ from oracles import (arrival_delay, capture_times, one_shot_emission_times,
                      run_with_rows)
 from test_emitter import CountingStream, reference_cascade
 from test_golden import output_hashes
+from test_rng import counter_block
 
 MODEL = CascadeModel((1.5, 1.4, 0.9))
 SAW = SawWave(193.0, 15.0)
@@ -367,7 +368,8 @@ class TestRunDevice:
         assert pair_t.size and np.all(np.isin(pair_t, res.log.pulse_times))
         expected = sample_cascade_from_loads(
             [MODEL], pair_t, np.ones(pair_t.size, np.int64),
-            [substream(71, 1, 0, 0)], emitter_ids=[0], positions_um=[(0.1, 0.0)])
+            [counter_block(71, (1, 0), 0)], emitter_ids=[0],
+            positions_um=[(0.1, 0.0)])
         assert_same_photons(res.photons, expected)
         assert res.log.captured == {ELECTRON: pair_t.size, HOLE: pair_t.size}
         assert res.log.recombined == {ELECTRON: 0, HOLE: 0}
@@ -677,7 +679,7 @@ def reference_device(spot, sites, saw, period, num_pulses, seed, variant=0):
 
     photons = np.concatenate([np.zeros(0, PHOTON_DTYPE)] + [
         reference_cascade(site.model, site.loads,
-                          substream(seed, 1, variant, rank),
+                          counter_block(seed, (1, variant), rank),
                           emitter_id=site.site_id,
                           position_um=(site.position_um, site.y_um))
         for rank, site in enumerate(sites) if site.loads])
@@ -848,7 +850,7 @@ def test_site_photons_count_the_photons(monkeypatch):
     is read first.  Reading the photons opens no stream: a one-level run
     stamps them from its kept loads, and any other run's sampler has drawn
     them before `run_device` returns."""
-    def refuse(*args):
+    def refuse(*args, blocks=None):
         raise AssertionError("a stream was opened")
 
     runs = [(*random_device(seed), seed) for seed in range(60)] + [
@@ -877,10 +879,10 @@ def test_site_photons_count_the_photons(monkeypatch):
 
 
 def counting_streams(stubs):
-    """A stand-in for `substreams`: a `CountingStream` per key, each taken
+    """A stand-in for `substreams`: a `CountingStream` per block, each taken
     only once the one before it has drawn."""
-    def batch(master_seed, *key):
-        for _ in np.ravel(key[-1]):
+    def batch(master_seed, *key, blocks):
+        for _ in blocks:
             assert not stubs or stubs[-1].calls
             stubs.append(CountingStream())
             yield stubs[-1]
